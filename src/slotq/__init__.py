@@ -58,7 +58,6 @@ from .oracle import (
     verify_schedule,
 )
 from .schedulers import (
-    SchedulerConfig,
     check_slot_monotonicity,
     grq_rebuild,
     grq_transmit,
@@ -87,7 +86,6 @@ __all__ = [
     "OfflineSchedule",
     "Packet",
     "Rejection",
-    "SchedulerConfig",
     "SearchResult",
     "SlotBuffer",
     "SplitMix64",

@@ -18,6 +18,7 @@ All types here are immutable values; the operations are pure functions, so
 distinct traces can be processed concurrently without coordination.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +76,33 @@ class Trace:
 
     def arrivals_at(self, t: int) -> tuple[Packet, ...]:
         return self._arrivals.get(t, ())
+
+    @cached_property
+    def weight_denominator(self) -> int:
+        """Least common denominator of all weights (1 for an empty trace)."""
+        return math.lcm(*(p.weight.denominator for p in self.packets))
+
+    @cached_property
+    def scaled_weight(self) -> dict[int, int]:
+        """Packet id -> weight * weight_denominator, an exact integer.
+
+        Scaled weights order and sum exactly like the rational weights, so hot
+        loops can compare ints instead of Fractions without rounding anything.
+        """
+        d = self.weight_denominator
+        return {p.id: p.weight.numerator * (d // p.weight.denominator) for p in self.packets}
+
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        """Packet id -> position in the processing order of the online schedulers.
+
+        The order is weight descending, then deadline ascending, then id
+        ascending: a strict total order (ids are unique) that favors tight
+        deadlines among equal weights, which never hurts placement.
+        """
+        w = self.scaled_weight
+        order = sorted(self.packets, key=lambda p: (-w[p.id], p.deadline, p.id))
+        return {p.id: i for i, p in enumerate(order)}
 
 
 class InvalidTraceError(ValueError):
@@ -159,7 +187,7 @@ class SlotBuffer:
         ]
 
     def packets(self) -> tuple[Packet, ...]:
-        return tuple(p for p in self.slots if p is not None)
+        return tuple([p for p in self.slots if p is not None])
 
 
 def check_buffer_invariants(buffer: SlotBuffer, phase: Phase = "post-rebuild") -> list[str]:
@@ -179,16 +207,11 @@ def check_buffer_invariants(buffer: SlotBuffer, phase: Phase = "post-rebuild") -
                 f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}"
             )
     if phase == "post-rebuild":
-        gap_at = None
-        for i, p in enumerate(buffer.slots):
-            if p is None:
-                if gap_at is None:
-                    gap_at = buffer.base_time + i
-            elif gap_at is not None:
-                out.append(
-                    f"slot {buffer.base_time + i}: occupied after empty slot {gap_at}"
-                )
-                break
+        # the n occupied slots form a prefix iff the last one has index n - 1
+        if occ and occ[-1][0] - buffer.base_time >= len(occ):
+            gap_at = buffer.base_time + buffer.slots.index(None)
+            after = next(label for label, _ in occ if label > gap_at)
+            out.append(f"slot {after}: occupied after empty slot {gap_at}")
         for (la, pa), (lb, pb) in zip(occ, occ[1:]):
             if pb.weight > pa.weight:
                 out.append(

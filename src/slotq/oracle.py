@@ -12,8 +12,8 @@ depth-first search over per-step choices (which arrivals to retain, then send
 one held packet or idle).  Identical packets — same release, deadline, weight
 — are collapsed into classes and the search state is the per-class count
 vector, which makes bursty instances (many copies of one packet) cheap.
-Weights are scaled to integers by their common denominator inside the search
-and restored to exact rationals at the end; nothing is ever rounded.  The
+The search runs on the trace's integer-scaled weights (Trace.scaled_weight)
+and restores exact rationals at the end; nothing is ever rounded.  The
 search refuses to exceed its node budget rather than degrade to a heuristic.
 
 optimal_unbounded drops the capacity constraint.  Assignability-within-windows
@@ -26,7 +26,6 @@ order, including schedules that idle while packets sit available; the charge
 verifier must hold against all of them, not just the optimum.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,7 +119,7 @@ class _ClassedInstance:
     trace: Trace
     keys: list[tuple[int, int, Fraction]] = field(default_factory=list)
     members: list[list[int]] = field(default_factory=list)  # ids, ascending
-    scaled: list[int] = field(default_factory=list)         # weight * lcm(denoms)
+    scaled: list[int] = field(default_factory=list)         # Trace.scaled_weight per class
 
     def __post_init__(self):
         groups: dict[tuple[int, int, Fraction], list[int]] = {}
@@ -128,8 +127,8 @@ class _ClassedInstance:
             groups.setdefault((p.release, p.deadline, p.weight), []).append(p.id)
         self.keys = sorted(groups)
         self.members = [sorted(groups[k]) for k in self.keys]
-        denom = math.lcm(*(k[2].denominator for k in self.keys)) if self.keys else 1
-        self.scaled = [int(k[2] * denom) for k in self.keys]
+        scaled_weight = self.trace.scaled_weight
+        self.scaled = [scaled_weight[ids[0]] for ids in self.members]
         self.arrivals: dict[int, list[int]] = {}
         for cid, (r, _, _) in enumerate(self.keys):
             self.arrivals.setdefault(r, []).append(cid)
@@ -228,8 +227,7 @@ def optimal_bounded(trace: Trace, max_nodes: int = DEFAULT_NODE_BUDGET) -> Offli
         assignment[inst.members[cid][cursor[cid]]] = step
         cursor[cid] += 1
     schedule = OfflineSchedule.of(trace, assignment)
-    denom = math.lcm(*(k[2].denominator for k in inst.keys)) if inst.keys else 1
-    assert schedule.value == Fraction(total, denom)
+    assert schedule.value == Fraction(total, trace.weight_denominator)
     assert not verify_schedule(trace, schedule)
     return schedule
 
@@ -240,10 +238,10 @@ def optimal_unbounded(trace: Trace) -> OfflineSchedule:
     """Exact maximum-value schedule ignoring the buffer-capacity constraint.
 
     Feasible packet sets form a transversal matroid (packets vs. time slots in
-    their windows), so greedy in descending weight order is optimal: keep a
-    packet iff an augmenting path frees a slot in its window.  Matching is
-    exact and purely combinatorial — weights are only summed, never compared
-    approximately.
+    their windows), so greedy in descending weight order (Trace.rank) is
+    optimal: keep a packet iff an augmenting path frees a slot in its window.
+    Matching is exact and purely combinatorial — weights are only summed,
+    never compared approximately.
     """
     slot: dict[int, int] = {}  # step -> packet id
 
@@ -258,9 +256,8 @@ def optimal_unbounded(trace: Trace) -> OfflineSchedule:
                 return True
         return False
 
-    order = sorted(trace.packets, key=lambda p: (-p.weight, p.deadline, p.id))
-    for p in order:
-        try_slot(p.id, set())
+    for pid in sorted(trace.rank, key=trace.rank.__getitem__):
+        try_slot(pid, set())
 
     assignment = {pid: t for t, pid in slot.items()}
     schedule = OfflineSchedule.of(trace, assignment)

@@ -1,12 +1,21 @@
 """Online schedulers: the slot-queue algorithm and a naive greedy baseline.
 
+Both schedulers process packets in one fixed order, computed once per trace
+(Trace.rank): weight descending, then deadline ascending, then id ascending.
+Weights are compared as exact integers scaled by the common denominator, so
+the order is exact and no Fraction is compared while sorting.
+
 The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
-plus fresh arrivals are considered in descending weight order and each packet
-goes to the smallest-labeled empty slot that does not exceed its deadline, or
-is rejected.  The front slot (labeled with the current step) is then
-transmitted.  Because heavy packets grab small labels first, the front packet
-is always a heaviest one — asserted on every step.
+plus fresh arrivals are considered in rank order and each packet goes to the
+smallest-labeled empty slot that does not exceed its deadline, or is
+rejected.  Filled slots always form a prefix, so that rule reduces to a
+prefix rule: with k slots already filled, the next packet is accepted (into
+slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
+(labeled with the current step) is then transmitted.  Because heavy packets
+grab small labels first, the front packet is always a heaviest one — checked
+on every step.  Survivors leave the buffer in slot order, which is rank
+order, so each step's sort is close to a merge.
 
 The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
 packets and sends the heaviest each step.  It ignores deadlines when choosing
@@ -15,11 +24,11 @@ short-deadline packets can crowd out slightly lighter packets that had time
 to be sent later (see generate.gen_killer).
 
 Both runners return a Transcript over steps t = 1..horizon with idle steps
-recorded explicitly.
+recorded explicitly.  Their self-checks raise AssertionError explicitly, so
+they also run under `python -O`.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Mapping
 
 from .model import (
     ADMISSION_REFUSED,
@@ -35,68 +44,45 @@ from .model import (
 )
 
 
-def _deadline_then_id(p: Packet) -> tuple[int, int]:
-    return p.deadline, p.id
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Pins the ordering applied among equal-weight packets.
-
-    Packets are always processed in descending weight order; `tie_break` maps
-    a packet to a sort key that breaks exact weight ties.  The default —
-    deadline ascending, then id ascending — is a strict total order on any
-    packet set (ids are unique) and favors tight deadlines, which never hurts
-    placement.
-    """
-
-    tie_break: Callable[[Packet], tuple] = _deadline_then_id
-
-    def order_key(self, p: Packet) -> tuple:
-        return (-p.weight, *self.tie_break(p))
-
-
-DEFAULT_CONFIG = SchedulerConfig()
-
-
 def grq_rebuild(
     buffered: Iterable[Packet],
     arrivals: Iterable[Packet],
     t: int,
     buffer_size: int,
-    config: SchedulerConfig = DEFAULT_CONFIG,
+    rank: Mapping[int, int],
 ) -> tuple[SlotBuffer, tuple[Rejection, ...]]:
     """Arrival-stage rebuild at step t: place survivors + arrivals, reject the rest.
 
-    Packets are placed in descending weight order (ties per config); each goes
-    to the smallest-labeled empty slot whose label is <= its deadline.  A
-    packet with no such slot is rejected — cause "preempted" if it was already
-    buffered, "admission-refused" if it just arrived.  Both inputs must be
-    live at t (release <= t <= deadline); offering an expired or future packet
-    is a programming error.
+    Packets are placed in the order given by `rank` (packet id -> position,
+    normally Trace.rank); each goes to the smallest-labeled empty slot whose
+    label is <= its deadline.  A packet with no such slot is rejected — cause
+    "preempted" if it was already buffered, "admission-refused" if it just
+    arrived.  Both inputs must be live at t (release <= t <= deadline);
+    offering an expired or future packet is a programming error.
     """
     buffered = tuple(buffered)
     arrivals = tuple(arrivals)
-    assert len(buffered) <= buffer_size, "carried packets exceed buffer size"
-    for p in buffered + arrivals:
-        assert p.release <= t <= p.deadline, f"packet {p.id} not live at t={t}"
+    if len(buffered) > buffer_size:
+        raise AssertionError("carried packets exceed buffer size")
     buffered_ids = {p.id for p in buffered}
 
-    slots: list[Packet | None] = [None] * buffer_size
+    placed: list[Packet] = []
     rejections: list[Rejection] = []
-    for p in sorted(buffered + arrivals, key=config.order_key):
-        # slot i carries label t + i; usable iff label <= deadline
-        last = min(buffer_size - 1, p.deadline - t)
-        for i in range(last + 1):
-            if slots[i] is None:
-                slots[i] = p
-                break
+    for p in sorted(buffered + arrivals, key=lambda p: rank[p.id]):
+        if not p.release <= t <= p.deadline:
+            raise AssertionError(f"packet {p.id} not live at t={t}")
+        # filled slots are a prefix, so the smallest empty slot is
+        # len(placed), labeled t + len(placed); usable iff label <= deadline
+        if len(placed) < min(buffer_size, p.deadline - t + 1):
+            placed.append(p)
         else:
             cause = PREEMPTED if p.id in buffered_ids else ADMISSION_REFUSED
             rejections.append(Rejection(p.id, cause))
 
-    buffer = SlotBuffer(t, tuple(slots))
-    assert not check_buffer_invariants(buffer, "post-rebuild")
+    buffer = SlotBuffer(t, tuple(placed) + (None,) * (buffer_size - len(placed)))
+    violations = check_buffer_invariants(buffer, "post-rebuild")
+    if violations:
+        raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
     return buffer, tuple(rejections)
 
 
@@ -104,28 +90,32 @@ def grq_transmit(buffer: SlotBuffer, t: int) -> tuple["Packet | None", tuple[Pac
     """Transmission stage: send the front-slot packet (or idle), return survivors.
 
     The front packet is always a maximum-weight packet in the buffer; this is
-    a consequence of the rebuild order and is asserted, not assumed.
+    a consequence of the rebuild order and is checked, not assumed.
     """
-    assert buffer.base_time == t
+    if buffer.base_time != t:
+        raise AssertionError(f"buffer based at {buffer.base_time} transmitted at t={t}")
     sent = buffer.front
-    if sent is not None:
-        assert all(p.weight <= sent.weight for p in buffer.packets()), (
-            f"front packet {sent.id} is not heaviest at t={t}"
-        )
-    remaining = tuple(p for p in buffer.slots[1:] if p is not None)
-    return sent, remaining
+    packets = buffer.packets()
+    if sent is None:
+        return None, packets
+    w = sent.weight
+    if any(p.weight > w for p in packets):
+        raise AssertionError(f"front packet {sent.id} is not heaviest at t={t}")
+    return sent, packets[1:]
 
 
-def run_grq(trace: Trace, config: SchedulerConfig = DEFAULT_CONFIG) -> Transcript:
+def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
+    rank = trace.rank
     steps: list[StepRecord] = []
     held: tuple[Packet, ...] = ()
     for t in range(1, trace.horizon + 1):
         arrivals = trace.arrivals_at(t)
-        buffer, rejections = grq_rebuild(held, arrivals, t, trace.buffer_size, config)
+        buffer, rejections = grq_rebuild(held, arrivals, t, trace.buffer_size, rank)
         sent, held = grq_transmit(buffer, t)
         # survivors sat at labels >= t+1, so none can be past deadline at t+1
-        assert all(p.deadline > t for p in held)
+        if any(p.deadline <= t for p in held):
+            raise AssertionError(f"a survivor of t={t} is past its deadline")
         steps.append(
             StepRecord(
                 time=t,
@@ -136,25 +126,30 @@ def run_grq(trace: Trace, config: SchedulerConfig = DEFAULT_CONFIG) -> Transcrip
                 transmitted=sent.id if sent is not None else None,
             )
         )
-    assert not held
+    if held:
+        raise AssertionError("packets left in the buffer after the last deadline")
     return Transcript(trace, tuple(steps))
 
 
-def run_naive_greedy(trace: Trace, config: SchedulerConfig = DEFAULT_CONFIG) -> Transcript:
+def run_naive_greedy(trace: Trace) -> Transcript:
     """Run the keep-the-heaviest baseline over the whole trace.
 
-    Per step: add arrivals, and if the buffer overflows drop the lightest
-    packets (among equals, larger deadline goes first, then larger id — the
-    drop order most charitable to greedy); transmit the heaviest packet
-    (ties per config).  Packets that reach their deadline unsent are recorded
-    as expired at that deadline step, right after the transmission they lost.
+    Per step: add arrivals, and if the buffer overflows drop the packets last
+    in rank order (the lightest; among equals, larger deadline goes first,
+    then larger id — the drop order most charitable to greedy); transmit the
+    first in rank order, a heaviest packet.  Packets that reach their
+    deadline unsent are recorded as expired at that deadline step, right
+    after the transmission they lost.
     """
+    rank = trace.rank
     steps: list[StepRecord] = []
-    held: list[Packet] = []
+    held: list[Packet] = []  # always in rank order
     for t in range(1, trace.horizon + 1):
-        assert all(p.deadline >= t for p in held)
+        if any(p.deadline < t for p in held):
+            raise AssertionError(f"greedy holds an expired packet at t={t}")
         arrivals = trace.arrivals_at(t)
-        pool = sorted(held + list(arrivals), key=config.order_key)
+        # held is one sorted run, so this sort is a near-linear merge
+        pool = sorted(held + list(arrivals), key=lambda p: rank[p.id])
         held, overflow = pool[: trace.buffer_size], pool[trace.buffer_size :]
         arrived_ids = {p.id for p in arrivals}
         rejections = [
@@ -163,7 +158,7 @@ def run_naive_greedy(trace: Trace, config: SchedulerConfig = DEFAULT_CONFIG) -> 
         ]
         held_ids = tuple(sorted(p.id for p in held))
 
-        sent = held[0] if held else None  # pool order puts a heaviest packet first
+        sent = held[0] if held else None
         if sent is not None:
             held = held[1:]
         # unsent packets whose deadline is t are lost; record while in window
@@ -181,7 +176,8 @@ def run_naive_greedy(trace: Trace, config: SchedulerConfig = DEFAULT_CONFIG) -> 
                 transmitted=sent.id if sent is not None else None,
             )
         )
-    assert not held
+    if held:
+        raise AssertionError("greedy holds packets after the last deadline")
     return Transcript(trace, tuple(steps))
 
 
@@ -197,15 +193,15 @@ def check_slot_monotonicity(transcript: Transcript) -> list[str]:
     prev: SlotBuffer | None = None
     for rec in transcript.steps:
         buf = rec.slots
-        assert buf is not None, "slot monotonicity needs labeled snapshots"
+        if buf is None:
+            raise AssertionError("slot monotonicity needs labeled snapshots")
         if prev is not None:
-            lo = max(prev.window[0], buf.window[0])
-            hi = min(prev.window[1], buf.window[1])
-            for label in range(lo, hi + 1):
-                before = prev.at_label(label)
-                if before is None:
+            lo = max(prev.base_time, buf.base_time)
+            # zip stops at the end of the shorter window: labels lo..hi
+            pairs = zip(prev.slots[lo - prev.base_time :], buf.slots[lo - buf.base_time :])
+            for label, (before, after) in enumerate(pairs, start=lo):
+                if before is None or after is before:
                     continue
-                after = buf.at_label(label)
                 if after is None or after.weight < before.weight:
                     got = "empty" if after is None else str(after.weight)
                     out.append(

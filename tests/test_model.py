@@ -99,6 +99,22 @@ class TestTrace:
         assert [p.id for p in t.arrivals_at(2)] == [1]
         assert t.arrivals_at(3) == ()
 
+    def test_weight_scaling_is_exact(self):
+        t = validate_trace(1, [
+            P(0, 1, 1, Fraction(1, 3)), P(1, 1, 1, Fraction(2, 6)),
+            P(2, 1, 1, Fraction(333, 1000)), P(3, 1, 1, 2), P(4, 1, 1, 0),
+        ])
+        assert t.weight_denominator == 3000
+        assert t.scaled_weight == {0: 1000, 1: 1000, 2: 999, 3: 6000, 4: 0}
+        assert validate_trace(1, []).weight_denominator == 1
+
+    def test_rank_is_weight_desc_deadline_asc_id_asc(self):
+        t = validate_trace(1, [
+            P(5, 1, 3, 2), P(2, 1, 2, 2), P(1, 1, 3, 2),
+            P(0, 1, 9, Fraction(1, 3)), P(3, 2, 2, Fraction(333, 1000)), P(4, 1, 1, 3),
+        ])
+        assert sorted(t.rank, key=t.rank.__getitem__) == [4, 2, 1, 5, 0, 3]
+
 
 class TestBufferInvariants:
     def test_weights_must_not_increase(self):
@@ -120,6 +136,10 @@ class TestBufferInvariants:
         assert any("occupied after empty" in e
                    for e in check_buffer_invariants(buf, "post-rebuild"))
         assert check_buffer_invariants(buf, "post-transmit") == []
+        mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5), None))
+        assert check_buffer_invariants(mid, "post-rebuild") == [
+            "slot 3: occupied after empty slot 2"
+        ]
 
     def test_at_label_and_window(self):
         buf = SlotBuffer(4, (P(0, 1, 9, 1), None))

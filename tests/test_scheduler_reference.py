@@ -1,0 +1,134 @@
+"""Differential check of both schedulers against direct statements of their rules.
+
+The references below restate each scheduler without the per-trace integer
+order: the slot-queue rebuild sorts by Fraction keys and scans the slots for
+the smallest empty one no later than each packet's deadline, and greedy
+re-sorts its whole pool by Fraction keys every step.  The production
+schedulers (rank-keyed, prefix-rule rebuild) must leave identical transcripts.
+
+Traces are written as qtrace text so the same value can be spelled several
+ways (1/3, 2/6, 0.5, 2/4, ...), next to near-equal values such as 333/1000.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slotq.model import (
+    ADMISSION_REFUSED,
+    EXPIRED,
+    PREEMPTED,
+    Rejection,
+    SlotBuffer,
+    StepRecord,
+)
+from slotq.schedulers import run_grq, run_naive_greedy
+from slotq.traceio import parse_trace
+
+
+def fraction_key(p):
+    return (-p.weight, p.deadline, p.id)
+
+
+def reference_grq(trace) -> list[StepRecord]:
+    size = trace.buffer_size
+    steps = []
+    held = ()
+    for t in range(1, trace.horizon + 1):
+        arrivals = trace.arrivals_at(t)
+        held_ids = {p.id for p in held}
+        slots = [None] * size
+        rejections = []
+        for p in sorted(held + arrivals, key=fraction_key):
+            for i in range(min(size - 1, p.deadline - t) + 1):
+                if slots[i] is None:
+                    slots[i] = p
+                    break
+            else:
+                cause = PREEMPTED if p.id in held_ids else ADMISSION_REFUSED
+                rejections.append(Rejection(p.id, cause))
+        buffer = SlotBuffer(t, tuple(slots))
+        sent = slots[0]
+        held = tuple(p for p in slots[1:] if p is not None)
+        steps.append(StepRecord(
+            time=t,
+            arrivals=tuple(sorted(p.id for p in arrivals)),
+            slots=buffer,
+            held=tuple(sorted(p.id for p in buffer.packets())),
+            rejections=tuple(rejections),
+            transmitted=None if sent is None else sent.id,
+        ))
+    return steps
+
+
+def reference_greedy(trace) -> list[StepRecord]:
+    steps = []
+    held = []
+    for t in range(1, trace.horizon + 1):
+        arrivals = trace.arrivals_at(t)
+        pool = sorted(held + list(arrivals), key=fraction_key)
+        held, overflow = pool[: trace.buffer_size], pool[trace.buffer_size :]
+        arrived_ids = {p.id for p in arrivals}
+        rejections = [
+            Rejection(p.id, ADMISSION_REFUSED if p.id in arrived_ids else PREEMPTED)
+            for p in overflow
+        ]
+        held_ids = tuple(sorted(p.id for p in held))
+        sent = held.pop(0) if held else None
+        rejections += [Rejection(p.id, EXPIRED) for p in held if p.deadline == t]
+        held = [p for p in held if p.deadline > t]
+        steps.append(StepRecord(
+            time=t,
+            arrivals=tuple(sorted(arrived_ids)),
+            slots=None,
+            held=held_ids,
+            rejections=tuple(rejections),
+            transmitted=None if sent is None else sent.id,
+        ))
+    return steps
+
+
+# equal values spelled differently, and near-equal values next to them
+SPELLED = (
+    "1/3", "2/6", "333/1000", "1/2", "0.5", "2/4", "1", "3/3", "1.0",
+    "5/7", "10/14", "7", "14/2", "0", "0/5", "5/4", "1.25",
+)
+weights = st.one_of(
+    st.sampled_from(SPELLED),
+    st.fractions(min_value=0, max_value=16, max_denominator=12).map(str),
+)
+
+
+@st.composite
+def written_traces(draw):
+    buffer_size = draw(st.one_of(st.integers(1, 4), st.integers(1, 64)))
+    lines = [f"B {buffer_size}"]
+    # bursts: each group is one release step with up to 12 packets
+    groups = draw(st.lists(
+        st.tuples(st.integers(1, 12), st.lists(
+            st.tuples(st.integers(0, 10), weights), min_size=1, max_size=12)),
+        max_size=6,
+    ))
+    packets = [(r, r + span, w) for r, burst in groups for span, w in burst]
+    ids = draw(st.permutations(range(len(packets))))
+    for pid, (release, deadline, weight) in zip(ids, packets):
+        lines.append(f"p {pid} {release} {deadline} {weight}")
+    return parse_trace("\n".join(lines) + "\n")
+
+
+def assert_same_steps(transcript, reference):
+    assert len(transcript.steps) == len(reference)
+    for got, want in zip(transcript.steps, reference):
+        t = want.time
+        assert got.time == t
+        assert got.slots == want.slots, f"slots differ at t={t}"
+        assert got.held == want.held, f"held differs at t={t}"
+        assert got.rejections == want.rejections, f"rejections differ at t={t}"
+        assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
+        assert got.arrivals == want.arrivals, f"arrivals differ at t={t}"
+
+
+@given(written_traces())
+@settings(max_examples=200, deadline=None)
+def test_schedulers_match_references(trace):
+    assert_same_steps(run_grq(trace), reference_grq(trace))
+    assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))

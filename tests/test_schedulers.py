@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slotq
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import (
     ADMISSION_REFUSED,
@@ -29,24 +35,28 @@ def P(pid, r, d, w):
     return Packet(pid, r, d, Fraction(w))
 
 
+def rank_of(*packets):
+    return Trace(1, packets).rank
+
+
 class TestRebuild:
     def test_tight_deadline_loses_to_heavier(self):
         a, b = P(0, 1, 2, 5), P(1, 1, 1, 3)
-        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2)
+        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2, rank=rank_of(a, b))
         assert buf.at_label(1) == a and buf.at_label(2) is None
         assert [r.packet_id for r in rej] == [1]
         assert rej[0].cause == ADMISSION_REFUSED
 
     def test_both_fit_when_heavy_is_tight(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2)
+        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2, rank=rank_of(a, b))
         assert buf.at_label(1) == a and buf.at_label(2) == b
         assert rej == ()
 
     def test_burst_placement(self):
         ones = [P(i, 1, 1, 1) for i in range(3)]
         soft = [P(3 + i, 1, 3, Fraction(3, 4)) for i in range(2)]
-        buf, rej = grq_rebuild([], ones + soft, t=1, buffer_size=3)
+        buf, rej = grq_rebuild([], ones + soft, t=1, buffer_size=3, rank=rank_of(*ones, *soft))
         assert buf.at_label(1).weight == 1
         assert buf.at_label(2).weight == Fraction(3, 4)
         assert buf.at_label(3).weight == Fraction(3, 4)
@@ -55,28 +65,29 @@ class TestRebuild:
     def test_buffered_packet_squeezed_out_is_preempted(self):
         held = P(0, 1, 2, 1)
         heavy = P(1, 2, 2, 5)
-        buf, rej = grq_rebuild([held], [heavy], t=2, buffer_size=2)
+        buf, rej = grq_rebuild([held], [heavy], t=2, buffer_size=2, rank=rank_of(held, heavy))
         assert buf.at_label(2) == heavy
         assert [(r.packet_id, r.cause) for r in rej] == [(0, PREEMPTED)]
 
     def test_tie_break_prefers_earlier_deadline_then_id(self):
         a, b, c = P(5, 1, 3, 2), P(2, 1, 2, 2), P(1, 1, 3, 2)
-        buf, rej = grq_rebuild([], [a, b, c], t=1, buffer_size=3)
+        buf, rej = grq_rebuild([], [a, b, c], t=1, buffer_size=3, rank=rank_of(a, b, c))
         # equal weights: deadline 2 first, then ids 1, 5
         assert [p.id for _, p in buf.occupied()] == [2, 1, 5]
 
     def test_rejects_expired_input(self):
+        p = P(0, 1, 1, 1)
         with pytest.raises(AssertionError):
-            grq_rebuild([], [P(0, 1, 1, 1)], t=2, buffer_size=1)
+            grq_rebuild([], [p], t=2, buffer_size=1, rank=rank_of(p))
 
     def test_rejects_future_input(self):
+        p = P(0, 3, 4, 1)
         with pytest.raises(AssertionError):
-            grq_rebuild([], [P(0, 3, 4, 1)], t=2, buffer_size=1)
+            grq_rebuild([], [p], t=2, buffer_size=1, rank=rank_of(p))
 
     def test_result_satisfies_rebuild_invariants(self):
-        buf, _ = grq_rebuild(
-            [], [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)], t=1, buffer_size=4
-        )
+        pkts = [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)]
+        buf, _ = grq_rebuild([], pkts, t=1, buffer_size=4, rank=rank_of(*pkts))
         assert check_buffer_invariants(buf, "post-rebuild") == []
 
 
@@ -101,6 +112,29 @@ class TestTransmit:
         light, heavy = P(0, 1, 2, 1), P(1, 1, 2, 9)
         with pytest.raises(AssertionError):
             grq_transmit(SlotBuffer(1, (light, heavy)), 1)
+
+    def test_front_check_survives_optimize_flag(self):
+        # `python -O` strips assert statements; the front check must still fire
+        code = textwrap.dedent("""
+            import sys
+            from slotq.model import Packet, SlotBuffer
+            from slotq.schedulers import grq_transmit
+            print("optimize", sys.flags.optimize)
+            light, heavy = Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)
+            try:
+                grq_transmit(SlotBuffer(1, (light, heavy)), 1)
+            except AssertionError as e:
+                print("raised", e)
+        """)
+        src = str(Path(slotq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "optimize 1" in proc.stdout
+        assert "raised front packet 0 is not heaviest at t=1" in proc.stdout
 
 
 class TestRunGrq:
