@@ -22,8 +22,14 @@ counterexample, and both must surface loudly.
 
 verify_charge_map then re-checks everything from scratch — the seven checks
 below — without trusting how the map was built, so tampered maps fail too.
+
+Both sides compare weights as the trace's exact scaled integers
+(Trace.scaled_weight, Transcript.scaled_sent); a Fraction is built only to
+print a weight in a message.  Weight order is unchanged by the scaling, so
+every decision equals the rational one.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,7 +62,8 @@ class Charge:
     rejection_time: "int | None" = None
 
     def __post_init__(self):
-        assert self.kind in (S_CHARGE, D_CHARGE, F_CHARGE)
+        if self.kind not in (S_CHARGE, D_CHARGE, F_CHARGE):
+            raise AssertionError(f"unknown charge kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,15 @@ class ChargeMap:
     def count_at(self, target: int) -> int:
         return len(self.by_target.get(target, ()))
 
+    @cached_property
+    def _by_kind(self) -> dict[str, tuple["Charge", ...]]:
+        out: dict[str, list[Charge]] = {}
+        for c in self.charges:
+            out.setdefault(c.kind, []).append(c)
+        return {kind: tuple(cs) for kind, cs in out.items()}
+
     def of_kind(self, kind: str) -> tuple["Charge", ...]:
-        return tuple(c for c in self.charges if c.kind == kind)
+        return self._by_kind.get(kind, ())
 
 
 def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...]:
@@ -89,22 +103,28 @@ def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...
     the idle step; the charge is vacuous (0 <= 2*0) and at most one adversary
     send exists per step, so idle targets never absorb real weight.
     """
-    errs = verify_schedule(grq.trace, adv)
-    assert not errs, f"adversary schedule infeasible: {errs}"
     trace = grq.trace
+    errs = verify_schedule(trace, adv)
+    if errs:
+        raise AssertionError(f"adversary schedule infeasible: {errs}")
+    scaled = trace.scaled_weight
+    sent = grq.scaled_sent
+    by_time = adv.by_time
     out: list[Charge] = []
-    for t in sorted(adv.by_time):
-        pid = adv.by_time[t]
-        x = trace.by_id[pid]
+    for t in sorted(by_time):
+        pid = by_time[t]
         sent_at = grq.send_time.get(pid)
         if sent_at is not None and sent_at < t:
             out.append(Charge(S_CHARGE, t, pid, target=sent_at))
-        elif x.weight <= grq.transmitted_weight(t):
+        elif scaled[pid] <= sent[t - 1]:
             out.append(Charge(D_CHARGE, t, pid, target=t))
         else:
             # x outweighs GRQ's send at t, so GRQ cannot still hold x (the
             # front packet is heaviest) and never sent it: it was rejected.
-            assert sent_at is None
+            if sent_at is not None:
+                raise AssertionError(
+                    f"packet {pid} outweighs GRQ's send at t={t} but GRQ sent it at {sent_at}"
+                )
             rec = grq.rejected_at.get(pid)
             if rec is None:
                 raise ChargeConstructionError(
@@ -126,27 +146,46 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
     transmission step >= its rejection time with fewer than two charges;
     landing after rejection_time + B - 1 (or nowhere) is a construction
     failure.
+
+    The earliest such step is found through a disjoint-set forest over the
+    send steps (Tarjan's next-free-slot trick), so placement costs about one
+    lookup per F-charge instead of a scan of the transcript.
     """
-    counts: Counter[int] = Counter()
     fixed: list[Charge] = []
     pending: list[Charge] = []
     for c in classified:
         if c.kind == F_CHARGE:
-            assert c.rejection_time is not None
+            if c.rejection_time is None:
+                raise AssertionError(f"F-charge from packet {c.source_id} lacks a rejection time")
             pending.append(c)
         else:
-            assert c.target is not None
-            counts[c.target] += 1
+            if c.target is None:
+                raise AssertionError(f"{c.kind}-charge from packet {c.source_id} lacks a target")
             fixed.append(c)
+    if not pending:
+        return ChargeMap(tuple(fixed))
 
+    counts = Counter(c.target for c in fixed)
     send_steps = [rec.time for rec in grq.steps if rec.transmitted is not None]
+    # free[i] leads, through a chain of later indexes, to the first send step
+    # at index >= i with fewer than two charges; len(send_steps) means none
+    free = [i + 1 if counts[s] >= 2 else i for i, s in enumerate(send_steps)]
+    free.append(len(send_steps))
+
+    def first_free(i: int) -> int:
+        root = i
+        while free[root] != root:
+            root = free[root]
+        while i != root:
+            free[i], i = root, free[i]
+        return root
+
     bsize = grq.trace.buffer_size
     placed: list[Charge] = []
     for c in sorted(pending, key=lambda c: (c.rejection_time, c.source_time)):
         t0 = c.rejection_time
-        target = next(
-            (s for s in send_steps if s >= t0 and counts[s] < 2), None
-        )
+        i = first_free(bisect_left(send_steps, t0))
+        target = send_steps[i] if i < len(send_steps) else None
         if target is None or target > t0 + bsize - 1:
             raise ChargeConstructionError(
                 f"F-charge for packet {c.source_id} (adversary t={c.source_time}, "
@@ -154,6 +193,8 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
                 f"in [{t0}, {t0 + bsize - 1}]; earliest available: {target}"
             )
         counts[target] += 1
+        if counts[target] >= 2:
+            free[i] = i + 1
         placed.append(replace(c, target=target))
     return ChargeMap(tuple(fixed) + tuple(placed))
 
@@ -218,35 +259,45 @@ def verify_charge_map(
 
     # 1: coverage of adversary sends, exactly once each
     v1: list[str] = []
-    sends = {(t, pid) for t, pid in adv.by_time.items()}
-    sources = Counter((c.source_time, c.source_id) for c in cmap.charges)
-    for t, pid in sorted(sends):
-        n = sources.get((t, pid), 0)
-        if n != 1:
-            v1.append(f"adversary send ({t}, packet {pid}) has {n} charges")
-    for (t, pid), n in sorted(sources.items()):
-        if (t, pid) not in sends:
-            v1.append(f"charge source ({t}, packet {pid}) is not an adversary send")
+    sends = set(adv.by_time.items())
+    sources: dict[tuple[int, int], int] = {}
+    for c in cmap.charges:
+        key = (c.source_time, c.source_id)
+        sources[key] = sources.get(key, 0) + 1
+    if sources != dict.fromkeys(sends, 1):
+        for t, pid in sorted(sends):
+            n = sources.get((t, pid), 0)
+            if n != 1:
+                v1.append(f"adversary send ({t}, packet {pid}) has {n} charges")
+        for (t, pid), n in sorted(sources.items()):
+            if (t, pid) not in sends:
+                v1.append(f"charge source ({t}, packet {pid}) is not an adversary send")
 
     # 2: at most two charges per target step
-    v2: list[str] = []
-    per_target = Counter(c.target for c in cmap.charges if c.target is not None)
-    for t in sorted(t for t, n in per_target.items() if n > 2):
-        v2.append(f"target step {t} carries {per_target[t]} charges")
+    per_target: dict[int, int] = {}
+    for c in cmap.charges:
+        if c.target is not None:
+            per_target[c.target] = per_target.get(c.target, 0) + 1
+    v2 = [f"target step {t} carries {n} charges" for t, n in sorted(per_target.items()) if n > 2]
 
     # 3: weight domination per charge
     v3: list[str] = []
     horizon = trace.horizon
+    scaled = trace.scaled_weight
+    sent = grq.scaled_sent
     for c in cmap.charges:
         if c.target is None or not 1 <= c.target <= horizon:
             v3.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
             continue
-        sw = trace.by_id[c.source_id].weight
-        tw = grq.transmitted_weight(c.target)
-        if sw > tw:
+        sw = scaled.get(c.source_id)
+        if sw is None:
+            v3.append(f"{c.kind}-charge from packet {c.source_id}: no such packet in the trace")
+            continue
+        if sw > sent[c.target - 1]:
             v3.append(
-                f"{c.kind}-charge from packet {c.source_id} (w={sw}) "
-                f"lands on step {c.target} which sent only w={tw}"
+                f"{c.kind}-charge from packet {c.source_id} "
+                f"(w={trace.by_id[c.source_id].weight}) lands on step {c.target} "
+                f"which sent only w={grq.transmitted_weight(c.target)}"
             )
 
     # 4: forward-window arithmetic on F-charges
@@ -282,57 +333,25 @@ def verify_charge_map(
                 f"{recorded}, charge claims t0={t0}"
             )
             continue
-        w = trace.by_id[c.source_id].weight
+        sw = scaled[c.source_id]
         buf = grq.step(t0).slots
-        assert buf is not None
+        if buf is None:
+            raise AssertionError(f"transcript keeps no slot buffer at t0={t0}")
         for label, p in buf.occupied():
-            if p.weight < w:
+            if scaled[p.id] < sw:
                 v5.append(
-                    f"F-charge from packet {c.source_id} (w={w}): slot {label} at "
-                    f"t0={t0} holds packet {p.id} with smaller weight {p.weight}"
+                    f"F-charge from packet {c.source_id} (w={trace.by_id[c.source_id].weight}): "
+                    f"slot {label} at t0={t0} holds packet {p.id} with smaller weight {p.weight}"
                 )
 
     # 6: the two counting inequalities at every rejection step with F-activity
-    v6: list[str] = []
-    groups: dict[int, list[Charge]] = {}
-    for c in f_charges:
-        if c.rejection_time is not None:
-            groups.setdefault(c.rejection_time, []).append(c)
-    s_charges = cmap.of_kind(S_CHARGE)
-    d_charges = cmap.of_kind(D_CHARGE)
-    for t0 in sorted(groups):
-        hi = t0 + bsize - 1
-        in_win = lambda s: t0 <= s <= hi  # noqa: E731
-
-        d_n = sum(1 for c in d_charges if c.target is not None and in_win(c.target))
-        s_in = [c for c in s_charges if c.target is not None and in_win(c.target)]
-        s1 = sum(1 for c in s_in if in_win(c.source_time))
-        s2 = len(s_in) - s1
-        earlier = [
-            c for c in f_charges
-            if c.rejection_time is not None and c.rejection_time < t0
-            and c.target is not None and c.target >= t0
-        ]
-        g1 = sum(1 for c in earlier if in_win(c.source_time))
-        g2 = len(earlier) - g1
-        f_n = len(groups[t0])
-
-        if g1 + d_n + s1 > bsize:
-            v6.append(
-                f"t0={t0}: in-window sources {g1}+{d_n}+{s1} "
-                f"(carried-F + D + same-window-S) exceed B={bsize}"
-            )
-        if g2 + f_n + s2 > bsize:
-            v6.append(
-                f"t0={t0}: later sources {g2}+{f_n}+{s2} "
-                f"(carried-F + new-F + later-S) exceed B={bsize}"
-            )
+    v6 = _window_counting(cmap, bsize)
 
     # 7: the headline bound
     v7: list[str] = []
-    grq_value = grq.total_weight
-    if adv.value > 2 * grq_value:
-        v7.append(f"adversary value {adv.value} > 2 x GRQ value {grq_value}")
+    adv_value, grq_value = adv.value, grq.total_weight
+    if adv_value.numerator * grq_value.denominator > 2 * grq_value.numerator * adv_value.denominator:
+        v7.append(f"adversary value {adv_value} > 2 x GRQ value {grq_value}")
 
     checks = (
         CheckResult(1, "coverage", tuple(v1)),
@@ -344,3 +363,59 @@ def verify_charge_map(
         CheckResult(7, "twice-value-bound", tuple(v7)),
     )
     return ChargeReport(checks, adversary_value=adv.value, grq_value=grq_value)
+
+
+def _window_counting(cmap: ChargeMap, bsize: int) -> list[str]:
+    """Check 6 of verify_charge_map: the two counting inequalities per rejection step.
+
+    Targets are sorted once, so each window [t0, t0 + B - 1] is found by
+    bisection, and the carried F-charges are kept as a running set; the work
+    grows with the charges near each window, not with all charges per group.
+    """
+    f_charges = cmap.of_kind(F_CHARGE)
+    groups: dict[int, int] = {}  # rejection step -> F-charges rejected there
+    for c in f_charges:
+        if c.rejection_time is not None:
+            groups[c.rejection_time] = groups.get(c.rejection_time, 0) + 1
+    if not groups:
+        return []
+    d_targets = sorted(c.target for c in cmap.of_kind(D_CHARGE) if c.target is not None)
+    s_spans = sorted(
+        (c.target, c.source_time) for c in cmap.of_kind(S_CHARGE) if c.target is not None
+    )
+    s_targets = [target for target, _ in s_spans]
+    f_spans = sorted(
+        (c.rejection_time, c.target, c.source_time)
+        for c in f_charges if c.rejection_time is not None and c.target is not None
+    )
+    out: list[str] = []
+    # carried: (target, source) of the F-charges rejected before t0 that
+    # target t0 or later; t0 only grows, so a charge that leaves never returns
+    carried: list[tuple[int, int]] = []
+    k = 0
+    for t0 in sorted(groups):
+        hi = t0 + bsize - 1
+        while k < len(f_spans) and f_spans[k][0] < t0:
+            carried.append(f_spans[k][1:])
+            k += 1
+        carried = [span for span in carried if span[0] >= t0]
+
+        d_n = bisect_right(d_targets, hi) - bisect_left(d_targets, t0)
+        lo_i, hi_i = bisect_left(s_targets, t0), bisect_right(s_targets, hi)
+        s1 = sum(1 for _, src in s_spans[lo_i:hi_i] if t0 <= src <= hi)
+        s2 = hi_i - lo_i - s1
+        g1 = sum(1 for _, src in carried if t0 <= src <= hi)
+        g2 = len(carried) - g1
+        f_n = groups[t0]
+
+        if g1 + d_n + s1 > bsize:
+            out.append(
+                f"t0={t0}: in-window sources {g1}+{d_n}+{s1} "
+                f"(carried-F + D + same-window-S) exceed B={bsize}"
+            )
+        if g2 + f_n + s2 > bsize:
+            out.append(
+                f"t0={t0}: later sources {g2}+{f_n}+{s2} "
+                f"(carried-F + new-F + later-S) exceed B={bsize}"
+            )
+    return out

@@ -35,7 +35,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        assert n >= 1
+        if n < 1:
+            raise AssertionError(f"below() needs n >= 1, got {n}")
         return self.next_u64() % n
 
 

@@ -252,7 +252,8 @@ class Transcript:
 
     def step(self, t: int) -> StepRecord:
         rec = self.steps[t - 1]
-        assert rec.time == t
+        if rec.time != t:
+            raise AssertionError(f"step record {t - 1} is for t={rec.time}, not t={t}")
         return rec
 
     @cached_property
@@ -279,12 +280,16 @@ class Transcript:
         return self.trace.by_id[pid].weight if pid is not None else ZERO
 
     @cached_property
-    def total_weight(self) -> Fraction:
-        return sum(
-            (self.trace.by_id[r.transmitted].weight
-             for r in self.steps if r.transmitted is not None),
-            ZERO,
+    def scaled_sent(self) -> tuple[int, ...]:
+        """Trace.scaled_weight of the packet sent at each step, indexed t - 1; 0 when idle."""
+        w = self.trace.scaled_weight
+        return tuple(
+            0 if r.transmitted is None else w[r.transmitted] for r in self.steps
         )
+
+    @cached_property
+    def total_weight(self) -> Fraction:
+        return Fraction(sum(self.scaled_sent), self.trace.weight_denominator)
 
 
 def check_transcript_invariants(transcript: Transcript) -> list[str]:

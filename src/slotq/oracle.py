@@ -24,6 +24,10 @@ maximum — no search needed.
 enumerate_feasible walks every feasible schedule (up to a cap) in a fixed
 order, including schedules that idle while packets sit available; the charge
 verifier must hold against all of them, not just the optimum.
+
+Certification compares scaled integers: schedule values and verify_schedule's
+value check are sums of Trace.scaled_weight, and a Fraction is built only for
+a declared value or a message.
 """
 
 from collections import Counter
@@ -32,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .model import Packet, Trace, ZERO
+from .model import Packet, Trace
 
 # optimal_bounded hard-fails past this many search-node expansions unless the
 # caller raises the cap; exactness is load-bearing, so there is no fallback.
@@ -60,14 +64,16 @@ class OfflineSchedule:
 
     @classmethod
     def of(cls, trace: Trace, assignment: dict[int, int]) -> "OfflineSchedule":
-        value = sum((trace.by_id[pid].weight for pid in assignment), ZERO)
+        w = trace.scaled_weight
+        value = Fraction(sum(w[pid] for pid in assignment), trace.weight_denominator)
         return cls(dict(assignment), value)
 
     @cached_property
     def by_time(self) -> dict[int, int]:
         """Step -> packet id sent at that step."""
         out = {t: pid for pid, t in self.assignment.items()}
-        assert len(out) == len(self.assignment), "assignment reuses a time step"
+        if len(out) != len(self.assignment):
+            raise AssertionError("assignment reuses a time step")
         return out
 
 
@@ -79,34 +85,54 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
     through its send step, inclusive), and that the declared value equals the
     recomputed total.  An assignment naming a packet the trace does not
     contain is a caller bug and raises instead.
+
+    Occupancy comes from a difference array over the [release, send] end
+    points, and the value check compares Trace.scaled_weight sums, so the cost
+    grows with the number of sends, not with the steps they span.
     """
-    for pid in schedule.assignment:
-        if pid not in trace.by_id:
+    assignment = schedule.assignment
+    by_id = trace.by_id
+    scaled = trace.scaled_weight
+    total = 0
+    outside: list[int] = []
+    delta: dict[int, int] = {}  # step -> change in occupancy from the step before
+    for pid, t in assignment.items():
+        p = by_id.get(pid)
+        if p is None:
             raise ValueError(f"assignment names unknown packet id {pid}")
+        total += scaled[pid]
+        if not p.release <= t <= p.deadline:
+            outside.append(pid)
+        if p.release <= t:
+            delta[p.release] = delta.get(p.release, 0) + 1
+            delta[t + 1] = delta.get(t + 1, 0) - 1
 
     out: list[str] = []
-    per_step = Counter(schedule.assignment.values())
-    for t in sorted(t for t, c in per_step.items() if c > 1):
-        out.append(f"step {t}: {per_step[t]} packets assigned to one step")
-
-    occupancy: Counter[int] = Counter()
-    for pid in sorted(schedule.assignment):
-        t = schedule.assignment[pid]
-        p = trace.by_id[pid]
-        if not p.release <= t <= p.deadline:
-            out.append(
-                f"packet {pid}: sent at {t}, outside window [{p.release}, {p.deadline}]"
-            )
-        for s in range(p.release, t + 1):
-            occupancy[s] += 1
-    for s in sorted(s for s, c in occupancy.items() if c > trace.buffer_size):
+    if len(set(assignment.values())) < len(assignment):
+        per_step = Counter(assignment.values())
+        for t in sorted(t for t, c in per_step.items() if c > 1):
+            out.append(f"step {t}: {per_step[t]} packets assigned to one step")
+    for pid in sorted(outside):
+        p = by_id[pid]
         out.append(
-            f"step {s}: {occupancy[s]} packets held, buffer size {trace.buffer_size}"
+            f"packet {pid}: sent at {assignment[pid]}, outside window "
+            f"[{p.release}, {p.deadline}]"
         )
+    bsize = trace.buffer_size
+    if len(assignment) > bsize:  # at most B sends can never overfill the buffer
+        held = 0
+        points = sorted(delta)
+        for s, nxt in zip(points, points[1:]):
+            held += delta[s]
+            if held > bsize:
+                out.extend(
+                    f"step {u}: {held} packets held, buffer size {bsize}"
+                    for u in range(s, nxt)
+                )
 
-    total = sum((trace.by_id[pid].weight for pid in schedule.assignment), ZERO)
-    if total != schedule.value:
-        out.append(f"declared value {schedule.value} != recomputed {total}")
+    value, denominator = schedule.value, trace.weight_denominator
+    if total * value.denominator != value.numerator * denominator:
+        out.append(f"declared value {value} != recomputed {Fraction(total, denominator)}")
     return out
 
 
@@ -120,6 +146,7 @@ class _ClassedInstance:
     keys: list[tuple[int, int, Fraction]] = field(default_factory=list)
     members: list[list[int]] = field(default_factory=list)  # ids, ascending
     scaled: list[int] = field(default_factory=list)         # Trace.scaled_weight per class
+    deadlines: list[int] = field(default_factory=list)      # deadline per class
 
     def __post_init__(self):
         groups: dict[tuple[int, int, Fraction], list[int]] = {}
@@ -129,12 +156,12 @@ class _ClassedInstance:
         self.members = [sorted(groups[k]) for k in self.keys]
         scaled_weight = self.trace.scaled_weight
         self.scaled = [scaled_weight[ids[0]] for ids in self.members]
+        self.deadlines = [d for _, d, _ in self.keys]
         self.arrivals: dict[int, list[int]] = {}
-        for cid, (r, _, _) in enumerate(self.keys):
+        self.expiring: dict[int, list[int]] = {}  # step -> classes whose deadline it is
+        for cid, (r, d, _) in enumerate(self.keys):
             self.arrivals.setdefault(r, []).append(cid)
-
-    def deadline(self, cid: int) -> int:
-        return self.keys[cid][1]
+            self.expiring.setdefault(d, []).append(cid)
 
 
 def _retention_choices(
@@ -163,28 +190,36 @@ def optimal_bounded(trace: Trace, max_nodes: int = DEFAULT_NODE_BUDGET) -> Offli
     ncls = len(inst.keys)
     bsize = trace.buffer_size
     horizon = trace.horizon
+    deadlines, scaled = inst.deadlines, inst.scaled
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
     nodes = 0
 
-    def expire(counts: list[int], t: int) -> tuple[int, ...]:
-        return tuple(
-            0 if inst.deadline(cid) == t else c for cid, c in enumerate(counts)
-        )
-
     def choices(t: int, held: tuple[int, ...]):
-        """(gain, sent class or None, successor-held) triples, fixed order."""
+        """(gain, sent class or None, successor-held) triples, fixed order.
+
+        Classes whose deadline is t may still send at t but are gone from
+        every successor, so they are zeroed once per retention choice.
+        """
         arriving = [(cid, len(inst.members[cid])) for cid in inst.arrivals.get(t, [])]
+        expiring = inst.expiring.get(t, ())
         for kept in _retention_choices(arriving, bsize - sum(held)):
             cur = list(held)
             for cid, k in kept:
                 cur[cid] += k
-            yield 0, None, expire(cur, t)
-            for cid in range(ncls):
+            sendable = [cid for cid in range(ncls) if cur[cid]]
+            for cid in expiring:
+                cur[cid] = 0
+            idle = tuple(cur)
+            yield 0, None, idle
+            for cid in sendable:
+                if deadlines[cid] < t:
+                    raise AssertionError(f"class {cid} held past its deadline at t={t}")
                 if cur[cid]:
-                    assert inst.deadline(cid) >= t
                     cur[cid] -= 1
-                    yield inst.scaled[cid], cid, expire(cur, t)
+                    yield scaled[cid], cid, tuple(cur)
                     cur[cid] += 1
+                else:  # expires at t: sending it leaves the idle successor
+                    yield scaled[cid], cid, idle
 
     def solve(t: int, held: tuple[int, ...]) -> int:
         if t > horizon:
@@ -219,7 +254,8 @@ def optimal_bounded(trace: Trace, max_nodes: int = DEFAULT_NODE_BUDGET) -> Offli
         else:
             raise AssertionError("memo replay found no optimal branch")
         t += 1
-    assert remaining == 0
+    if remaining != 0:
+        raise AssertionError(f"memo replay left {remaining} of the optimum unassigned")
 
     cursor = [0] * ncls
     assignment: dict[int, int] = {}
@@ -227,8 +263,11 @@ def optimal_bounded(trace: Trace, max_nodes: int = DEFAULT_NODE_BUDGET) -> Offli
         assignment[inst.members[cid][cursor[cid]]] = step
         cursor[cid] += 1
     schedule = OfflineSchedule.of(trace, assignment)
-    assert schedule.value == Fraction(total, trace.weight_denominator)
-    assert not verify_schedule(trace, schedule)
+    if schedule.value != Fraction(total, trace.weight_denominator):
+        raise AssertionError(f"replayed value {schedule.value} != searched optimum")
+    errs = verify_schedule(trace, schedule)
+    if errs:
+        raise AssertionError(f"bounded optimum infeasible: {errs}")
     return schedule
 
 
@@ -261,7 +300,9 @@ def optimal_unbounded(trace: Trace) -> OfflineSchedule:
 
     assignment = {pid: t for t, pid in slot.items()}
     schedule = OfflineSchedule.of(trace, assignment)
-    assert not verify_schedule(relax_capacity(trace), schedule)
+    errs = verify_schedule(relax_capacity(trace), schedule)
+    if errs:
+        raise AssertionError(f"unbounded optimum infeasible: {errs}")
     return schedule
 
 
@@ -286,7 +327,8 @@ def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
     overfull prefix is safe.  The all-idle schedule is always included (last,
     when the limit permits).
     """
-    assert limit >= 0
+    if limit < 0:
+        raise AssertionError(f"enumerate_feasible needs limit >= 0, got {limit}")
     horizon = trace.horizon
     packs = sorted(trace.packets, key=lambda p: p.id)
     occupancy = Counter()

@@ -41,7 +41,8 @@ def competitive_ratio(trace: Trace, max_nodes: "int | None" = None) -> Fraction:
     opt = optimal_bounded(trace, **kwargs).value
     online = run_grq(trace).total_weight
     if online == 0:
-        assert opt == 0, "online total 0 against positive optimum"
+        if opt != 0:
+            raise AssertionError("online total 0 against positive optimum")
         return ONE
     return opt / online
 

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slotq
 from slotq.charging import (
     Charge,
     ChargeConstructionError,
@@ -70,6 +76,33 @@ class TestClassify:
         grq = run_grq(t)
         with pytest.raises(AssertionError):
             classify_charges(grq, OfflineSchedule.of(t, {0: 1, 1: 2}))
+
+    def test_infeasible_adversary_rejected_under_optimize_flag(self):
+        # `python -O` strips assert statements; the feasibility check must still fire
+        code = textwrap.dedent("""
+            import sys
+            from slotq.charging import build_charge_map
+            from slotq.model import Packet, validate_trace
+            from slotq.oracle import OfflineSchedule
+            from slotq.schedulers import run_grq
+            print("optimize", sys.flags.optimize)
+            t = validate_trace(1, [Packet(0, 1, 1, 1), Packet(1, 1, 2, 1)])
+            try:
+                cmap = build_charge_map(run_grq(t), OfflineSchedule({0: 1, 1: 1}, 2))
+                print("accepted", len(cmap.charges))
+            except AssertionError as e:
+                print("raised", e)
+        """)
+        src = str(Path(slotq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "optimize 1" in proc.stdout
+        assert "raised adversary schedule infeasible" in proc.stdout
+        assert "step 1: 2 packets assigned to one step" in proc.stdout
 
     def test_missing_rejection_is_a_construction_error(self):
         # doctored transcript: GRQ "forgot" to reject the packet it never sent
@@ -228,6 +261,14 @@ class TestVerifierChecks:
             bad = ChargeMap((replace(c, target=target),))
             report = verify_charge_map(bad, grq, adv)
             assert not report.passed
+
+    def test_unknown_source_reported_not_crash(self):
+        _, grq, adv, cmap = self._setup()
+        bad = ChargeMap(cmap.charges + (Charge("D", 2, 99, target=2),))
+        report = verify_charge_map(bad, grq, adv)
+        assert report.checks[2].violations == (
+            "D-charge from packet 99: no such packet in the trace",)
+        assert not check_passed(report, 1)
 
     def test_zero_weight_send_at_idle_step_is_vacuous(self):
         t = validate_trace(1, [P(0, 1, 2, 0), P(1, 1, 1, 5)])
