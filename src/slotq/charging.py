@@ -29,7 +29,6 @@ print a weight in a message.  Weight order is unchanged by the scaling, so
 every decision equals the rational one.
 """
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -146,11 +145,8 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
     transmission step >= its rejection time with fewer than two charges;
     landing after rejection_time + B - 1 (or nowhere) is a construction
     failure.
-
-    The earliest such step is found through a disjoint-set forest over the
-    send steps (Tarjan's next-free-slot trick), so placement costs about one
-    lookup per F-charge instead of a scan of the transcript.
     """
+    counts: Counter[int] = Counter()
     fixed: list[Charge] = []
     pending: list[Charge] = []
     for c in classified:
@@ -161,31 +157,17 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
         else:
             if c.target is None:
                 raise AssertionError(f"{c.kind}-charge from packet {c.source_id} lacks a target")
+            counts[c.target] += 1
             fixed.append(c)
-    if not pending:
-        return ChargeMap(tuple(fixed))
 
-    counts = Counter(c.target for c in fixed)
     send_steps = [rec.time for rec in grq.steps if rec.transmitted is not None]
-    # free[i] leads, through a chain of later indexes, to the first send step
-    # at index >= i with fewer than two charges; len(send_steps) means none
-    free = [i + 1 if counts[s] >= 2 else i for i, s in enumerate(send_steps)]
-    free.append(len(send_steps))
-
-    def first_free(i: int) -> int:
-        root = i
-        while free[root] != root:
-            root = free[root]
-        while i != root:
-            free[i], i = root, free[i]
-        return root
-
     bsize = grq.trace.buffer_size
     placed: list[Charge] = []
     for c in sorted(pending, key=lambda c: (c.rejection_time, c.source_time)):
         t0 = c.rejection_time
-        i = first_free(bisect_left(send_steps, t0))
-        target = send_steps[i] if i < len(send_steps) else None
+        target = next(
+            (s for s in send_steps if s >= t0 and counts[s] < 2), None
+        )
         if target is None or target > t0 + bsize - 1:
             raise ChargeConstructionError(
                 f"F-charge for packet {c.source_id} (adversary t={c.source_time}, "
@@ -193,8 +175,6 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
                 f"in [{t0}, {t0 + bsize - 1}]; earliest available: {target}"
             )
         counts[target] += 1
-        if counts[target] >= 2:
-            free[i] = i + 1
         placed.append(replace(c, target=target))
     return ChargeMap(tuple(fixed) + tuple(placed))
 
@@ -259,26 +239,21 @@ def verify_charge_map(
 
     # 1: coverage of adversary sends, exactly once each
     v1: list[str] = []
-    sends = set(adv.by_time.items())
-    sources: dict[tuple[int, int], int] = {}
-    for c in cmap.charges:
-        key = (c.source_time, c.source_id)
-        sources[key] = sources.get(key, 0) + 1
-    if sources != dict.fromkeys(sends, 1):
-        for t, pid in sorted(sends):
-            n = sources.get((t, pid), 0)
-            if n != 1:
-                v1.append(f"adversary send ({t}, packet {pid}) has {n} charges")
-        for (t, pid), n in sorted(sources.items()):
-            if (t, pid) not in sends:
-                v1.append(f"charge source ({t}, packet {pid}) is not an adversary send")
+    sends = {(t, pid) for t, pid in adv.by_time.items()}
+    sources = Counter((c.source_time, c.source_id) for c in cmap.charges)
+    for t, pid in sorted(sends):
+        n = sources.get((t, pid), 0)
+        if n != 1:
+            v1.append(f"adversary send ({t}, packet {pid}) has {n} charges")
+    for (t, pid), n in sorted(sources.items()):
+        if (t, pid) not in sends:
+            v1.append(f"charge source ({t}, packet {pid}) is not an adversary send")
 
     # 2: at most two charges per target step
-    per_target: dict[int, int] = {}
-    for c in cmap.charges:
-        if c.target is not None:
-            per_target[c.target] = per_target.get(c.target, 0) + 1
-    v2 = [f"target step {t} carries {n} charges" for t, n in sorted(per_target.items()) if n > 2]
+    v2: list[str] = []
+    per_target = Counter(c.target for c in cmap.charges if c.target is not None)
+    for t in sorted(t for t, n in per_target.items() if n > 2):
+        v2.append(f"target step {t} carries {per_target[t]} charges")
 
     # 3: weight domination per charge
     v3: list[str] = []
@@ -345,7 +320,40 @@ def verify_charge_map(
                 )
 
     # 6: the two counting inequalities at every rejection step with F-activity
-    v6 = _window_counting(cmap, bsize)
+    v6: list[str] = []
+    groups: dict[int, list[Charge]] = {}
+    for c in f_charges:
+        if c.rejection_time is not None:
+            groups.setdefault(c.rejection_time, []).append(c)
+    s_charges = cmap.of_kind(S_CHARGE)
+    d_charges = cmap.of_kind(D_CHARGE)
+    for t0 in sorted(groups):
+        hi = t0 + bsize - 1
+        in_win = lambda s: t0 <= s <= hi  # noqa: E731
+
+        d_n = sum(1 for c in d_charges if c.target is not None and in_win(c.target))
+        s_in = [c for c in s_charges if c.target is not None and in_win(c.target)]
+        s1 = sum(1 for c in s_in if in_win(c.source_time))
+        s2 = len(s_in) - s1
+        earlier = [
+            c for c in f_charges
+            if c.rejection_time is not None and c.rejection_time < t0
+            and c.target is not None and c.target >= t0
+        ]
+        g1 = sum(1 for c in earlier if in_win(c.source_time))
+        g2 = len(earlier) - g1
+        f_n = len(groups[t0])
+
+        if g1 + d_n + s1 > bsize:
+            v6.append(
+                f"t0={t0}: in-window sources {g1}+{d_n}+{s1} "
+                f"(carried-F + D + same-window-S) exceed B={bsize}"
+            )
+        if g2 + f_n + s2 > bsize:
+            v6.append(
+                f"t0={t0}: later sources {g2}+{f_n}+{s2} "
+                f"(carried-F + new-F + later-S) exceed B={bsize}"
+            )
 
     # 7: the headline bound
     v7: list[str] = []
@@ -363,59 +371,3 @@ def verify_charge_map(
         CheckResult(7, "twice-value-bound", tuple(v7)),
     )
     return ChargeReport(checks, adversary_value=adv.value, grq_value=grq_value)
-
-
-def _window_counting(cmap: ChargeMap, bsize: int) -> list[str]:
-    """Check 6 of verify_charge_map: the two counting inequalities per rejection step.
-
-    Targets are sorted once, so each window [t0, t0 + B - 1] is found by
-    bisection, and the carried F-charges are kept as a running set; the work
-    grows with the charges near each window, not with all charges per group.
-    """
-    f_charges = cmap.of_kind(F_CHARGE)
-    groups: dict[int, int] = {}  # rejection step -> F-charges rejected there
-    for c in f_charges:
-        if c.rejection_time is not None:
-            groups[c.rejection_time] = groups.get(c.rejection_time, 0) + 1
-    if not groups:
-        return []
-    d_targets = sorted(c.target for c in cmap.of_kind(D_CHARGE) if c.target is not None)
-    s_spans = sorted(
-        (c.target, c.source_time) for c in cmap.of_kind(S_CHARGE) if c.target is not None
-    )
-    s_targets = [target for target, _ in s_spans]
-    f_spans = sorted(
-        (c.rejection_time, c.target, c.source_time)
-        for c in f_charges if c.rejection_time is not None and c.target is not None
-    )
-    out: list[str] = []
-    # carried: (target, source) of the F-charges rejected before t0 that
-    # target t0 or later; t0 only grows, so a charge that leaves never returns
-    carried: list[tuple[int, int]] = []
-    k = 0
-    for t0 in sorted(groups):
-        hi = t0 + bsize - 1
-        while k < len(f_spans) and f_spans[k][0] < t0:
-            carried.append(f_spans[k][1:])
-            k += 1
-        carried = [span for span in carried if span[0] >= t0]
-
-        d_n = bisect_right(d_targets, hi) - bisect_left(d_targets, t0)
-        lo_i, hi_i = bisect_left(s_targets, t0), bisect_right(s_targets, hi)
-        s1 = sum(1 for _, src in s_spans[lo_i:hi_i] if t0 <= src <= hi)
-        s2 = hi_i - lo_i - s1
-        g1 = sum(1 for _, src in carried if t0 <= src <= hi)
-        g2 = len(carried) - g1
-        f_n = groups[t0]
-
-        if g1 + d_n + s1 > bsize:
-            out.append(
-                f"t0={t0}: in-window sources {g1}+{d_n}+{s1} "
-                f"(carried-F + D + same-window-S) exceed B={bsize}"
-            )
-        if g2 + f_n + s2 > bsize:
-            out.append(
-                f"t0={t0}: later sources {g2}+{f_n}+{s2} "
-                f"(carried-F + new-F + later-S) exceed B={bsize}"
-            )
-    return out

@@ -119,16 +119,15 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
             f"[{p.release}, {p.deadline}]"
         )
     bsize = trace.buffer_size
-    if len(assignment) > bsize:  # at most B sends can never overfill the buffer
-        held = 0
-        points = sorted(delta)
-        for s, nxt in zip(points, points[1:]):
-            held += delta[s]
-            if held > bsize:
-                out.extend(
-                    f"step {u}: {held} packets held, buffer size {bsize}"
-                    for u in range(s, nxt)
-                )
+    held = 0
+    points = sorted(delta)
+    for s, nxt in zip(points, points[1:]):
+        held += delta[s]
+        if held > bsize:
+            out.extend(
+                f"step {u}: {held} packets held, buffer size {bsize}"
+                for u in range(s, nxt)
+            )
 
     value, denominator = schedule.value, trace.weight_denominator
     if total * value.denominator != value.numerator * denominator:

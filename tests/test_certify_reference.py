@@ -4,9 +4,9 @@ The references below restate the schedule verifier and the charge layer the
 direct way: every weight is compared and summed as a Fraction, occupancy is
 counted step by step, F-charges take the first send step with spare capacity
 by a scan from the start, and the window-counting check rescans every charge
-for each rejection step.  The production code (scaled-integer weights, a
-difference array, a disjoint-set forest and bisection) must report the same
-violations in the same order, and build the same maps.
+for each rejection step.  The production code (scaled-integer weights and a
+difference array) must report the same violations in the same order, and
+build the same maps.
 
 Traces are written as qtrace text so the same value can be spelled several
 ways (1/3, 2/6, 0.5, 2/4, ...), next to near-equal values such as 333/1000.
