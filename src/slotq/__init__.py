@@ -49,7 +49,6 @@ from .model import (
     validate_trace,
 )
 from .oracle import (
-    BudgetExceededError,
     OfflineSchedule,
     enumerate_feasible,
     optimal_bounded,
@@ -73,7 +72,6 @@ __all__ = [
     "ADMISSION_REFUSED",
     "EXPIRED",
     "PREEMPTED",
-    "BudgetExceededError",
     "Charge",
     "ChargeConstructionError",
     "ChargeMap",

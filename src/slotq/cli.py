@@ -1,8 +1,8 @@
 """Command-line workbench.
 
     slotq run        --trace f.qtrace --algo grq|greedy [--out F --format csv|json]
-    slotq oracle     --trace f.qtrace --algo bounded|unbounded [--max-nodes N]
-    slotq charge     --trace f.qtrace [--enumerate K] [--max-nodes N]
+    slotq oracle     --trace f.qtrace --algo bounded|unbounded
+    slotq charge     --trace f.qtrace [--enumerate K]
     slotq gen        killer --b 10 --eps 1/10 [--out F]
     slotq gen        random --n 8 --horizon 6 --b 2 --seed 1 [--max-weight 16]
     slotq search     --n 8 --b 3 --horizon 8 --seed 1 --iters 1000
@@ -10,7 +10,8 @@
 
 Exit codes: 0 every check passed, 1 a property violation was found (that is
 the interesting outcome — the trace involved is printed or persisted),
-2 usage or configuration problems, including oracle budget overruns.
+2 usage or configuration problems, 3 an internal error (a bug in slotq, not a
+finding about the trace; one `internal error:` line goes to stderr).
 """
 
 import argparse
@@ -33,8 +34,6 @@ from .experiment import (
 from .generate import GeneratorParams, gen_killer, gen_random
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceededError,
     enumerate_feasible,
     optimal_bounded,
     optimal_unbounded,
@@ -100,7 +99,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     trace = load_trace(args.trace)
     if args.algo == "bounded":
-        schedule = optimal_bounded(trace, max_nodes=args.max_nodes)
+        schedule = optimal_bounded(trace)
         violations = verify_schedule(trace, schedule)
     else:
         schedule = optimal_unbounded(trace)
@@ -136,7 +135,7 @@ def _check_one_adversary(grq, adv) -> tuple[list[str], "object"]:
 def _cmd_charge(args) -> int:
     trace = load_trace(args.trace)
     grq = run_grq(trace)
-    adv = optimal_bounded(trace, max_nodes=args.max_nodes)
+    adv = optimal_bounded(trace)
     failures, report = _check_one_adversary(grq, adv)
     if report is not None:
         for c in report.checks:
@@ -202,9 +201,8 @@ def _cmd_search(args) -> int:
         n=args.n, horizon=args.horizon, buffer_size=args.b, seed=args.seed,
         max_weight=args.max_weight,
     )
-    result = adversarial_search(params, args.iters, max_nodes=args.max_nodes)
-    print(f"iterations: {result.iterations}, evaluated: {result.evaluated}, "
-          f"skipped on budget: {result.skipped}")
+    result = adversarial_search(params, args.iters)
+    print(f"iterations: {result.iterations}")
     print(f"worst ratio: {format_weight(result.ratio)}")
     if result.trace is not None:
         print(f"worst trace digest: {trace_digest(result.trace)}")
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact offline optimum of a qtrace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--algo", choices=("bounded", "unbounded"), default="bounded")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     add_output(p)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--enumerate", type=int, default=0, metavar="K",
                    help="also verify against up to K enumerated feasible adversaries")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     add_output(p)
     p.set_defaults(fn=_cmd_charge)
 
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--max-weight", type=int, default=16)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", help="write the worst trace found as qtrace")
     p.set_defaults(fn=_cmd_search)
 
@@ -303,9 +298,12 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.fn(args)
     except (TraceSyntaxError, InvalidTraceError, ConfigError,
-            BudgetExceededError, FileNotFoundError, ValueError) as e:
+            FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ verifier against the bounded optimum.  Example:
       "algorithms": ["grq", "greedy"],
       "oracles": ["bounded", "unbounded"],
       "verify": true,
-      "max_nodes": 2000000,
       "counterexample_dir": null
     }
 
@@ -36,14 +35,7 @@ from pathlib import Path
 from .charging import ChargeConstructionError, build_charge_map, verify_charge_map
 from .generate import GeneratorParams, gen_killer, gen_random
 from .model import Trace, check_transcript_invariants
-from .oracle import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceededError,
-    optimal_bounded,
-    optimal_unbounded,
-    relax_capacity,
-    verify_schedule,
-)
+from .oracle import optimal_bounded, optimal_unbounded, relax_capacity, verify_schedule
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from .traceio import emit_trace, format_weight
 
@@ -139,7 +131,6 @@ def evaluate_trace(
     algorithms: tuple[str, ...] = ("grq", "greedy"),
     oracles: tuple[str, ...] = ("bounded", "unbounded"),
     verify: bool = True,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> ExperimentRow:
     """Run the selected components on one trace and collect every violation."""
     violations: list[str] = []
@@ -159,7 +150,7 @@ def evaluate_trace(
 
     bounded = None
     if "bounded" in oracles:
-        bounded = optimal_bounded(trace, max_nodes=max_nodes)
+        bounded = optimal_bounded(trace)
         bounded_value = bounded.value
         violations += [f"bounded oracle: {v}" for v in verify_schedule(trace, bounded)]
     if "unbounded" in oracles:
@@ -210,12 +201,7 @@ def evaluate_trace(
 
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
-    """Evaluate every configured trace; deterministic for a fixed config.
-
-    A BudgetExceededError from the exact oracle propagates — the config asked
-    for an instance the budget cannot certify, which is a config problem, not
-    a data point.
-    """
+    """Evaluate every configured trace; deterministic for a fixed config."""
     algorithms = tuple(config.get("algorithms", ("grq", "greedy")))
     oracles = tuple(config.get("oracles", ("bounded", "unbounded")))
     for a in algorithms:
@@ -225,7 +211,6 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
         if o not in ("bounded", "unbounded"):
             raise ConfigError(f"unknown oracle {o!r}")
     verify = bool(config.get("verify", True))
-    max_nodes = int(config.get("max_nodes", DEFAULT_NODE_BUDGET))
     ce_dir = counterexample_dir or config.get("counterexample_dir")
 
     traces = _traces_from_config(config)
@@ -233,7 +218,7 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
     for i, trace in enumerate(traces):
         row = evaluate_trace(
             trace, index=i, algorithms=algorithms, oracles=oracles,
-            verify=verify, max_nodes=max_nodes,
+            verify=verify,
         )
         rows.append(row)
         if row.failed and ce_dir is not None:

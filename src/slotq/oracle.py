@@ -7,19 +7,26 @@ the arrival stage — number at most B.  A packet not in the assignment is
 treated as dropped on arrival; holding a packet one will never send is never
 useful, so this loses no generality.
 
-optimal_bounded finds the maximum-value feasible schedule by memoized
-depth-first search over per-step choices (which arrivals to retain, then send
-one held packet or idle).  Identical packets — same release, deadline, weight
-— are collapsed into classes and the search state is the per-class count
-vector, which makes bursty instances (many copies of one packet) cheap.
-The search runs on the trace's integer-scaled weights (Trace.scaled_weight)
-and restores exact rationals at the end; nothing is ever rounded.  The
-search refuses to exceed its node budget rather than degrade to a heuristic.
+Which packet sets can be sent is decided by windows alone.  A set S is
+feasible under capacity B iff EDF sends all of S inside the windows
+[release, deadline] and also inside the windows [release, release + B - 1].
+The reason: the number of held packets at a step depends only on how many
+of S were released and how many were sent before it, so every
+work-conserving schedule of S holds the same number at every step, and no
+schedule of S holds fewer.  FIFO is work-conserving, and FIFO keeps a packet past
+release + B - 1 exactly when B + 1 packets are held at once; FIFO is EDF on
+the second windows.  So the capacity holds iff EDF meets the second windows,
+and then EDF on the first windows, work-conserving too, sends S within both
+deadlines and capacity.  Each window family makes the feasible sets a
+matroid (unit jobs with release times), and _edf is the independence test
+of both.
 
-optimal_unbounded drops the capacity constraint.  Assignability-within-windows
-is a transversal matroid, so processing packets in descending weight order and
-keeping each one iff the time-slot matching can be augmented yields the exact
-maximum — no search needed.
+optimal_bounded is therefore a maximum-weight common independent set of
+the two matroids, found by weighted matroid intersection (Edmonds 1970;
+Frank, J. Algorithms 1981).  optimal_unbounded needs only the deadline
+matroid, where the greedy in descending weight order is optimal.  Both
+work on the trace's integer-scaled weights (Trace.scaled_weight), so
+nothing is ever rounded, and both return EDF's assignment of the chosen set.
 
 enumerate_feasible walks every feasible schedule (up to a cap) in a fixed
 order, including schedules that idle while packets sit available; the charge
@@ -30,30 +37,14 @@ value check are sums of Trace.scaled_weight, and a Fraction is built only for
 a declared value or a message.
 """
 
+import heapq
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
 
 from .model import Packet, Trace
-
-# optimal_bounded hard-fails past this many search-node expansions unless the
-# caller raises the cap; exactness is load-bearing, so there is no fallback.
-DEFAULT_NODE_BUDGET = 2_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The bounded-optimum search outgrew its node budget; no result exists."""
-
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(
-            f"offline search expanded {nodes} nodes, exceeding the budget of {budget}; "
-            f"raise max_nodes to keep the result exact"
-        )
-        self.nodes = nodes
-        self.budget = budget
-
 
 @dataclass(frozen=True, eq=True)
 class OfflineSchedule:
@@ -135,170 +126,183 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
     return out
 
 
-# --- bounded optimum -------------------------------------------------------
+# --- exact optima ---------------------------------------------------------
 
-@dataclass
-class _ClassedInstance:
-    """Trace packets collapsed into identical-(release, deadline, weight) classes."""
+def _edf(windows: list[tuple[int, int]]) -> "list[int] | None":
+    """Send step of each (release, end) unit job under earliest-deadline-first.
 
-    trace: Trace
-    keys: list[tuple[int, int, Fraction]] = field(default_factory=list)
-    members: list[list[int]] = field(default_factory=list)  # ids, ascending
-    scaled: list[int] = field(default_factory=list)         # Trace.scaled_weight per class
-    deadlines: list[int] = field(default_factory=list)      # deadline per class
-
-    def __post_init__(self):
-        groups: dict[tuple[int, int, Fraction], list[int]] = {}
-        for p in self.trace.packets:
-            groups.setdefault((p.release, p.deadline, p.weight), []).append(p.id)
-        self.keys = sorted(groups)
-        self.members = [sorted(groups[k]) for k in self.keys]
-        scaled_weight = self.trace.scaled_weight
-        self.scaled = [scaled_weight[ids[0]] for ids in self.members]
-        self.deadlines = [d for _, d, _ in self.keys]
-        self.arrivals: dict[int, list[int]] = {}
-        self.expiring: dict[int, list[int]] = {}  # step -> classes whose deadline it is
-        for cid, (r, d, _) in enumerate(self.keys):
-            self.arrivals.setdefault(r, []).append(cid)
-            self.expiring.setdefault(d, []).append(cid)
-
-
-def _retention_choices(
-    counts: list[tuple[int, int]], capacity: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All ways to keep k_i of each arriving class within the free capacity."""
-    if not counts:
-        yield ()
-        return
-    (cid, avail), rest = counts[0], counts[1:]
-    for k in range(min(avail, capacity) + 1):
-        for tail in _retention_choices(rest, capacity - k):
-            yield ((cid, k),) + tail
+    Returns None iff some job misses its end, which happens iff no schedule
+    meets every window (the exchange argument for unit jobs).  Equal ends go
+    to the job listed first, so callers list jobs in Trace.rank order.  EDF
+    idles only while nothing is released, so the schedule is work-conserving;
+    it jumps over idle stretches, so its cost does not grow with the horizon.
+    """
+    order = sorted(range(len(windows)), key=lambda i: windows[i][0])
+    steps = [0] * len(windows)
+    heap: list[tuple[int, int]] = []
+    t = k = 0
+    while k < len(order) or heap:
+        if not heap:
+            t = max(t, windows[order[k]][0])
+        while k < len(order) and windows[order[k]][0] <= t:
+            heapq.heappush(heap, (windows[order[k]][1], order[k]))
+            k += 1
+        end, i = heapq.heappop(heap)
+        if end < t:
+            return None
+        steps[i] = t
+        t += 1
+    return steps
 
 
-def optimal_bounded(trace: Trace, max_nodes: int = DEFAULT_NODE_BUDGET) -> OfflineSchedule:
+def _circuits(
+    held: list[tuple[int, int]], extra: list[tuple[int, int]]
+) -> "list[list[int] | None]":
+    """For each window x in `extra`: None if held + x is independent, else
+    the positions in `held` of the jobs y such that held - y + x is.
+
+    `held` must be independent.  Fix its EDF schedule: the steps reachable
+    from x by alternating paths are the closure of x's window under adding
+    the window of every job sent inside it.  x fits iff that interval has a
+    free step, and otherwise removing y frees x iff y is sent inside it.
+    """
+    steps = _edf(held)
+    if steps is None:
+        raise AssertionError("exchange graph asked of a dependent set")
+    by_step = sorted(range(len(held)), key=steps.__getitem__)
+    sent = [steps[y] for y in by_step]
+    release = [held[y][0] for y in by_step]
+    end = [held[y][1] for y in by_step]
+    out: "list[list[int] | None]" = []
+    for lo, hi in extra:
+        i = j = bisect_left(sent, lo)  # positions sent in [lo, hi] scanned so far
+        while True:
+            i2, j2 = bisect_left(sent, lo), bisect_right(sent, hi)
+            if j2 - i2 <= hi - lo:
+                out.append(None)
+                break
+            if (i2, j2) == (i, j):
+                out.append(by_step[i:j])
+                break
+            lo = min(lo, *release[i2:i], *release[j:j2])
+            hi = max(hi, *end[i2:i], *end[j:j2])
+            i, j = i2, j2
+    return out
+
+
+def optimal_bounded(trace: Trace) -> OfflineSchedule:
     """Exact maximum-value schedule under the buffer-capacity constraint.
 
-    Memoized DFS over (step, held-class-count-vector) states.  Each step
-    enumerates which arrivals to retain (never exceeding capacity), then sends
-    one held packet or idles; packets at their deadline vanish at the end of
-    the step.  Raises BudgetExceededError when the state space outgrows
-    `max_nodes` — the result is exact or absent, never approximate.
+    Weighted matroid intersection of the deadline matroid (windows
+    [release, deadline]) and the capacity matroid (windows
+    [release, release + B - 1]) by shortest augmenting paths: starting from
+    the empty set, each round builds the exchange graph of the current set
+    I, whose vertex lengths are Trace.scaled_weight for members and its
+    negation for the rest, and flips the path from the deadline matroid's
+    free packets to the capacity matroid's that is shortest in (length,
+    hops).  Each round leaves I of maximum weight for its size, and those
+    maxima are concave in the size, so the loop stops at the first path that
+    gains nothing.  Integers only, no recursion, vertices in Trace.rank
+    order, so the result is deterministic.
     """
-    inst = _ClassedInstance(trace)
-    ncls = len(inst.keys)
-    bsize = trace.buffer_size
-    horizon = trace.horizon
-    deadlines, scaled = inst.deadlines, inst.scaled
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    nodes = 0
+    rank = trace.rank
+    packets = sorted(trace.packets, key=lambda p: rank[p.id])
+    n, bsize = len(packets), trace.buffer_size
+    weight = [trace.scaled_weight[p.id] for p in packets]
+    deadline_windows = [(p.release, p.deadline) for p in packets]
+    capacity_windows = [(p.release, p.release + bsize - 1) for p in packets]
+    member = [False] * n
+    while True:
+        held = [v for v in range(n) if member[v]]
+        rest = [v for v in range(n) if not member[v]]
+        cost = [weight[v] if member[v] else -weight[v] for v in range(n)]
+        # arc y -> x iff I - y + x meets the deadlines, x -> y iff it fits the
+        # buffer.  A source (sink) also has arcs from (to) every member, but a
+        # shortest path never needs them: the part of a path before the
+        # source it enters closes into a cycle through the path's first
+        # source, no cycle is negative, so the rest is as short in fewer hops.
+        succ: list[list[int]] = [[] for _ in range(n)]
+        sources: list[int] = []
+        sinks: list[int] = []
+        circuits = _circuits([deadline_windows[v] for v in held],
+                             [deadline_windows[x] for x in rest])
+        for x, circuit in zip(rest, circuits):
+            if circuit is None:
+                sources.append(x)
+            else:
+                for y in circuit:
+                    succ[held[y]].append(x)
+        circuits = _circuits([capacity_windows[v] for v in held],
+                             [capacity_windows[x] for x in rest])
+        for x, circuit in zip(rest, circuits):
+            if circuit is None:
+                sinks.append(x)
+            else:
+                succ[x] = [held[y] for y in circuit]
 
-    def choices(t: int, held: tuple[int, ...]):
-        """(gain, sent class or None, successor-held) triples, fixed order.
-
-        Classes whose deadline is t may still send at t but are gone from
-        every successor, so they are zeroed once per retention choice.
-        """
-        arriving = [(cid, len(inst.members[cid])) for cid in inst.arrivals.get(t, [])]
-        expiring = inst.expiring.get(t, ())
-        for kept in _retention_choices(arriving, bsize - sum(held)):
-            cur = list(held)
-            for cid, k in kept:
-                cur[cid] += k
-            sendable = [cid for cid in range(ncls) if cur[cid]]
-            for cid in expiring:
-                cur[cid] = 0
-            idle = tuple(cur)
-            yield 0, None, idle
-            for cid in sendable:
-                if deadlines[cid] < t:
-                    raise AssertionError(f"class {cid} held past its deadline at t={t}")
-                if cur[cid]:
-                    cur[cid] -= 1
-                    yield scaled[cid], cid, tuple(cur)
-                    cur[cid] += 1
-                else:  # expires at t: sending it leaves the idle successor
-                    yield scaled[cid], cid, idle
-
-    def solve(t: int, held: tuple[int, ...]) -> int:
-        if t > horizon:
-            return 0
-        key = (t, held)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(nodes, max_nodes)
-        best = 0
-        for gain, _, nxt in choices(t, held):
-            best = max(best, gain + solve(t + 1, nxt))
-        memo[key] = best
-        return best
-
-    root: tuple[int, ...] = (0,) * ncls
-    total = solve(1, root)
-
-    # replay the memo to pull out one optimal assignment
-    sends: list[tuple[int, int]] = []  # (step, class)
-    t, held, remaining = 1, root, total
-    while t <= horizon:
-        for gain, cid, nxt in choices(t, held):
-            if gain + solve(t + 1, nxt) == remaining:
-                if cid is not None:
-                    sends.append((t, cid))
-                held, remaining = nxt, remaining - gain
+        # Bellman-Ford on (length, hops): cycles are non-negative in length
+        # while I is of maximum weight for its size, and positive in hops
+        dist = {x: (cost[x], 0) for x in sources}
+        pred: dict[int, int] = {}
+        for _ in range(n + 1):
+            changed = False
+            for u in range(n):
+                if u not in dist:
+                    continue
+                du, hu = dist[u]
+                for v in succ[u]:
+                    cand = (du + cost[v], hu + 1)
+                    if v not in dist or cand < dist[v]:
+                        dist[v], pred[v] = cand, u
+                        changed = True
+            if not changed:
                 break
         else:
-            raise AssertionError("memo replay found no optimal branch")
-        t += 1
-    if remaining != 0:
-        raise AssertionError(f"memo replay left {remaining} of the optimum unassigned")
+            raise AssertionError("exchange graph has a negative cycle")
+        reached = [(dist[x], x) for x in sinks if x in dist]
+        if not reached or min(reached)[0][0] >= 0:
+            break
+        v = min(reached)[1]
+        path = [v]
+        while v in pred:
+            v = pred[v]
+            path.append(v)
+        for v in path:
+            member[v] = not member[v]
 
-    cursor = [0] * ncls
-    assignment: dict[int, int] = {}
-    for step, cid in sends:
-        assignment[inst.members[cid][cursor[cid]]] = step
-        cursor[cid] += 1
-    schedule = OfflineSchedule.of(trace, assignment)
-    if schedule.value != Fraction(total, trace.weight_denominator):
-        raise AssertionError(f"replayed value {schedule.value} != searched optimum")
+    chosen = [v for v in range(n) if member[v]]
+    steps = _edf([deadline_windows[v] for v in chosen])
+    if steps is None:
+        raise AssertionError("bounded optimum misses a deadline")
+    schedule = OfflineSchedule.of(
+        trace, {packets[v].id: t for v, t in zip(chosen, steps)})
     errs = verify_schedule(trace, schedule)
     if errs:
         raise AssertionError(f"bounded optimum infeasible: {errs}")
     return schedule
 
 
-# --- unbounded optimum -----------------------------------------------------
-
 def optimal_unbounded(trace: Trace) -> OfflineSchedule:
     """Exact maximum-value schedule ignoring the buffer-capacity constraint.
 
-    Feasible packet sets form a transversal matroid (packets vs. time slots in
-    their windows), so greedy in descending weight order (Trace.rank) is
-    optimal: keep a packet iff an augmenting path frees a slot in its window.
-    Matching is exact and purely combinatorial — weights are only summed,
-    never compared approximately.
+    The packet sets EDF can send within their windows form a matroid, so the
+    greedy in descending weight order (Trace.rank) is optimal: keep a packet
+    iff EDF still meets every deadline with it added.  Weights are only
+    summed, never compared approximately.
     """
-    slot: dict[int, int] = {}  # step -> packet id
-
-    def try_slot(pid: int, visited: set[int]) -> bool:
-        p = trace.by_id[pid]
-        for t in range(p.release, p.deadline + 1):
-            if t in visited:
-                continue
-            visited.add(t)
-            if t not in slot or try_slot(slot[t], visited):
-                slot[t] = pid
-                return True
-        return False
-
-    for pid in sorted(trace.rank, key=trace.rank.__getitem__):
-        try_slot(pid, set())
-
-    assignment = {pid: t for t, pid in slot.items()}
-    schedule = OfflineSchedule.of(trace, assignment)
+    rank = trace.rank
+    kept: list[Packet] = []
+    windows: list[tuple[int, int]] = []
+    steps: list[int] = []
+    for p in sorted(trace.packets, key=lambda p: rank[p.id]):
+        windows.append((p.release, p.deadline))
+        fits = _edf(windows)
+        if fits is None:
+            windows.pop()
+        else:
+            kept.append(p)
+            steps = fits
+    schedule = OfflineSchedule.of(trace, {p.id: t for p, t in zip(kept, steps)})
     errs = verify_schedule(relax_capacity(trace), schedule)
     if errs:
         raise AssertionError(f"unbounded optimum infeasible: {errs}")

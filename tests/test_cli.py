@@ -66,10 +66,25 @@ class TestOracle:
         assert payload["value"] == "5/2"
         assert len(payload["rows"]) == 3
 
-    def test_budget_overrun_is_usage_error(self, killer_trace, capsys):
-        assert main(["oracle", "--trace", killer_trace,
-                     "--max-nodes", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+
+class TestLongHorizon:
+    """Two packets whose windows span 1,500 steps; B = 1 holds only one."""
+
+    @pytest.fixture
+    def long_trace(self, tmp_path):
+        path = tmp_path / "long.qtrace"
+        path.write_text("B 1\np 0 1 1500 1\np 1 1 1500 2\n")
+        return str(path)
+
+    def test_oracle(self, long_trace, capsys):
+        assert main(["oracle", "--trace", long_trace]) == 0
+        assert "bounded optimum: 2" in capsys.readouterr().out
+        assert main(["oracle", "--trace", long_trace, "--algo", "unbounded"]) == 0
+        assert "unbounded optimum: 3" in capsys.readouterr().out
+
+    def test_charge(self, long_trace, capsys):
+        assert main(["charge", "--trace", long_trace]) == 0
+        assert capsys.readouterr().out.count(": pass") == 7
 
 
 class TestCharge:
@@ -120,7 +135,7 @@ class TestSearch:
         assert main(["search", "--n", "5", "--horizon", "4", "--b", "2",
                      "--seed", "3", "--iters", "25"]) == 0
         out = capsys.readouterr().out
-        assert "worst ratio:" in out and "evaluated: 25" in out
+        assert "worst ratio:" in out and "iterations: 25" in out
 
     def test_worst_trace_written(self, tmp_path, capsys):
         out = tmp_path / "worst.qtrace"
@@ -178,6 +193,18 @@ class TestUsageErrors:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3(self, killer_trace, monkeypatch, capsys):
+        def broken(trace):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr("slotq.cli.optimal_bounded", broken)
+        assert main(["oracle", "--trace", killer_trace]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: stage broke\n"
+        assert captured.out == ""
 
 
 def test_module_entry_point(tmp_path):
