@@ -31,7 +31,7 @@ from .experiment import (
     evaluate_trace,
     run_experiment,
 )
-from .generate import GeneratorParams, SplitMix64, gen_killer, gen_random
+from .generate import GeneratorParams, ParameterError, SplitMix64, gen_killer, gen_random
 from .model import (
     ADMISSION_REFUSED,
     EXPIRED,
@@ -83,6 +83,7 @@ __all__ = [
     "InvalidTraceError",
     "OfflineSchedule",
     "Packet",
+    "ParameterError",
     "Rejection",
     "SearchResult",
     "SlotBuffer",

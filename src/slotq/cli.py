@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
     trace_digest,
 )
-from .generate import GeneratorParams, gen_killer, gen_random
+from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import (
     enumerate_feasible,
@@ -297,8 +297,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TraceSyntaxError, InvalidTraceError, ConfigError,
-            FileNotFoundError, ValueError) as e:
+    except (TraceSyntaxError, InvalidTraceError, ConfigError, ParameterError,
+            FileNotFoundError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

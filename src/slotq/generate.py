@@ -15,6 +15,10 @@ from .model import Packet, Trace, validate_trace
 _MASK64 = (1 << 64) - 1
 
 
+class ParameterError(ValueError):
+    """A generator or search parameter out of its documented range."""
+
+
 class SplitMix64:
     """splitmix64 stream: state advances by the golden-gamma constant, output
     is the standard two-round xor-multiply finalizer.  Draws below n use plain
@@ -61,17 +65,17 @@ class GeneratorParams:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+            raise ParameterError(f"n must be >= 0, got {self.n}")
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
         if self.buffer_size < 1:
-            raise ValueError(f"buffer size must be >= 1, got {self.buffer_size}")
+            raise ParameterError(f"buffer size must be >= 1, got {self.buffer_size}")
         if self.max_weight < 1:
-            raise ValueError(f"max_weight must be >= 1, got {self.max_weight}")
+            raise ParameterError(f"max_weight must be >= 1, got {self.max_weight}")
         if self.max_span is not None and self.max_span < 0:
-            raise ValueError(f"max_span must be >= 0, got {self.max_span}")
+            raise ParameterError(f"max_span must be >= 0, got {self.max_span}")
         if not 0 <= self.burst <= 1:
-            raise ValueError(f"burst must be in [0, 1], got {self.burst}")
+            raise ParameterError(f"burst must be in [0, 1], got {self.burst}")
 
 
 def gen_random(params: GeneratorParams) -> Trace:
@@ -113,10 +117,10 @@ def gen_killer(buffer_size: int, eps: Fraction) -> Trace:
     and matches the optimum.
     """
     if buffer_size < 2:
-        raise ValueError(f"killer instance needs buffer size >= 2, got {buffer_size}")
+        raise ParameterError(f"killer instance needs buffer size >= 2, got {buffer_size}")
     eps = Fraction(eps)
     if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+        raise ParameterError(f"eps must be in (0, 1), got {eps}")
     packets = [
         Packet(i, 1, 1, Fraction(1)) for i in range(buffer_size)
     ] + [

@@ -205,8 +205,7 @@ def optimal_bounded(trace: Trace) -> OfflineSchedule:
     gains nothing.  Integers only, no recursion, vertices in Trace.rank
     order, so the result is deterministic.
     """
-    rank = trace.rank
-    packets = sorted(trace.packets, key=lambda p: rank[p.id])
+    packets = trace.by_rank
     n, bsize = len(packets), trace.buffer_size
     weight = [trace.scaled_weight[p.id] for p in packets]
     deadline_windows = [(p.release, p.deadline) for p in packets]
@@ -290,11 +289,10 @@ def optimal_unbounded(trace: Trace) -> OfflineSchedule:
     iff EDF still meets every deadline with it added.  Weights are only
     summed, never compared approximately.
     """
-    rank = trace.rank
     kept: list[Packet] = []
     windows: list[tuple[int, int]] = []
     steps: list[int] = []
-    for p in sorted(trace.packets, key=lambda p: rank[p.id]):
+    for p in trace.by_rank:
         windows.append((p.release, p.deadline))
         fits = _edf(windows)
         if fits is None:
@@ -328,12 +326,14 @@ def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
     the buffer occupancy it implies over [release, send] stays within
     capacity; occupancy only ever grows as packets are added, so pruning an
     overfull prefix is safe.  The all-idle schedule is always included (last,
-    when the limit permits).
+    when the limit permits).  The search keeps its own stack of steps, so
+    long horizons need no recursion.
     """
     if limit < 0:
         raise AssertionError(f"enumerate_feasible needs limit >= 0, got {limit}")
     horizon = trace.horizon
     packs = sorted(trace.packets, key=lambda p: p.id)
+    idle = len(packs)  # the last choice at every step
     occupancy = Counter()
     assignment: dict[int, int] = {}
     found: list[OfflineSchedule] = []
@@ -341,28 +341,37 @@ def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
     def feasible_add(p: Packet, t: int) -> bool:
         return all(occupancy[s] < trace.buffer_size for s in range(p.release, t + 1))
 
-    def walk(t: int):
-        if len(found) >= limit:
-            return
+    def hold(p: Packet, t: int, delta: int) -> None:
+        for s in range(p.release, t + 1):
+            occupancy[s] += delta
+
+    # one frame per step 1..t: [next choice to try, packet sent by the current one]
+    stack: list[list] = [[0, None]] if limit else []
+    while stack and len(found) < limit:
+        frame = stack[-1]
+        t = len(stack)
         if t > horizon:
             found.append(OfflineSchedule.of(trace, assignment))
-            return
-        for p in packs:
-            if p.id in assignment or not p.release <= t <= p.deadline:
+            stack.pop()
+            continue
+        choice, sent = frame
+        if sent is not None:  # back from the subtree that sends `sent` at t
+            hold(sent, t, -1)
+            del assignment[sent.id]
+            frame[1] = None
+        while choice < idle:
+            p = packs[choice]
+            choice += 1
+            if p.id not in assignment and p.release <= t <= p.deadline and feasible_add(p, t):
+                assignment[p.id] = t
+                hold(p, t, 1)
+                frame[1] = p
+                break
+        else:
+            if choice > idle:  # idled too: this step is exhausted
+                stack.pop()
                 continue
-            if not feasible_add(p, t):
-                continue
-            assignment[p.id] = t
-            for s in range(p.release, t + 1):
-                occupancy[s] += 1
-            walk(t + 1)
-            for s in range(p.release, t + 1):
-                occupancy[s] -= 1
-            del assignment[p.id]
-            if len(found) >= limit:
-                return
-        walk(t + 1)  # idle this step
-
-    if limit:
-        walk(1)
+            choice += 1
+        frame[0] = choice
+        stack.append([0, None])
     return found

@@ -11,7 +11,7 @@ competitiveness bound, which is precisely what the search exists to hunt for.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .generate import GeneratorParams, SplitMix64, gen_random
+from .generate import GeneratorParams, ParameterError, SplitMix64, gen_random
 from .model import Packet, Trace, validate_trace
 from .oracle import optimal_bounded
 from .schedulers import run_grq
@@ -73,9 +73,9 @@ def adversarial_search(
     mutate the best instance so far.  Deterministic for fixed inputs.
     """
     if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        raise ParameterError(f"iterations must be >= 0, got {iterations}")
     if restart_every < 1:
-        raise ValueError(f"restart_every must be >= 1, got {restart_every}")
+        raise ParameterError(f"restart_every must be >= 1, got {restart_every}")
     rng = SplitMix64(params.seed)
     best_trace: Trace | None = None
     best_ratio = ONE

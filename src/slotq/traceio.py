@@ -65,13 +65,19 @@ def parse_trace(text: str) -> Trace:
                     lineno, f"expected 'p <id> <release> <deadline> <weight>', got {raw!r}"
                 )
             try:
-                pid, release, deadline = (int(f) for f in fields[1:4])
+                pid, release, deadline = map(int, fields[1:4])
             except ValueError:
                 raise TraceSyntaxError(lineno, f"non-integer packet field in {raw!r}") from None
-            try:
-                weight = Fraction(fields[4])
-            except (ValueError, ZeroDivisionError):
-                raise TraceSyntaxError(lineno, f"unparseable weight {fields[4]!r}") from None
+            w = fields[4]
+            if w.isascii() and w.isdigit():
+                # a plain integer, the common case: int() is ~3x cheaper than
+                # Fraction's string parser and gives the same value
+                weight = Fraction(int(w))
+            else:
+                try:
+                    weight = Fraction(w)
+                except (ValueError, ZeroDivisionError):
+                    raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
             packets.append(Packet(pid, release, deadline, weight))
         else:
             raise TraceSyntaxError(lineno, f"unknown directive {fields[0]!r}")

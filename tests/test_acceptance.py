@@ -284,11 +284,12 @@ def test_criterion_6_oracle_cross_checks(sweep):
 def test_criterion_7_structural_buffer_invariants(sweep):
     violations = []
     for i, run in enumerate(sweep):
+        weight = run.grq.trace.scaled_weight
         for rec in run.grq.steps:
             buf = rec.slots
             violations += [
                 f"trace {i} step {rec.time}: {v}"
-                for v in check_buffer_invariants(buf, "post-rebuild")
+                for v in check_buffer_invariants(buf, "post-rebuild", weight)
             ]
             front = buf.front
             if rec.transmitted is None:

@@ -86,6 +86,10 @@ class TestLongHorizon:
         assert main(["charge", "--trace", long_trace]) == 0
         assert capsys.readouterr().out.count(": pass") == 7
 
+    def test_charge_against_enumerated_adversaries(self, long_trace, capsys):
+        assert main(["charge", "--trace", long_trace, "--enumerate", "5"]) == 0
+        assert "enumerated adversaries checked: 5, failures: 0" in capsys.readouterr().out
+
 
 class TestCharge:
     def test_all_checks_pass(self, killer_trace, capsys):
@@ -190,6 +194,20 @@ class TestUsageErrors:
         bad.write_text("B 1\np 0 4 2 1\n")
         assert main(["run", "--trace", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--n", "-1", "--horizon", "4", "--b", "2"],
+        ["search", "--n", "3", "--horizon", "4", "--b", "2", "--iters", "-1"],
+    ])
+    def test_parameter_out_of_range(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trace_file_not_text(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qtrace"
+        bad.write_bytes(b"B 1\n\xff\xfe\n")
+        assert main(["run", "--trace", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -204,6 +222,16 @@ class TestInternalErrors:
         assert main(["oracle", "--trace", killer_trace]) == 3
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: stage broke\n"
+        assert captured.out == ""
+
+    def test_internal_value_error_is_not_a_usage_error(self, killer_trace, monkeypatch, capsys):
+        def broken(trace):
+            raise ValueError("stage broke")
+
+        monkeypatch.setattr("slotq.cli.optimal_bounded", broken)
+        assert main(["oracle", "--trace", killer_trace]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: ValueError: stage broke\n"
         assert captured.out == ""
 
 

@@ -116,28 +116,32 @@ class TestTrace:
         assert sorted(t.rank, key=t.rank.__getitem__) == [4, 2, 1, 5, 0, 3]
 
 
+def weights_of(buf):
+    return Trace(1, buf.packets()).scaled_weight
+
+
 class TestBufferInvariants:
     def test_weights_must_not_increase(self):
         buf = SlotBuffer(1, (P(0, 1, 2, 3), P(1, 1, 3, 5)))
-        errs = check_buffer_invariants(buf, "post-rebuild")
+        errs = check_buffer_invariants(buf, "post-rebuild", weights_of(buf))
         assert len(errs) == 1 and "exceeds" in errs[0]
 
     def test_deadline_below_label(self):
         buf = SlotBuffer(1, (None, P(0, 1, 1, 5)))
-        errs = check_buffer_invariants(buf, "post-transmit")
+        errs = check_buffer_invariants(buf, "post-transmit", weights_of(buf))
         assert len(errs) == 1 and "deadline" in errs[0]
 
     def test_prefix_with_empty_tail_ok(self):
         buf = SlotBuffer(1, (P(0, 1, 3, 5), None, None))
-        assert check_buffer_invariants(buf, "post-rebuild") == []
+        assert check_buffer_invariants(buf, "post-rebuild", weights_of(buf)) == []
 
     def test_gap_flagged_post_rebuild_only(self):
         buf = SlotBuffer(1, (None, P(0, 1, 3, 5)))
         assert any("occupied after empty" in e
-                   for e in check_buffer_invariants(buf, "post-rebuild"))
-        assert check_buffer_invariants(buf, "post-transmit") == []
+                   for e in check_buffer_invariants(buf, "post-rebuild", weights_of(buf)))
+        assert check_buffer_invariants(buf, "post-transmit", weights_of(buf)) == []
         mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5), None))
-        assert check_buffer_invariants(mid, "post-rebuild") == [
+        assert check_buffer_invariants(mid, "post-rebuild", weights_of(mid)) == [
             "slot 3: occupied after empty slot 2"
         ]
 

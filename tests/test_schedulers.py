@@ -35,28 +35,38 @@ def P(pid, r, d, w):
     return Packet(pid, r, d, Fraction(w))
 
 
-def rank_of(*packets):
-    return Trace(1, packets).rank
+def rebuild(buffered, arrivals, t, buffer_size):
+    """grq_rebuild on the ranks of these packets within a trace of just them."""
+    trace = Trace(buffer_size, (*buffered, *arrivals))
+    rank = trace.rank
+    buf, rej, _ = grq_rebuild(
+        sorted(rank[p.id] for p in buffered), [rank[p.id] for p in arrivals], t, trace
+    )
+    return buf, rej
+
+
+def weights_of(buf):
+    return Trace(1, buf.packets()).scaled_weight
 
 
 class TestRebuild:
     def test_tight_deadline_loses_to_heavier(self):
         a, b = P(0, 1, 2, 5), P(1, 1, 1, 3)
-        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2, rank=rank_of(a, b))
+        buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
         assert buf.at_label(1) == a and buf.at_label(2) is None
         assert [r.packet_id for r in rej] == [1]
         assert rej[0].cause == ADMISSION_REFUSED
 
     def test_both_fit_when_heavy_is_tight(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf, rej = grq_rebuild([], [a, b], t=1, buffer_size=2, rank=rank_of(a, b))
+        buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
         assert buf.at_label(1) == a and buf.at_label(2) == b
         assert rej == ()
 
     def test_burst_placement(self):
         ones = [P(i, 1, 1, 1) for i in range(3)]
         soft = [P(3 + i, 1, 3, Fraction(3, 4)) for i in range(2)]
-        buf, rej = grq_rebuild([], ones + soft, t=1, buffer_size=3, rank=rank_of(*ones, *soft))
+        buf, rej = rebuild([], ones + soft, t=1, buffer_size=3)
         assert buf.at_label(1).weight == 1
         assert buf.at_label(2).weight == Fraction(3, 4)
         assert buf.at_label(3).weight == Fraction(3, 4)
@@ -65,76 +75,95 @@ class TestRebuild:
     def test_buffered_packet_squeezed_out_is_preempted(self):
         held = P(0, 1, 2, 1)
         heavy = P(1, 2, 2, 5)
-        buf, rej = grq_rebuild([held], [heavy], t=2, buffer_size=2, rank=rank_of(held, heavy))
+        buf, rej = rebuild([held], [heavy], t=2, buffer_size=2)
         assert buf.at_label(2) == heavy
         assert [(r.packet_id, r.cause) for r in rej] == [(0, PREEMPTED)]
 
     def test_tie_break_prefers_earlier_deadline_then_id(self):
         a, b, c = P(5, 1, 3, 2), P(2, 1, 2, 2), P(1, 1, 3, 2)
-        buf, rej = grq_rebuild([], [a, b, c], t=1, buffer_size=3, rank=rank_of(a, b, c))
+        buf, rej = rebuild([], [a, b, c], t=1, buffer_size=3)
         # equal weights: deadline 2 first, then ids 1, 5
         assert [p.id for _, p in buf.occupied()] == [2, 1, 5]
 
     def test_rejects_expired_input(self):
         p = P(0, 1, 1, 1)
         with pytest.raises(AssertionError):
-            grq_rebuild([], [p], t=2, buffer_size=1, rank=rank_of(p))
+            rebuild([], [p], t=2, buffer_size=1)
 
     def test_rejects_future_input(self):
         p = P(0, 3, 4, 1)
         with pytest.raises(AssertionError):
-            grq_rebuild([], [p], t=2, buffer_size=1, rank=rank_of(p))
+            rebuild([], [p], t=2, buffer_size=1)
+
+    def test_input_checks_survive_optimize_flag(self):
+        out = run_optimized("""
+            from slotq.model import Packet, Trace
+            from slotq.schedulers import grq_rebuild
+            trace = Trace(1, (Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)))
+            for carried, arrivals, t in (([0, 1], [], 1), ([], [0], 3)):
+                try:
+                    grq_rebuild(carried, arrivals, t, trace)
+                except AssertionError as e:
+                    print("raised", e)
+        """)
+        assert "raised carried packets exceed buffer size" in out
+        assert "raised packet 1 not live at t=3" in out
 
     def test_result_satisfies_rebuild_invariants(self):
         pkts = [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)]
-        buf, _ = grq_rebuild([], pkts, t=1, buffer_size=4, rank=rank_of(*pkts))
-        assert check_buffer_invariants(buf, "post-rebuild") == []
+        buf, _ = rebuild([], pkts, t=1, buffer_size=4)
+        assert check_buffer_invariants(buf, "post-rebuild", weights_of(buf)) == []
 
 
 class TestTransmit:
     def test_sends_front(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
         buf = SlotBuffer(1, (a, b))
-        sent, remaining = grq_transmit(buf, 1)
+        sent, remaining = grq_transmit(buf, 1, weights_of(buf))
         assert sent == a and remaining == (b,)
 
     def test_idle_on_empty(self):
-        sent, remaining = grq_transmit(SlotBuffer(4, (None, None)), 4)
+        sent, remaining = grq_transmit(SlotBuffer(4, (None, None)), 4, {})
         assert sent is None and remaining == ()
 
     def test_front_on_weight_tie(self):
         a, b = P(0, 1, 2, 2), P(1, 1, 3, 2)
         buf = SlotBuffer(2, (a, b))
-        sent, _ = grq_transmit(buf, 2)
+        sent, _ = grq_transmit(buf, 2, weights_of(buf))
         assert sent == a
 
     def test_asserts_front_heaviest(self):
         light, heavy = P(0, 1, 2, 1), P(1, 1, 2, 9)
+        buf = SlotBuffer(1, (light, heavy))
         with pytest.raises(AssertionError):
-            grq_transmit(SlotBuffer(1, (light, heavy)), 1)
+            grq_transmit(buf, 1, weights_of(buf))
 
     def test_front_check_survives_optimize_flag(self):
         # `python -O` strips assert statements; the front check must still fire
-        code = textwrap.dedent("""
-            import sys
+        out = run_optimized("""
             from slotq.model import Packet, SlotBuffer
             from slotq.schedulers import grq_transmit
-            print("optimize", sys.flags.optimize)
             light, heavy = Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)
             try:
-                grq_transmit(SlotBuffer(1, (light, heavy)), 1)
+                grq_transmit(SlotBuffer(1, (light, heavy)), 1, {0: 1, 1: 9})
             except AssertionError as e:
                 print("raised", e)
         """)
-        src = str(Path(slotq.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "optimize 1" in proc.stdout
-        assert "raised front packet 0 is not heaviest at t=1" in proc.stdout
+        assert "raised front packet 0 is not heaviest at t=1" in out
+
+
+def run_optimized(code):
+    """stdout of `code` run by `python -O` on this checkout's slotq."""
+    code = "import sys\nprint('optimize', sys.flags.optimize)\n" + textwrap.dedent(code)
+    src = str(Path(slotq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "optimize 1" in proc.stdout
+    return proc.stdout
 
 
 class TestRunGrq:
@@ -163,7 +192,8 @@ class TestRunGrq:
             ts = run_grq(trace)
             assert check_transcript_invariants(ts) == []
             for rec in ts.steps:
-                assert check_buffer_invariants(rec.slots, "post-rebuild") == []
+                assert check_buffer_invariants(
+                    rec.slots, "post-rebuild", trace.scaled_weight) == []
 
     def test_preemption_recorded_at_rebuild_time(self):
         t = validate_trace(2, [P(0, 1, 2, 1), P(1, 1, 3, 2), P(2, 2, 2, 5)])

@@ -23,6 +23,23 @@ class TestParse:
         assert [p.weight for p in t.packets] == [
             Fraction(7), Fraction(3, 4), Fraction(3, 2)]
 
+    @pytest.mark.parametrize("spelled", ["7", "07", "0", "1.5", "3/4", "+3", "٣", "1_000"])
+    def test_weight_spellings_parse_like_fraction(self, spelled):
+        weight = parse_trace(f"B 1\np 0 1 1 {spelled}\n").packets[0].weight
+        assert type(weight) is Fraction and weight == Fraction(spelled)
+
+    @pytest.mark.parametrize("spelled", ["w", "1/0", "²", "٣x", "7.5.1"])
+    def test_bad_weights_fail_with_their_spelling(self, spelled):
+        with pytest.raises(TraceSyntaxError) as e:
+            parse_trace(f"B 1\np 0 1 1 {spelled}\n")
+        assert str(e.value) == f"line 2: unparseable weight {spelled!r}"
+
+    @pytest.mark.parametrize("spelled", ["-3", "-1/2"])
+    def test_negative_weights_fail_validation(self, spelled):
+        with pytest.raises(InvalidTraceError) as e:
+            parse_trace(f"B 1\np 0 1 1 {spelled}\n")
+        assert e.value.violations == [f"packet 0: negative weight {Fraction(spelled)}"]
+
     def test_comments_and_blanks(self):
         text = "# qtrace v1\n\n# a comment\nB 1   # trailing\np 0 1 1 2 # w=2\n"
         t = parse_trace(text)
