@@ -22,6 +22,14 @@ counterexample, and both must surface loudly.
 
 verify_charge_map then re-checks everything from scratch — the seven checks
 below — without trusting how the map was built, so tampered maps fail too.
+Each check first decides pass or fail with one builtin test over the charges:
+coverage compares the sources, keyed by send time, with the adversary's sends
+and counts them; capacity looks for a step three times among the sorted
+targets; domination is one `all`; checks 4-6 run only when there is an
+F-charge, which is rare; the headline bound is one comparison.  Only a check
+that fails walks the charges again to build its violation messages, in the
+order a full scan gives them, so a map that passes costs about one pass over
+its charges.
 
 Both sides compare weights as the trace's exact scaled integers
 (Trace.scaled_weight, Transcript.scaled_sent); a Fraction is built only to
@@ -33,6 +41,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import eq
+from typing import NamedTuple
 
 from .model import Trace, Transcript, ZERO
 from .oracle import OfflineSchedule, verify_schedule
@@ -75,9 +85,6 @@ class ChargeMap:
         for c in self.charges:
             out.setdefault(c.target, []).append(c)
         return {t: tuple(cs) for t, cs in out.items()}
-
-    def count_at(self, target: int) -> int:
-        return len(self.by_target.get(target, ()))
 
     @cached_property
     def _by_kind(self) -> dict[str, tuple["Charge", ...]]:
@@ -146,7 +153,6 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
     landing after rejection_time + B - 1 (or nowhere) is a construction
     failure.
     """
-    counts: Counter[int] = Counter()
     fixed: list[Charge] = []
     pending: list[Charge] = []
     for c in classified:
@@ -157,9 +163,11 @@ def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeM
         else:
             if c.target is None:
                 raise AssertionError(f"{c.kind}-charge from packet {c.source_id} lacks a target")
-            counts[c.target] += 1
             fixed.append(c)
+    if not pending:
+        return ChargeMap(tuple(fixed))
 
+    counts = Counter(c.target for c in fixed)
     send_steps = [rec.time for rec in grq.steps if rec.transmitted is not None]
     bsize = grq.trace.buffer_size
     placed: list[Charge] = []
@@ -185,8 +193,7 @@ def build_charge_map(grq: Transcript, adv: OfflineSchedule) -> ChargeMap:
 
 # --- verification ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     violations: tuple[str, ...]
@@ -196,8 +203,7 @@ class CheckResult:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class ChargeReport:
+class ChargeReport(NamedTuple):
     checks: tuple[CheckResult, ...]
     adversary_value: Fraction
     grq_value: Fraction
@@ -235,49 +241,120 @@ def verify_charge_map(
     check rather than crashing the verifier.
     """
     trace: Trace = grq.trace
-    bsize = trace.buffer_size
-
-    # 1: coverage of adversary sends, exactly once each
-    v1: list[str] = []
-    sends = {(t, pid) for t, pid in adv.by_time.items()}
-    sources = Counter((c.source_time, c.source_id) for c in cmap.charges)
-    for t, pid in sorted(sends):
-        n = sources.get((t, pid), 0)
-        if n != 1:
-            v1.append(f"adversary send ({t}, packet {pid}) has {n} charges")
-    for (t, pid), n in sorted(sources.items()):
-        if (t, pid) not in sends:
-            v1.append(f"charge source ({t}, packet {pid}) is not an adversary send")
-
-    # 2: at most two charges per target step
-    v2: list[str] = []
-    per_target = Counter(c.target for c in cmap.charges if c.target is not None)
-    for t in sorted(t for t, n in per_target.items() if n > 2):
-        v2.append(f"target step {t} carries {per_target[t]} charges")
-
-    # 3: weight domination per charge
-    v3: list[str] = []
+    charges = cmap.charges
+    by_time = adv.by_time
     horizon = trace.horizon
     scaled = trace.scaled_weight
     sent = grq.scaled_sent
-    for c in cmap.charges:
+
+    # 1: coverage.  Keyed by send time, the sources are exactly the sends,
+    # and as many as the sends, so none repeats.
+    v1: tuple[str, ...] = ()
+    if len(charges) != len(by_time) or by_time != {c.source_time: c.source_id for c in charges}:
+        v1 = _coverage_violations(charges, by_time)
+
+    # 2: capacity.  Among sorted targets, a step with three charges equals
+    # the target two places after it.
+    v2: tuple[str, ...] = ()
+    if len(charges) > 2:
+        targets = sorted([c.target for c in charges if c.target is not None])
+        if any(map(eq, targets, targets[2:])):
+            v2 = _capacity_violations(targets)
+
+    # 3: weight domination per charge
+    v3: tuple[str, ...] = ()
+    if not all(
+        c.target is not None and 1 <= c.target <= horizon
+        and c.source_id in scaled and scaled[c.source_id] <= sent[c.target - 1]
+        for c in charges
+    ):
+        v3 = _domination_violations(charges, grq)
+
+    # 4-6 judge F-charges only, and most maps have none
+    v4: tuple[str, ...] = ()
+    v5: tuple[str, ...] = ()
+    v6: tuple[str, ...] = ()
+    f_charges = [c for c in charges if c.kind == F_CHARGE]
+    if f_charges:
+        v4, v5, v6 = _forward_violations(cmap, f_charges, grq)
+
+    # 7: the headline bound
+    v7: tuple[str, ...] = ()
+    adv_value, grq_value = adv.value, grq.total_weight
+    if adv_value.numerator * grq_value.denominator > 2 * grq_value.numerator * adv_value.denominator:
+        v7 = (f"adversary value {adv_value} > 2 x GRQ value {grq_value}",)
+
+    checks = (
+        CheckResult(1, "coverage", v1),
+        CheckResult(2, "two-per-target", v2),
+        CheckResult(3, "weight-domination", v3),
+        CheckResult(4, "forward-window", v4),
+        CheckResult(5, "rejection-evidence", v5),
+        CheckResult(6, "window-counting", v6),
+        CheckResult(7, "twice-value-bound", v7),
+    )
+    return ChargeReport(checks, adv_value, grq_value)
+
+
+# Each helper below runs only after its check's pre-test failed, and lists
+# the violations in the order a full scan meets them.
+
+def _coverage_violations(charges: tuple[Charge, ...], by_time: dict[int, int]) -> tuple[str, ...]:
+    out: list[str] = []
+    sends = by_time.items()
+    counts = Counter((c.source_time, c.source_id) for c in charges)
+    for t, pid in sorted(sends):
+        n = counts.get((t, pid), 0)
+        if n != 1:
+            out.append(f"adversary send ({t}, packet {pid}) has {n} charges")
+    for (t, pid), n in sorted(counts.items()):
+        if (t, pid) not in sends:
+            out.append(f"charge source ({t}, packet {pid}) is not an adversary send")
+    return tuple(out)
+
+
+def _capacity_violations(targets: list[int]) -> tuple[str, ...]:
+    per_target = Counter(targets)
+    return tuple(
+        f"target step {t} carries {per_target[t]} charges"
+        for t in sorted(t for t, n in per_target.items() if n > 2)
+    )
+
+
+def _domination_violations(charges: tuple[Charge, ...], grq: Transcript) -> tuple[str, ...]:
+    trace = grq.trace
+    horizon = trace.horizon
+    scaled = trace.scaled_weight
+    sent = grq.scaled_sent
+    out: list[str] = []
+    for c in charges:
         if c.target is None or not 1 <= c.target <= horizon:
-            v3.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
+            out.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
             continue
         sw = scaled.get(c.source_id)
         if sw is None:
-            v3.append(f"{c.kind}-charge from packet {c.source_id}: no such packet in the trace")
+            out.append(f"{c.kind}-charge from packet {c.source_id}: no such packet in the trace")
             continue
         if sw > sent[c.target - 1]:
-            v3.append(
+            out.append(
                 f"{c.kind}-charge from packet {c.source_id} "
                 f"(w={trace.by_id[c.source_id].weight}) lands on step {c.target} "
                 f"which sent only w={grq.transmitted_weight(c.target)}"
             )
+    return tuple(out)
+
+
+def _forward_violations(
+    cmap: ChargeMap, f_charges: list[Charge], grq: Transcript
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Violations of checks 4, 5 and 6, which only F-charges can have."""
+    trace = grq.trace
+    bsize = trace.buffer_size
+    horizon = trace.horizon
+    scaled = trace.scaled_weight
 
     # 4: forward-window arithmetic on F-charges
     v4: list[str] = []
-    f_charges = cmap.of_kind(F_CHARGE)
     for c in f_charges:
         t0 = c.rejection_time
         if t0 is None:
@@ -355,19 +432,4 @@ def verify_charge_map(
                 f"(carried-F + new-F + later-S) exceed B={bsize}"
             )
 
-    # 7: the headline bound
-    v7: list[str] = []
-    adv_value, grq_value = adv.value, grq.total_weight
-    if adv_value.numerator * grq_value.denominator > 2 * grq_value.numerator * adv_value.denominator:
-        v7.append(f"adversary value {adv_value} > 2 x GRQ value {grq_value}")
-
-    checks = (
-        CheckResult(1, "coverage", tuple(v1)),
-        CheckResult(2, "two-per-target", tuple(v2)),
-        CheckResult(3, "weight-domination", tuple(v3)),
-        CheckResult(4, "forward-window", tuple(v4)),
-        CheckResult(5, "rejection-evidence", tuple(v5)),
-        CheckResult(6, "window-counting", tuple(v6)),
-        CheckResult(7, "twice-value-bound", tuple(v7)),
-    )
-    return ChargeReport(checks, adversary_value=adv.value, grq_value=grq_value)
+    return tuple(v4), tuple(v5), tuple(v6)

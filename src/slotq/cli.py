@@ -133,6 +133,8 @@ def _check_one_adversary(grq, adv) -> tuple[list[str], "object"]:
 
 
 def _cmd_charge(args) -> int:
+    if args.enumerate < 0:
+        raise ParameterError(f"--enumerate must be >= 0, got {args.enumerate}")
     trace = load_trace(args.trace)
     grq = run_grq(trace)
     adv = optimal_bounded(trace)
@@ -298,7 +300,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.fn(args)
     except (TraceSyntaxError, InvalidTraceError, ConfigError, ParameterError,
-            FileNotFoundError, UnicodeDecodeError) as e:
+            OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -37,6 +37,7 @@ from slotq.oracle import (
 )
 from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from slotq.search import adversarial_search
+from test_schedulers import run_optimized
 
 SWEEP_SIZE = 10_000   # criterion floor; every sweep criterion re-asserts it
 CHARGE_TRACES = 1_000
@@ -338,3 +339,24 @@ def test_criterion_8_adversarial_search_stays_under_two():
         f"worst ratio {worst_ratio} (digest {worst_digest})",
         violations,
     )
+
+
+def _verdict_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("[criterion ")]
+
+
+def test_charge_verdicts_survive_optimize_flag(charging, capsys):
+    # `python -O` strips assert statements.  Criteria 2 and 4 run every part
+    # of the charge layer, so under -O they must still pass and print the
+    # verdict lines of a plain run.
+    test_criterion_2_charge_maps_pass_all_seven_checks(charging)
+    test_criterion_4_forward_charge_rejection_evidence(charging)
+    plain = _verdict_lines(capsys.readouterr().out)
+    assert len(plain) == 2
+    out = run_optimized(f"""
+        import pytest
+        sys.exit(pytest.main([{__file__!r}, "-q", "-s", "-p", "no:cacheprovider",
+                              "-k", "criterion_2 or criterion_4"]))
+    """)
+    assert "2 passed" in out
+    assert _verdict_lines(out) == plain

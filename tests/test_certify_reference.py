@@ -246,9 +246,13 @@ def verdicts(report):
 def tamper(draw, cmap, trace):
     """A copy of `cmap` with a few shifted, dropped, duplicated or re-kinded charges.
 
-    A re-sourced charge names another packet of the trace: the reference
-    raises KeyError on a foreign packet, where the production verifier
-    reports it (tests/test_charging.py covers that case).
+    A "source" edit names another packet of the trace: the reference raises
+    KeyError on a foreign packet, where the production verifier reports it
+    (tests/test_charging.py covers that case).  A "resource" edit copies
+    another charge's source, so the map keeps its length while one send is
+    charged twice and another not at all; a "stack" edit puts a third charge
+    on a target step.  Those two are what a count-and-set pre-test of checks
+    1 and 2 could let through.
     """
     charges = list(cmap.charges)
     ids = sorted(trace.by_id)
@@ -257,7 +261,8 @@ def tamper(draw, cmap, trace):
             break
         i = draw(st.integers(0, len(charges) - 1))
         c = charges[i]
-        edit = draw(st.sampled_from(("target", "drop", "dup", "kind", "rejection", "source")))
+        edit = draw(st.sampled_from(
+            ("target", "drop", "dup", "kind", "rejection", "source", "resource", "stack")))
         if edit == "target":
             shift = draw(st.sampled_from((-2, -1, 1, 2, 9)))
             charges[i] = replace(c, target=None if c.target is None else c.target + shift)
@@ -269,8 +274,16 @@ def tamper(draw, cmap, trace):
             charges[i] = replace(c, kind=draw(st.sampled_from((S_CHARGE, D_CHARGE, F_CHARGE))))
         elif edit == "rejection":
             charges[i] = replace(c, rejection_time=draw(st.integers(-1, trace.horizon + 2)))
-        else:
+        elif edit == "source":
             charges[i] = replace(c, source_id=draw(st.sampled_from(ids)))
+        elif edit == "resource":
+            o = charges[draw(st.integers(0, len(charges) - 1))]
+            charges[i] = replace(c, source_time=o.source_time, source_id=o.source_id)
+        else:
+            on_target = [o for o in charges if o.target == c.target]
+            for _ in range(max(1, 3 - len(on_target))):
+                o = charges[draw(st.integers(0, len(charges) - 1))]
+                charges.insert(draw(st.integers(0, len(charges))), replace(o, target=c.target))
     return ChargeMap(tuple(charges))
 
 

@@ -197,10 +197,18 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["gen", "random", "--n", "-1", "--horizon", "4", "--b", "2"],
         ["search", "--n", "3", "--horizon", "4", "--b", "2", "--iters", "-1"],
+        ["run", "--trace", "."],
+        ["charge", "--trace", ".", "--enumerate", "-1"],
     ])
     def test_parameter_out_of_range(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_enumerate_rejected_before_any_output(self, killer_trace, capsys):
+        assert main(["charge", "--trace", killer_trace, "--enumerate", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --enumerate must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_trace_file_not_text(self, tmp_path, capsys):
         bad = tmp_path / "bad.qtrace"
