@@ -69,15 +69,9 @@ class Trace:
     def by_id(self) -> dict[int, Packet]:
         return {p.id: p for p in self.packets}
 
-    @cached_property
-    def _arrivals(self) -> dict[int, tuple[Packet, ...]]:
-        out: dict[int, list[Packet]] = {}
-        for p in self.packets:
-            out.setdefault(p.release, []).append(p)
-        return {t: tuple(ps) for t, ps in out.items()}
-
     def arrivals_at(self, t: int) -> tuple[Packet, ...]:
-        return self._arrivals.get(t, ())
+        """The packets released at step t, in trace order (a scan, not the indexes)."""
+        return tuple([p for p in self.packets if p.release == t])
 
     @cached_property
     def weight_denominator(self) -> int:
@@ -120,6 +114,40 @@ class Trace:
     def rank_release(self) -> tuple[int, ...]:
         """Release step of the packet at each rank (indexed like by_rank)."""
         return tuple([p.release for p in self.by_rank])
+
+    @cached_property
+    def rank_id(self) -> tuple[int, ...]:
+        """Id of the packet at each rank (indexed like by_rank)."""
+        return tuple([p.id for p in self.by_rank])
+
+    @cached_property
+    def rank_weight(self) -> tuple[int, ...]:
+        """Trace.scaled_weight of the packet at each rank (indexed like by_rank)."""
+        return tuple([self.scaled_weight[i] for i in self.rank_id])
+
+    @cached_property
+    def arrival_ranks(self) -> dict[int, tuple[int, ...]]:
+        """Release step -> ranks of the packets released then, ascending."""
+        return _ranks_by_step(self.rank_release)
+
+    @cached_property
+    def arrival_ids(self) -> dict[int, tuple[int, ...]]:
+        """Release step -> ids of the packets released then, ascending."""
+        ids = self.rank_id
+        return {t: tuple(sorted([ids[r] for r in rs])) for t, rs in self.arrival_ranks.items()}
+
+    @cached_property
+    def expiring_ranks(self) -> dict[int, tuple[int, ...]]:
+        """Deadline step -> ranks of the packets whose deadline it is, ascending."""
+        return _ranks_by_step(self.rank_deadline)
+
+
+def _ranks_by_step(steps: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Step -> the ranks r with steps[r] == step, ascending."""
+    out: dict[int, list[int]] = {}
+    for r, t in enumerate(steps):
+        out.setdefault(t, []).append(r)
+    return {t: tuple(rs) for t, rs in out.items()}
 
 
 class InvalidTraceError(ValueError):
@@ -259,13 +287,13 @@ def check_buffer_invariants(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejection:
     packet_id: int
     cause: str  # ADMISSION_REFUSED, PREEMPTED, or EXPIRED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """What one algorithm did during one time step.
 
@@ -290,6 +318,9 @@ class Transcript:
     steps: tuple[StepRecord, ...]
 
     def step(self, t: int) -> StepRecord:
+        """The record of step t; t outside 1..horizon raises IndexError."""
+        if not 1 <= t <= len(self.steps):
+            raise IndexError(f"step {t} is outside the transcript's steps 1..{len(self.steps)}")
         rec = self.steps[t - 1]
         if rec.time != t:
             raise AssertionError(f"step record {t - 1} is for t={rec.time}, not t={t}")
@@ -315,7 +346,7 @@ class Transcript:
 
     def transmitted_weight(self, t: int) -> Fraction:
         """Weight sent at step t; idle steps count as weight 0."""
-        pid = self.steps[t - 1].transmitted
+        pid = self.step(t).transmitted
         return self.trace.by_id[pid].weight if pid is not None else ZERO
 
     @cached_property
@@ -344,7 +375,7 @@ def check_transcript_invariants(transcript: Transcript) -> list[str]:
     events: dict[int, list[tuple[str, int]]] = {p.id: [] for p in trace.packets}
 
     for rec in transcript.steps:
-        expected = tuple(sorted(p.id for p in trace.arrivals_at(rec.time)))
+        expected = trace.arrival_ids.get(rec.time, ())
         if rec.arrivals != expected:
             out.append(
                 f"step {rec.time}: recorded arrivals {rec.arrivals} != released {expected}"

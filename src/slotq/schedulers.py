@@ -5,12 +5,14 @@ Both schedulers process packets in one fixed order, computed once per trace
 Weights are compared as exact integers scaled by the common denominator, so
 the order is exact and no Fraction is compared while sorting.
 
-Between steps both schedulers hold their buffer as a sorted list of ranks,
-so merging a step's arrivals in is a plain sort of integers (two sorted
-runs, close to a merge).  Deadlines and release steps are read from the
-per-rank tuples Trace.rank_deadline / rank_release, and a rank becomes a
-Packet (Trace.by_rank) only for what the transcript keeps: the labeled
-SlotBuffer snapshot and the StepRecord ids.
+A step changes few packets: its arrivals, at most one send, its rejections
+and expiries.  Both runners look these up in per-trace indexes built once:
+Trace.arrival_ranks and arrival_ids (per release step), expiring_ranks (per
+deadline) and the rank-indexed tuples rank_id, rank_deadline, rank_release
+and rank_weight.  Each holds its buffer as a sorted list of ranks and keeps
+the buffer's ids sorted across steps by bisecting in the arrivals and out
+the rejections and the send, so StepRecord.held is a copy, not a sort.  A
+rank becomes a Packet (Trace.by_rank) only in the labeled SlotBuffer.
 
 The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
@@ -21,28 +23,34 @@ prefix rule: with k slots already filled, the next packet is accepted (into
 slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
 (labeled with the current step) is then transmitted.  Because heavy packets
 grab small labels first, the front packet is always a heaviest one — checked
-on every step.
+on every step.  The rebuild touches every held packet, and the snapshot has
+B slots.
 
 The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
 packets and sends the heaviest each step.  It ignores deadlines when choosing
 what to keep, which is exactly how it loses: a burst of mid-weight
 short-deadline packets can crowd out slightly lighter packets that had time
-to be sent later (see generate.gen_killer).
+to be sent later (see generate.gen_killer).  Its step bisects the arrivals
+in, and the overflow, the send and the packets of expiring_ranks[t] out.
 
 Both runners return a Transcript over steps t = 1..horizon with idle steps
 recorded explicitly.  Their self-checks run on every step and raise
 AssertionError explicitly, so they also run under `python -O`: carried
-packets fit in B, every candidate is live at t, the rebuilt snapshot passes
-check_buffer_invariants, the buffer is based at t, the front is heaviest,
-survivors' deadlines are past t and nothing is left at the end (greedy: no
-expired packet is held).  Weights in these checks, and in
-check_slot_monotonicity, are compared as Trace.scaled_weight integers, and
-each check is a builtin (min/max/all/sorted) over the occupied slots only; a
-message is formatted only when a check fails.
+packets fit in B, every candidate is live at t, the rebuilt snapshot keeps
+deadline >= label and non-increasing weights, the buffer is based at t, its
+front is the first placed rank and a heaviest packet, survivors' deadlines
+are past t and nothing is left at the end (greedy: no held packet is past
+its deadline, by Trace.rank_deadline rather than by the expiry index).
+grq_rebuild and grq_transmit decide theirs with builtins (min/max/all) over
+the rank tuples and call check_buffer_invariants only to word a failure;
+check_slot_monotonicity compares Trace.scaled_weight integers over the
+occupied slots only.
 """
 
+from bisect import bisect_left, insort
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from operator import ge, le
+from typing import Sequence
 
 from .model import (
     ADMISSION_REFUSED,
@@ -60,7 +68,7 @@ from .model import (
 
 def grq_rebuild(
     buffered: Sequence[int],
-    arrivals: Iterable[int],
+    arrivals: Sequence[int],
     t: int,
     trace: Trace,
 ) -> tuple[SlotBuffer, tuple[Rejection, ...], list[int]]:
@@ -81,13 +89,13 @@ def grq_rebuild(
     if len(buffered) > size:
         raise AssertionError("carried packets exceed buffer size")
     candidates = sorted([*buffered, *arrivals])
-    deadline, release = trace.rank_deadline, trace.rank_release
+    deadline, release, weight = trace.rank_deadline, trace.rank_release, trace.rank_weight
     if candidates and (
         max(map(release.__getitem__, candidates)) > t
         or min(map(deadline.__getitem__, candidates)) < t
     ):
         r = next(r for r in candidates if not release[r] <= t <= deadline[r])
-        raise AssertionError(f"packet {trace.by_rank[r].id} not live at t={t}")
+        raise AssertionError(f"packet {trace.rank_id[r]} not live at t={t}")
 
     placed: list[int] = []
     rejected: list[int] = []
@@ -102,63 +110,68 @@ def grq_rebuild(
         else:
             rejected.append(r)
 
-    by_rank = trace.by_rank
-    carried = set(buffered)
+    fresh, ids, by_rank = set(arrivals), trace.rank_id, trace.by_rank
     rejections = tuple([
-        Rejection(by_rank[r].id, PREEMPTED if r in carried else ADMISSION_REFUSED)
-        for r in rejected
+        Rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED) for r in rejected
     ])
-    packets = tuple([by_rank[r] for r in placed])
-    buffer = SlotBuffer(t, packets + (None,) * (size - len(placed)))
-    violations = check_buffer_invariants(buffer, "post-rebuild", trace.scaled_weight)
-    if violations:
+    buffer = SlotBuffer(t, tuple([by_rank[r] for r in placed]) + (None,) * (size - len(placed)))
+    # the snapshot is a filled prefix by construction; its labels and weights
+    # are checked on the rank tuples, and check_buffer_invariants words a failure
+    w = [weight[r] for r in placed]
+    if not (all(map(le, range(t, label), map(deadline.__getitem__, placed)))
+            and all(map(ge, w, w[1:]))):
+        violations = check_buffer_invariants(buffer, "post-rebuild", trace.scaled_weight)
         raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
     return buffer, rejections, placed
 
 
 def grq_transmit(
-    buffer: SlotBuffer, t: int, scaled_weight: Mapping[int, int]
-) -> tuple["Packet | None", tuple[Packet, ...]]:
-    """Transmission stage: send the front-slot packet (or idle), return survivors.
+    buffer: SlotBuffer, placed: Sequence[int], t: int, trace: Trace
+) -> tuple["Packet | None", list[int]]:
+    """Transmission stage: send the front-slot packet (or idle), return the survivors.
 
-    The front packet is always a maximum-weight packet in the buffer; this is
-    a consequence of the rebuild order and is checked, not assumed, on the
-    `scaled_weight` integers (normally Trace.scaled_weight).
+    `placed` holds the Trace.rank values of the buffer's packets in slot
+    order (grq_rebuild's third result); the survivors are returned the same
+    way.  The front packet must be the one at placed[0], and it is always a
+    maximum-weight packet in the buffer; this is a consequence of the rebuild
+    order and is checked, not assumed, on Trace.rank_weight.
     """
     if buffer.base_time != t:
         raise AssertionError(f"buffer based at {buffer.base_time} transmitted at t={t}")
     sent = buffer.front
-    packets = buffer.packets()
     if sent is None:
-        return None, packets
-    if max([scaled_weight[p.id] for p in packets]) > scaled_weight[sent.id]:
+        return None, list(placed)
+    if not placed or trace.rank_id[placed[0]] != sent.id:
+        raise AssertionError(f"front packet {sent.id} is not the first placed rank at t={t}")
+    weight = trace.rank_weight
+    if max(map(weight.__getitem__, placed)) > weight[placed[0]]:
         raise AssertionError(f"front packet {sent.id} is not heaviest at t={t}")
-    return sent, packets[1:]
+    return sent, list(placed[1:])
 
 
 def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
-    rank, deadline, weight = trace.rank, trace.rank_deadline, trace.scaled_weight
+    arrival_ranks, arrival_ids = trace.arrival_ranks, trace.arrival_ids
+    deadline = trace.rank_deadline
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks of the survivors, in slot order (= rank order)
+    ids: list[int] = []  # their ids, ascending
     for t in range(1, trace.horizon + 1):
-        arrivals = trace.arrivals_at(t)
-        buffer, rejections, placed = grq_rebuild(held, [rank[p.id] for p in arrivals], t, trace)
-        sent, _ = grq_transmit(buffer, t, weight)
-        held = placed[1:]
+        arrived = arrival_ids.get(t, ())
+        buffer, rejections, placed = grq_rebuild(held, arrival_ranks.get(t, ()), t, trace)
+        sent, held = grq_transmit(buffer, placed, t, trace)
         # survivors sat at labels >= t+1, so none can be past deadline at t+1
         if held and min(map(deadline.__getitem__, held)) <= t:
             raise AssertionError(f"a survivor of t={t} is past its deadline")
-        steps.append(
-            StepRecord(
-                time=t,
-                arrivals=tuple(sorted(p.id for p in arrivals)),
-                slots=buffer,
-                held=tuple(sorted([p.id for p in buffer.slots[: len(placed)]])),
-                rejections=rejections,
-                transmitted=sent.id if sent is not None else None,
-            )
-        )
+        # the buffer's ids change by the arrivals, the rejections and the send
+        for i in arrived:
+            insort(ids, i)
+        for rej in rejections:
+            del ids[bisect_left(ids, rej.packet_id)]
+        held_ids, sent_id = tuple(ids), None if sent is None else sent.id
+        if sent is not None:
+            del ids[bisect_left(ids, sent_id)]
+        steps.append(StepRecord(t, arrived, buffer, held_ids, rejections, sent_id))
     if held:
         raise AssertionError("packets left in the buffer after the last deadline")
     return Transcript(trace, tuple(steps))
@@ -174,42 +187,38 @@ def run_naive_greedy(trace: Trace) -> Transcript:
     deadline unsent are recorded as expired at that deadline step, right
     after the transmission they lost.
     """
-    rank, deadline, by_rank = trace.rank, trace.rank_deadline, trace.by_rank
+    arrival_ranks, arrival_ids = trace.arrival_ranks, trace.arrival_ids
+    expiring, deadline, rank_id = trace.expiring_ranks, trace.rank_deadline, trace.rank_id
+    size = trace.buffer_size
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks, ascending
+    ids: list[int] = []  # their ids, ascending
     for t in range(1, trace.horizon + 1):
         if held and min(map(deadline.__getitem__, held)) < t:
             raise AssertionError(f"greedy holds an expired packet at t={t}")
-        arrivals = trace.arrivals_at(t)
-        arrived = [rank[p.id] for p in arrivals]
-        # held is one sorted run, so this sort is a near-linear merge
-        pool = sorted(held + arrived)
-        held, overflow = pool[: trace.buffer_size], pool[trace.buffer_size :]
-        fresh = set(arrived)
-        rejections = [
-            Rejection(by_rank[r].id, ADMISSION_REFUSED if r in fresh else PREEMPTED)
-            for r in overflow
-        ]
-        held_ids = tuple(sorted([by_rank[r].id for r in held]))
+        arrived = arrival_ranks.get(t, ())
+        for r in arrived:
+            insort(held, r)
+            insort(ids, rank_id[r])
+        rejections, fresh = [], set(arrived)
+        for r in held[size:]:
+            del ids[bisect_left(ids, rank_id[r])]
+            rejections.append(Rejection(rank_id[r], ADMISSION_REFUSED if r in fresh else PREEMPTED))
+        del held[size:]
+        held_ids = tuple(ids)
 
-        sent = by_rank[held[0]] if held else None
-        held = held[1:]
+        sent = rank_id[held.pop(0)] if held else None
+        if sent is not None:
+            del ids[bisect_left(ids, sent)]
         # unsent packets whose deadline is t are lost; record while in window
-        expired = [r for r in held if deadline[r] == t]
-        if expired:
-            rejections += [Rejection(by_rank[r].id, EXPIRED) for r in expired]
-            held = [r for r in held if deadline[r] > t]
+        for r in expiring.get(t, ()):
+            i = bisect_left(held, r)
+            if i < len(held) and held[i] == r:
+                del held[i]
+                del ids[bisect_left(ids, rank_id[r])]
+                rejections.append(Rejection(rank_id[r], EXPIRED))
 
-        steps.append(
-            StepRecord(
-                time=t,
-                arrivals=tuple(sorted(p.id for p in arrivals)),
-                slots=None,
-                held=held_ids,
-                rejections=tuple(rejections),
-                transmitted=sent.id if sent is not None else None,
-            )
-        )
+        steps.append(StepRecord(t, arrival_ids.get(t, ()), None, held_ids, tuple(rejections), sent))
     if held:
         raise AssertionError("greedy holds packets after the last deadline")
     return Transcript(trace, tuple(steps))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slotq
 from slotq.cli import main
 from slotq.generate import gen_killer, gen_random, GeneratorParams
 from slotq.traceio import emit_trace, parse_trace
@@ -252,3 +255,27 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert parse_trace(proc.stdout) == gen_killer(3, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("algo", ["grq", "greedy"])
+def test_readme_run_examples_identical_under_optimize_flag(tmp_path, algo, fmt):
+    # the README's `slotq run` examples; `python -O` strips assert statements,
+    # so the scheduler checks raise explicitly and the output must not change
+    src = str(Path(slotq.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def slotq_cli(*flags_and_args):
+        return subprocess.run([sys.executable, *flags_and_args], capture_output=True,
+                              env=env, cwd=tmp_path)
+
+    gen = slotq_cli("-m", "slotq", "gen", "killer", "--b", "10", "--eps", "1/10",
+                    "--out", "killer.qtrace")
+    assert gen.returncode == 0, gen.stderr
+    args = ("-m", "slotq", "run", "--trace", "killer.qtrace", "--algo", algo, "--format", fmt)
+    plain, optimized = slotq_cli(*args), slotq_cli("-O", *args)
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.endswith(f"{algo} total: {'91/10' if algo == 'grq' else '1'}\n".encode())
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)

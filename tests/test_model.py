@@ -160,6 +160,33 @@ def _single_step_transcript(trace, *steps):
     return Transcript(trace, tuple(steps))
 
 
+class TestTranscriptSteps:
+    """t outside 1..horizon raises one IndexError that names t and the range."""
+
+    def _transcript(self):
+        # what run_grq records on this trace: 5 sent at t=1, 3 at t=2
+        trace = validate_trace(2, [P(0, 1, 1, 5), P(1, 2, 2, 3)])
+        return Transcript(trace, (
+            StepRecord(1, (0,), None, (0,), (), 0),
+            StepRecord(2, (1,), None, (1,), (), 1),
+        ))
+
+    def test_in_range(self):
+        ts = self._transcript()
+        assert [ts.transmitted_weight(t) for t in (1, 2)] == [5, 3]
+        assert [ts.step(t).transmitted for t in (1, 2)] == [0, 1]
+
+    @pytest.mark.parametrize("t", [0, 3, -1])
+    def test_transmitted_weight_outside_horizon(self, t):
+        with pytest.raises(IndexError, match=rf"^step {t} is outside the transcript's steps 1\.\.2$"):
+            self._transcript().transmitted_weight(t)
+
+    @pytest.mark.parametrize("t", [0, 3, -1])
+    def test_step_outside_horizon(self, t):
+        with pytest.raises(IndexError, match=rf"^step {t} is outside the transcript's steps 1\.\.2$"):
+            self._transcript().step(t)
+
+
 class TestTranscriptInvariants:
     def _trace(self):
         return validate_trace(1, [P(0, 1, 2, 4)])

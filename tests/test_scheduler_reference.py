@@ -10,9 +10,13 @@ Traces are written as qtrace text so the same value can be spelled several
 ways (1/3, 2/6, 0.5, 2/4, ...), next to near-equal values such as 333/1000.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotq.generate import GeneratorParams, gen_random
 from slotq.model import (
     ADMISSION_REFUSED,
     EXPIRED,
@@ -132,3 +136,29 @@ def assert_same_steps(transcript, reference):
 def test_schedulers_match_references(trace):
     assert_same_steps(run_grq(trace), reference_grq(trace))
     assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))
+
+
+def bulk(buffer_size, seed):
+    return GeneratorParams(n=400, horizon=80, buffer_size=buffer_size, seed=seed,
+                           burst=Fraction(1, 2))
+
+
+# the bulk-stream shape: greedy holds 90 and more packets and lets several
+# expire in one step; at B=128 these seeds also overflow it, at B=192 no seed
+# does.  B=1 overflows on every busy step, B >= n never.
+BULK = [bulk(128, seed) for seed in (2, 3, 5)] + [bulk(192, seed) for seed in (1, 2)] + [
+    bulk(1, 4), bulk(400, 5)]
+
+
+@pytest.mark.parametrize("params", BULK, ids=lambda p: f"B{p.buffer_size}-seed{p.seed}")
+def test_schedulers_match_references_at_bulk_stream_size(params):
+    trace = gen_random(params)
+    greedy = run_naive_greedy(trace)
+    assert_same_steps(run_grq(trace), reference_grq(trace))
+    assert_same_steps(greedy, reference_greedy(trace))
+    expiries = [sum(r.cause == EXPIRED for r in rec.rejections) for rec in greedy.steps]
+    overflow = any(r.cause != EXPIRED for rec in greedy.steps for r in rec.rejections)
+    assert overflow == (params.buffer_size <= 128)
+    if params.buffer_size in (128, 192):
+        assert max(len(rec.held) for rec in greedy.steps) >= 90
+        assert max(expiries) >= 3

@@ -45,6 +45,13 @@ def rebuild(buffered, arrivals, t, buffer_size):
     return buf, rej
 
 
+def transmit(buf, t):
+    """grq_transmit on the ranks of buf's packets within a trace of just them."""
+    trace = Trace(1, buf.packets())
+    sent, rest = grq_transmit(buf, [trace.rank[p.id] for p in buf.packets()], t, trace)
+    return sent, tuple(trace.by_rank[r] for r in rest)
+
+
 def weights_of(buf):
     return Trace(1, buf.packets()).scaled_weight
 
@@ -119,37 +126,77 @@ class TestTransmit:
     def test_sends_front(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
         buf = SlotBuffer(1, (a, b))
-        sent, remaining = grq_transmit(buf, 1, weights_of(buf))
+        sent, remaining = transmit(buf, 1)
         assert sent == a and remaining == (b,)
 
     def test_idle_on_empty(self):
-        sent, remaining = grq_transmit(SlotBuffer(4, (None, None)), 4, {})
+        sent, remaining = transmit(SlotBuffer(4, (None, None)), 4)
         assert sent is None and remaining == ()
 
     def test_front_on_weight_tie(self):
         a, b = P(0, 1, 2, 2), P(1, 1, 3, 2)
         buf = SlotBuffer(2, (a, b))
-        sent, _ = grq_transmit(buf, 2, weights_of(buf))
+        sent, _ = transmit(buf, 2)
         assert sent == a
 
     def test_asserts_front_heaviest(self):
         light, heavy = P(0, 1, 2, 1), P(1, 1, 2, 9)
         buf = SlotBuffer(1, (light, heavy))
         with pytest.raises(AssertionError):
-            grq_transmit(buf, 1, weights_of(buf))
+            transmit(buf, 1)
+
+    def test_asserts_front_is_first_placed_rank(self):
+        # placed must describe the buffer: its first rank is the front packet
+        a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
+        buf = SlotBuffer(1, (a, b))
+        trace = Trace(1, buf.packets())
+        for placed in ([1, 0], [1], []):
+            with pytest.raises(AssertionError, match="^front packet 0 is not the first placed rank at t=1$"):
+                grq_transmit(buf, placed, 1, trace)
 
     def test_front_check_survives_optimize_flag(self):
-        # `python -O` strips assert statements; the front check must still fire
+        # `python -O` strips assert statements; the front checks must still fire
         out = run_optimized("""
-            from slotq.model import Packet, SlotBuffer
+            from slotq.model import Packet, SlotBuffer, Trace
             from slotq.schedulers import grq_transmit
             light, heavy = Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)
-            try:
-                grq_transmit(SlotBuffer(1, (light, heavy)), 1, {0: 1, 1: 9})
-            except AssertionError as e:
-                print("raised", e)
+            # ranks: heavy is 0, light is 1
+            for placed in ([1, 0], [0, 1]):
+                try:
+                    grq_transmit(SlotBuffer(1, (light, heavy)), placed, 1, Trace(1, (light, heavy)))
+                except AssertionError as e:
+                    print("raised", e)
         """)
         assert "raised front packet 0 is not heaviest at t=1" in out
+        assert "raised front packet 0 is not the first placed rank at t=1" in out
+
+
+def test_runner_checks_survive_optimize_flag():
+    # each runner check must still fire under `python -O` with its message:
+    # greedy's on a trace whose expiry index is emptied, so nothing expires,
+    # run_grq's with a transmit that keeps the sent packet among the survivors
+    out = run_optimized("""
+        import slotq.schedulers as s
+        from slotq.model import Packet, validate_trace
+
+        def attempt(run, trace):
+            try:
+                run(trace)
+            except AssertionError as e:
+                print("raised", e)
+
+        for deadline in (2, 1):
+            trace = validate_trace(2, [Packet(0, 1, deadline, 5), Packet(1, 1, 1, 3)])
+            trace.__dict__["expiring_ranks"] = {}
+            attempt(s.run_naive_greedy, trace)
+        transmit = s.grq_transmit
+        s.grq_transmit = lambda buf, placed, t, trace: (
+            transmit(buf, placed, t, trace)[0], list(placed))
+        attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
+    """)
+    assert "raised greedy holds an expired packet at t=2" in out
+    assert "raised greedy holds packets after the last deadline" in out
+    assert "raised a survivor of t=1 is past its deadline" in out
 
 
 def run_optimized(code):
