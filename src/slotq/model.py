@@ -141,6 +141,22 @@ class Trace:
         """Deadline step -> ranks of the packets whose deadline it is, ascending."""
         return _ranks_by_step(self.rank_deadline)
 
+    @cached_property
+    def deadline_greedy(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The greedy set of the deadline matroid, with EDF's schedules of it.
+
+        Returns (kept, steps, positive_steps).  The greedy takes the packets
+        in rank order and keeps each iff EDF still meets every window
+        [release, deadline] with it added; `kept` lists the ranks it keeps,
+        ascending, and steps[i] is EDF's send step of kept[i].  Ranks put
+        weight first, so the positive-weight members are the first
+        len(positive_steps) of `kept`, and positive_steps is EDF's schedule
+        of those alone.  Both oracles read it, so a trace runs it once.
+        """
+        from .oracle import deadline_greedy  # oracle imports this module
+
+        return deadline_greedy(self)
+
 
 def _ranks_by_step(steps: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """Step -> the ranks r with steps[r] == step, ascending."""
@@ -369,7 +385,46 @@ def check_transcript_invariants(transcript: Transcript) -> list[str]:
     or a rejection, at a step within its [release, deadline] window; each step
     transmits at most one packet (structural, one field per step) and never a
     packet foreign to the trace; recorded arrivals must match the trace.
+
+    One pass over the steps compares the recorded arrivals with
+    Trace.arrival_ids and collects the terminal events into one
+    id -> step dict.  Builtins then decide the rest in rank order against
+    Trace.rank_release and rank_deadline.  Only a transcript that fails goes
+    through _transcript_violations, which words every violation.  (Builtin
+    passes over the steps were tried and lost: one attribute read per step
+    costs as much as this loop's whole step.)
     """
+    trace = transcript.trace
+    released = trace.arrival_ids.get
+    ended: dict[int, int] = {}
+    events = 0
+    for rec in transcript.steps:
+        t = rec.time
+        if rec.arrivals != released(t, ()):
+            return _transcript_violations(transcript)
+        if rec.transmitted is not None:
+            ended[rec.transmitted] = t
+            events += 1
+        for rej in rec.rejections:
+            ended[rej.packet_id] = t
+            events += 1
+    try:
+        end = list(map(ended.__getitem__, trace.rank_id))  # in rank order
+    except KeyError:  # a packet without a terminal event
+        return _transcript_violations(transcript)
+    # every packet has an event, and there are as many events as packets
+    # and as distinct ids: each packet ends exactly once
+    if (
+        events == len(ended) == len(end)
+        and all(map(le, trace.rank_release, end))
+        and all(map(le, end, trace.rank_deadline))
+    ):
+        return []
+    return _transcript_violations(transcript)
+
+
+def _transcript_violations(transcript: Transcript) -> list[str]:
+    """check_transcript_invariants' violations, worded one by one."""
     trace = transcript.trace
     out: list[str] = []
     events: dict[int, list[tuple[str, int]]] = {p.id: [] for p in trace.packets}

@@ -22,9 +22,16 @@ matroid (unit jobs with release times), and _edf is the independence test
 of both.
 
 optimal_bounded is therefore a maximum-weight common independent set of
-the two matroids, found by weighted matroid intersection (Edmonds 1970;
-Frank, J. Algorithms 1981).  optimal_unbounded needs only the deadline
-matroid, where the greedy in descending weight order is optimal.  Both
+the two matroids.  optimal_unbounded needs only the deadline matroid, where
+the greedy in descending weight order is optimal; Trace.deadline_greedy
+runs it once per trace.  The bounded optimum can never exceed the
+unbounded one, so when the greedy set's positive-weight members also fit
+the capacity windows they are the bounded optimum too, and optimal_bounded
+returns them.  Zero weights are left out of that set because the
+intersection never adds a packet that gains nothing; without them the
+shortcut gives the intersection's assignment, not just its value.  Only
+when they do not fit does optimal_bounded run weighted matroid
+intersection (Edmonds 1970; Frank, J. Algorithms 1981).  Both oracles
 work on the trace's integer-scaled weights (Trace.scaled_weight), so
 nothing is ever rounded, and both return EDF's assignment of the chosen set.
 
@@ -190,8 +197,28 @@ def _circuits(
     return out
 
 
-def optimal_bounded(trace: Trace) -> OfflineSchedule:
-    """Exact maximum-value schedule under the buffer-capacity constraint.
+def _fits(sent: list[int], release: list[int], end: list[int], lo: int, hi: int) -> bool:
+    """Whether a job with window [lo, hi] can join the jobs sent at steps
+    `sent` (ascending; the one sent at sent[k] has window
+    [release[k], end[k]]).
+
+    The closure test of _circuits for one job.  _circuits keeps its own
+    copy inline: a call per job there slowed the intersection measurably.
+    """
+    i = j = bisect_left(sent, lo)  # positions sent in [lo, hi] scanned so far
+    while True:
+        i2, j2 = bisect_left(sent, lo), bisect_right(sent, hi)
+        if j2 - i2 <= hi - lo:
+            return True
+        if (i2, j2) == (i, j):
+            return False
+        lo = min(lo, *release[i2:i], *release[j:j2])
+        hi = max(hi, *end[i2:i], *end[j:j2])
+        i, j = i2, j2
+
+
+def _intersection(trace: Trace) -> OfflineSchedule:
+    """optimal_bounded without the shortcut; the tests also call it directly.
 
     Weighted matroid intersection of the deadline matroid (windows
     [release, deadline]) and the capacity matroid (windows
@@ -273,12 +300,91 @@ def optimal_bounded(trace: Trace) -> OfflineSchedule:
     steps = _edf([deadline_windows[v] for v in chosen])
     if steps is None:
         raise AssertionError("bounded optimum misses a deadline")
-    schedule = OfflineSchedule.of(
-        trace, {packets[v].id: t for v, t in zip(chosen, steps)})
-    errs = verify_schedule(trace, schedule)
+    return _verified(trace, chosen, steps, trace, "bounded optimum")
+
+
+def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The greedy set of the deadline matroid; read it as Trace.deadline_greedy.
+
+    Takes the packets in rank order and keeps each iff the kept set plus it
+    still meets every window [release, deadline].  The kept set carries one
+    schedule, any that meets the windows.  A packet whose window has a free
+    step takes the first one; otherwise _fits decides, and a packet that
+    fits only by moving others has EDF reschedule the whole set.  EDF's own
+    schedule of the kept set is computed at the end.
+    """
+    release, deadline, weight = trace.rank_release, trace.rank_deadline, trace.rank_weight
+    kept: list[int] = []
+    windows: list[tuple[int, int]] = []
+    sent: list[int] = []  # the kept set's send steps, ascending
+    lo: list[int] = []    # release and deadline of the packet sent at each
+    hi: list[int] = []
+    positive = None
+    for r in range(len(release)):
+        if positive is None and weight[r] <= 0:
+            positive = _edf(windows)
+        a, b = release[r], deadline[r]
+        i, j = bisect_left(sent, a), bisect_right(sent, b)
+        free = j - i <= b - a  # a step of [a, b] is not taken
+        if not free and not _fits(sent, lo, hi, a, b):
+            continue
+        kept.append(r)
+        windows.append((a, b))
+        if free:
+            k = i  # sent[i:k] are the steps a, a + 1, ... taken in a row
+            while k < j and sent[k] == a + k - i:
+                k += 1
+            sent.insert(k, a + k - i)
+            lo.insert(k, a)
+            hi.insert(k, b)
+        else:  # it fits only by moving kept packets: EDF reschedules them all
+            steps = _edf(windows)
+            if steps is None:
+                raise AssertionError(f"rank {r} passed _fits but misses a deadline")
+            by_step = sorted(range(len(windows)), key=steps.__getitem__)
+            sent = [steps[k] for k in by_step]
+            lo = [windows[k][0] for k in by_step]
+            hi = [windows[k][1] for k in by_step]
+    steps = _edf(windows)
+    if steps is None:
+        raise AssertionError("the deadline greedy kept a set that misses a deadline")
+    return tuple(kept), tuple(steps), tuple(steps if positive is None else positive)
+
+
+def _verified(
+    trace: Trace, ranks: "list[int] | tuple[int, ...]", steps: "list[int] | tuple[int, ...]",
+    view: Trace, what: str,
+) -> OfflineSchedule:
+    """The schedule sending the packet of rank ranks[i] at steps[i], checked
+    by verify_schedule against `view` (the trace or its relaxed copy)."""
+    ids = trace.rank_id
+    schedule = OfflineSchedule.of(trace, {ids[r]: t for r, t in zip(ranks, steps)})
+    errs = verify_schedule(view, schedule)
     if errs:
-        raise AssertionError(f"bounded optimum infeasible: {errs}")
+        raise AssertionError(f"{what} infeasible: {errs}")
     return schedule
+
+
+def optimal_bounded(trace: Trace) -> OfflineSchedule:
+    """Exact maximum-value schedule under the buffer-capacity constraint.
+
+    First the shortcut: take the positive-weight members of the deadline
+    matroid's greedy set (Trace.deadline_greedy, the set optimal_unbounded
+    keeps).  If EDF also meets their capacity windows
+    [release, release + B - 1], their EDF schedule is returned.  That is
+    exact: the greedy set has the maximum weight among all sets that meet
+    the deadlines, and every set that fits the buffer meets them.  Zero
+    weights are dropped because the intersection stops at the first path
+    that gains nothing, so it never adds them; dropping them keeps the
+    assignment identical, not just its value.  Otherwise the answer is the
+    weighted matroid intersection (_intersection).
+    """
+    kept, _, steps = trace.deadline_greedy
+    kept = kept[: len(steps)]
+    release, last = trace.rank_release, trace.buffer_size - 1
+    if _edf([(release[r], release[r] + last) for r in kept]) is None:
+        return _intersection(trace)
+    return _verified(trace, kept, steps, trace, "bounded optimum")
 
 
 def optimal_unbounded(trace: Trace) -> OfflineSchedule:
@@ -286,25 +392,12 @@ def optimal_unbounded(trace: Trace) -> OfflineSchedule:
 
     The packet sets EDF can send within their windows form a matroid, so the
     greedy in descending weight order (Trace.rank) is optimal: keep a packet
-    iff EDF still meets every deadline with it added.  Weights are only
-    summed, never compared approximately.
+    iff EDF still meets every deadline with it added (Trace.deadline_greedy,
+    run once per trace).  Weights are only summed, never compared
+    approximately.
     """
-    kept: list[Packet] = []
-    windows: list[tuple[int, int]] = []
-    steps: list[int] = []
-    for p in trace.by_rank:
-        windows.append((p.release, p.deadline))
-        fits = _edf(windows)
-        if fits is None:
-            windows.pop()
-        else:
-            kept.append(p)
-            steps = fits
-    schedule = OfflineSchedule.of(trace, {p.id: t for p, t in zip(kept, steps)})
-    errs = verify_schedule(relax_capacity(trace), schedule)
-    if errs:
-        raise AssertionError(f"unbounded optimum infeasible: {errs}")
-    return schedule
+    kept, steps, _ = trace.deadline_greedy
+    return _verified(trace, kept, steps, relax_capacity(trace), "unbounded optimum")
 
 
 def relax_capacity(trace: Trace) -> Trace:

@@ -45,6 +45,7 @@ def parse_trace(text: str) -> Trace:
     """
     buffer_size: int | None = None
     packets: list[Packet] = []
+    weights: dict[str, Fraction] = {}  # one shared Fraction per spelling
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,15 +70,18 @@ def parse_trace(text: str) -> Trace:
             except ValueError:
                 raise TraceSyntaxError(lineno, f"non-integer packet field in {raw!r}") from None
             w = fields[4]
-            if w.isascii() and w.isdigit():
-                # a plain integer, the common case: int() is ~3x cheaper than
-                # Fraction's string parser and gives the same value
-                weight = Fraction(int(w))
-            else:
-                try:
-                    weight = Fraction(w)
-                except (ValueError, ZeroDivisionError):
-                    raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
+            weight = weights.get(w)
+            if weight is None:
+                if w.isascii() and w.isdigit():
+                    # a plain integer, the common case: int() is ~3x cheaper
+                    # than Fraction's string parser and gives the same value
+                    weight = Fraction(int(w))
+                else:
+                    try:
+                        weight = Fraction(w)
+                    except (ValueError, ZeroDivisionError):
+                        raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
+                weights[w] = weight
             packets.append(Packet(pid, release, deadline, weight))
         else:
             raise TraceSyntaxError(lineno, f"unknown directive {fields[0]!r}")

@@ -29,6 +29,7 @@ from slotq.model import (
 )
 from slotq.oracle import (
     OfflineSchedule,
+    _intersection,
     enumerate_feasible,
     optimal_bounded,
     optimal_unbounded,
@@ -262,7 +263,9 @@ def test_criterion_6_oracle_cross_checks(sweep):
     for i in range(1_000):
         trace = gen_random(_big_buffer_params(i))
         assert trace.buffer_size >= len(trace.packets)
-        bounded = optimal_bounded(trace)
+        # the intersection itself, since optimal_bounded would return the
+        # greedy's set here and the equality below would compare it with itself
+        bounded = _intersection(trace)
         unbounded = cross_check(f"big-buffer {i}", trace, bounded)
         equal_cases += 1
         if bounded.value != unbounded.value:
@@ -345,18 +348,20 @@ def _verdict_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith("[criterion ")]
 
 
-def test_charge_verdicts_survive_optimize_flag(charging, capsys):
+def test_charge_verdicts_survive_optimize_flag(sweep, charging, capsys):
     # `python -O` strips assert statements.  Criteria 2 and 4 run every part
-    # of the charge layer, so under -O they must still pass and print the
-    # verdict lines of a plain run.
+    # of the charge layer, and criterion 6 both paths of the bounded oracle,
+    # so under -O they must still pass and print the verdict lines of a
+    # plain run.
     test_criterion_2_charge_maps_pass_all_seven_checks(charging)
     test_criterion_4_forward_charge_rejection_evidence(charging)
+    test_criterion_6_oracle_cross_checks(sweep)
     plain = _verdict_lines(capsys.readouterr().out)
-    assert len(plain) == 2
+    assert len(plain) == 3
     out = run_optimized(f"""
         import pytest
         sys.exit(pytest.main([{__file__!r}, "-q", "-s", "-p", "no:cacheprovider",
-                              "-k", "criterion_2 or criterion_4"]))
+                              "-k", "criterion_2 or criterion_4 or criterion_6"]))
     """)
-    assert "2 passed" in out
+    assert "3 passed" in out
     assert _verdict_lines(out) == plain

@@ -4,7 +4,10 @@ The references below are the earlier, direct versions of
 check_buffer_invariants, grq_transmit and check_slot_monotonicity: every
 slot is visited and weights are compared as Fractions.  The production
 checks (scaled-integer weights, occupied slots only) must return the same
-violation lists and raise the same errors with the same messages.
+violation lists and raise the same errors with the same messages.  The
+same holds for check_transcript_invariants against its earlier per-packet
+loop, on real transcripts with dropped, duplicated, moved, foreign and
+misrecorded events.
 
 Packets come from qtrace text so the same value can be spelled several ways
 (1/3, 2/6, ...), next to near-equal values such as 333/1000.  Buffers are
@@ -14,11 +17,22 @@ heaviest all occur; the second snapshot of a transcript is the first one
 shifted by a step with some labels emptied or refilled, lighter or not.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotq.model import SlotBuffer, StepRecord, Transcript, check_buffer_invariants
-from slotq.schedulers import check_slot_monotonicity, grq_transmit
+from slotq.generate import GeneratorParams, gen_random
+from slotq.model import (
+    EXPIRED,
+    Rejection,
+    SlotBuffer,
+    StepRecord,
+    Transcript,
+    check_buffer_invariants,
+    check_transcript_invariants,
+)
+from slotq.schedulers import check_slot_monotonicity, grq_transmit, run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
 
 
@@ -70,6 +84,41 @@ def reference_monotonicity(transcript):
                         f"at t={prev.base_time} to {got} at t={buf.base_time}"
                     )
         prev = buf
+    return out
+
+
+def reference_transcript_invariants(transcript):
+    trace = transcript.trace
+    out = []
+    events = {p.id: [] for p in trace.packets}
+
+    for rec in transcript.steps:
+        expected = trace.arrival_ids.get(rec.time, ())
+        if rec.arrivals != expected:
+            out.append(
+                f"step {rec.time}: recorded arrivals {rec.arrivals} != released {expected}"
+            )
+        if rec.transmitted is not None:
+            if rec.transmitted not in events:
+                out.append(f"step {rec.time}: transmitted unknown packet {rec.transmitted}")
+            else:
+                events[rec.transmitted].append(("sent", rec.time))
+        for rej in rec.rejections:
+            if rej.packet_id not in events:
+                out.append(f"step {rec.time}: rejected unknown packet {rej.packet_id}")
+            else:
+                events[rej.packet_id].append(("rejected", rec.time))
+
+    for pid, evs in events.items():
+        p = trace.by_id[pid]
+        if len(evs) != 1:
+            out.append(f"packet {pid}: expected exactly one terminal event, got {evs}")
+            continue
+        kind, t = evs[0]
+        if not p.release <= t <= p.deadline:
+            out.append(
+                f"packet {pid}: {kind} at {t} outside window [{p.release}, {p.deadline}]"
+            )
     return out
 
 
@@ -170,3 +219,60 @@ def test_transmit_matches_reference(case, offset):
 @settings(max_examples=300, deadline=None)
 def test_slot_monotonicity_matches_reference(transcript):
     assert check_slot_monotonicity(transcript) == reference_monotonicity(transcript)
+
+
+@st.composite
+def tampered_transcripts(draw):
+    """A run of either scheduler with up to three events dropped, duplicated,
+    moved to another step, replaced by a foreign id, or arrivals misrecorded."""
+    trace = gen_random(GeneratorParams(
+        n=draw(st.integers(0, 8)), horizon=draw(st.integers(1, 6)),
+        buffer_size=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)), max_weight=4))
+    run = draw(st.sampled_from((run_grq, run_naive_greedy)))
+    steps = list(run(trace).steps)
+    ids = [p.id for p in trace.packets] + [len(trace.packets), 99]  # the last two are foreign
+    step = st.integers(0, max(len(steps) - 1, 0))
+
+    def moved(pid):
+        """Where an event of `pid` moves: any step, or one past its deadline."""
+        p = trace.by_id.get(pid)
+        if p is None or p.deadline >= len(steps):
+            return step
+        return st.one_of(step, st.integers(p.deadline, len(steps) - 1))
+    for _ in range(draw(st.integers(0, 3)) if steps else 0):
+        i = draw(step)
+        rec = steps[i]
+        edit = draw(st.sampled_from(("drop", "add", "move", "arrivals")))
+        if edit == "drop" and (rec.transmitted is not None or rec.rejections):
+            if rec.transmitted is not None and (not rec.rejections or draw(st.booleans())):
+                steps[i] = replace(rec, transmitted=None)
+            else:
+                k = draw(st.integers(0, len(rec.rejections) - 1))
+                steps[i] = replace(rec, rejections=rec.rejections[:k] + rec.rejections[k + 1:])
+        elif edit == "add":
+            pid = draw(st.sampled_from(ids))
+            if rec.transmitted is None and draw(st.booleans()):
+                steps[i] = replace(rec, transmitted=pid)
+            else:
+                steps[i] = replace(rec, rejections=rec.rejections + (Rejection(pid, EXPIRED),))
+        elif edit == "move" and rec.transmitted is not None and (
+                not rec.rejections or draw(st.booleans())):
+            j = draw(moved(rec.transmitted))  # trades steps with whatever j sends
+            steps[i] = replace(rec, transmitted=steps[j].transmitted)
+            steps[j] = replace(steps[j], transmitted=rec.transmitted)
+        elif edit == "move" and rec.rejections:
+            j = draw(moved(rec.rejections[0].packet_id))
+            steps[i] = replace(rec, rejections=rec.rejections[1:])
+            steps[j] = replace(steps[j], rejections=steps[j].rejections + rec.rejections[:1])
+        elif edit == "arrivals":
+            steps[i] = replace(rec, arrivals=draw(st.sampled_from((
+                rec.arrivals[1:], rec.arrivals + (draw(st.sampled_from(ids)),),
+                rec.arrivals[::-1], ()))))
+    return Transcript(trace, tuple(steps))
+
+
+@given(tampered_transcripts())
+@settings(max_examples=500, deadline=None)
+def test_transcript_invariants_match_reference(transcript):
+    assert (check_transcript_invariants(transcript)
+            == reference_transcript_invariants(transcript))

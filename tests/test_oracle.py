@@ -1,15 +1,18 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotq import oracle
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import Packet, Trace, validate_trace
 from slotq.oracle import (
     OfflineSchedule,
+    _intersection,
     enumerate_feasible,
     optimal_bounded,
     optimal_unbounded,
@@ -80,14 +83,18 @@ class TestOptimalBounded:
 
     def test_matches_brute_force(self):
         for trace in small_traces(120):
-            assert optimal_bounded(trace).value == brute_force_best(trace), trace
+            best = brute_force_best(trace)
+            assert optimal_bounded(trace).value == best, trace
+            assert _intersection(trace).value == best, trace
 
     def test_matches_brute_force_with_duplicates(self):
         # heavy class collapsing: many identical packets
         for b in (1, 2, 3):
             t = validate_trace(b, [P(i, 1, 2, 3) for i in range(4)]
                                + [P(4 + i, 1, 3, 1) for i in range(2)])
-            assert optimal_bounded(t).value == brute_force_best(t)
+            best = brute_force_best(t)
+            assert optimal_bounded(t).value == best
+            assert _intersection(t).value == best
 
     def test_fractional_weights(self):
         t = validate_trace(2, [P(0, 1, 1, Fraction(1, 3)), P(1, 1, 2, Fraction(2, 5)),
@@ -151,10 +158,11 @@ class TestOptimalUnbounded:
         assert verify_schedule(relax_capacity(t), s) == []
 
     def test_equals_bounded_when_buffer_big_enough(self):
+        # the intersection itself: optimal_bounded would return the greedy's set
         for seed in range(40):
             trace = gen_random(GeneratorParams(
                 n=4, horizon=5, buffer_size=4 + seed % 3, seed=4000 + seed))
-            assert optimal_bounded(trace).value == optimal_unbounded(trace).value
+            assert _intersection(trace).value == optimal_unbounded(trace).value
 
 
 WEIGHT_SPELLINGS = ("0", "1", "2", "5", "1/3", "2/6", "3/4")
@@ -180,13 +188,66 @@ class TestAgainstBruteForce:
     @given(bursty_traces())
     def test_both_oracles(self, trace):
         bounded, unbounded = optimal_bounded(trace), optimal_unbounded(trace)
+        intersection = _intersection(trace)
         relaxed = relax_capacity(trace)
         assert verify_schedule(trace, bounded) == []
+        assert verify_schedule(trace, intersection) == []
         assert verify_schedule(relaxed, unbounded) == []
-        assert bounded.value == brute_force_best(trace)
+        assert bounded.value == intersection.value == brute_force_best(trace)
         assert unbounded.value == brute_force_best(relaxed)
         if trace.buffer_size >= len(trace.packets):
-            assert bounded.value == unbounded.value
+            assert intersection.value == unbounded.value
+
+    @settings(max_examples=500, deadline=None)
+    @given(bursty_traces())
+    def test_shortcut_gives_the_intersection_assignment(self, trace):
+        # Where the deadline greedy's set fits the buffer, optimal_bounded
+        # skips the intersection; the assignment, zero weights and dict
+        # order included, must be the one the intersection would return.
+        with patch.object(oracle, "_intersection", wraps=_intersection) as spy:
+            bounded = optimal_bounded(trace)
+        if not spy.called:
+            assert list(bounded.assignment.items()) == list(
+                _intersection(trace).assignment.items())
+
+
+def reference_greedy(trace: Trace):
+    """The deadline greedy with a full EDF run per packet, as it was first
+    written: (kept ranks, EDF steps) over all packets, and the same over the
+    positive-weight ones."""
+    windows, kept, steps = [], [], []
+    positive = None
+    for r, p in enumerate(trace.by_rank):
+        if positive is None and p.weight == 0:
+            positive = (tuple(kept), tuple(steps))
+        windows.append((p.release, p.deadline))
+        fits = oracle._edf(windows)
+        if fits is None:
+            windows.pop()
+        else:
+            kept.append(r)
+            steps = fits
+    every = (tuple(kept), tuple(steps))
+    return every, every if positive is None else positive
+
+
+def greedy_views(trace: Trace):
+    kept, steps, positive = trace.deadline_greedy
+    return (kept, steps), (kept[:len(positive)], positive)
+
+
+class TestDeadlineGreedy:
+    @settings(max_examples=500, deadline=None)
+    @given(bursty_traces())
+    def test_matches_reference(self, trace):
+        assert greedy_views(trace) == reference_greedy(trace)
+
+    def test_matches_reference_on_large_traces(self):
+        for seed in range(6):
+            trace = gen_random(GeneratorParams(
+                n=300, horizon=40 + 40 * (seed % 3), buffer_size=8, seed=seed,
+                max_weight=1 + seed, burst=Fraction(1, 2)))
+            assert greedy_views(trace) == reference_greedy(trace)
 
 
 class TestMonotonicityInB:
