@@ -40,11 +40,10 @@ every decision equals the rational one.
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from operator import eq
 from typing import NamedTuple
 
-from .model import Trace, Transcript, ZERO
+from .model import Trace, Transcript, lazy
 from .oracle import OfflineSchedule, verify_schedule
 
 S_CHARGE = "S"
@@ -79,14 +78,14 @@ class Charge:
 class ChargeMap:
     charges: tuple["Charge", ...]
 
-    @cached_property
+    @lazy
     def by_target(self) -> dict["int | None", tuple["Charge", ...]]:
         out: dict[int | None, list[Charge]] = {}
         for c in self.charges:
             out.setdefault(c.target, []).append(c)
         return {t: tuple(cs) for t, cs in out.items()}
 
-    @cached_property
+    @lazy
     def _by_kind(self) -> dict[str, tuple["Charge", ...]]:
         out: dict[str, list[Charge]] = {}
         for c in self.charges:
@@ -108,37 +107,47 @@ def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...
     A zero-weight adversary send at a GRQ-idle step classifies as D targeting
     the idle step; the charge is vacuous (0 <= 2*0) and at most one adversary
     send exists per step, so idle targets never absorb real weight.
+
+    A send's charge depends only on the transcript, so each distinct
+    (step, packet) is classified once and kept in Transcript.classified;
+    every adversary of the transcript then shares that frozen Charge.  A
+    send that raises is not kept, so it raises again on the next call.
     """
-    trace = grq.trace
-    errs = verify_schedule(trace, adv)
+    errs = verify_schedule(grq.trace, adv)
     if errs:
         raise AssertionError(f"adversary schedule infeasible: {errs}")
-    scaled = trace.scaled_weight
-    sent = grq.scaled_sent
+    known = grq.classified
     by_time = adv.by_time
     out: list[Charge] = []
     for t in sorted(by_time):
         pid = by_time[t]
-        sent_at = grq.send_time.get(pid)
-        if sent_at is not None and sent_at < t:
-            out.append(Charge(S_CHARGE, t, pid, target=sent_at))
-        elif scaled[pid] <= sent[t - 1]:
-            out.append(Charge(D_CHARGE, t, pid, target=t))
-        else:
-            # x outweighs GRQ's send at t, so GRQ cannot still hold x (the
-            # front packet is heaviest) and never sent it: it was rejected.
-            if sent_at is not None:
-                raise AssertionError(
-                    f"packet {pid} outweighs GRQ's send at t={t} but GRQ sent it at {sent_at}"
-                )
-            rec = grq.rejected_at.get(pid)
-            if rec is None:
-                raise ChargeConstructionError(
-                    f"packet {pid} needs an F-charge at t={t} but GRQ never "
-                    f"rejected it — rejection-window property violated"
-                )
-            out.append(Charge(F_CHARGE, t, pid, target=None, rejection_time=rec[0]))
+        c = known.get((t, pid))
+        if c is None:
+            c = known[t, pid] = _classify(grq, t, pid)
+        out.append(c)
     return tuple(out)
+
+
+def _classify(grq: Transcript, t: int, pid: int) -> Charge:
+    """The charge of an adversary send of packet `pid` at step t."""
+    sent_at = grq.send_time.get(pid)
+    if sent_at is not None and sent_at < t:
+        return Charge(S_CHARGE, t, pid, target=sent_at)
+    if grq.trace.scaled_weight[pid] <= grq.scaled_sent[t - 1]:
+        return Charge(D_CHARGE, t, pid, target=t)
+    # x outweighs GRQ's send at t, so GRQ cannot still hold x (the front
+    # packet is heaviest) and never sent it: it was rejected.
+    if sent_at is not None:
+        raise AssertionError(
+            f"packet {pid} outweighs GRQ's send at t={t} but GRQ sent it at {sent_at}"
+        )
+    rec = grq.rejected_at.get(pid)
+    if rec is None:
+        raise ChargeConstructionError(
+            f"packet {pid} needs an F-charge at t={t} but GRQ never "
+            f"rejected it — rejection-window property violated"
+        )
+    return Charge(F_CHARGE, t, pid, target=None, rejection_time=rec[0])
 
 
 def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeMap:

@@ -21,7 +21,6 @@ distinct traces can be processed concurrently without coordination.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from operator import le
 from typing import Iterable, Literal, Mapping
@@ -34,6 +33,35 @@ EXPIRED = "expired"                      # buffered packet reached its deadline 
 Phase = Literal["post-rebuild", "post-transmit"]
 
 ZERO = Fraction(0)
+
+
+class lazy:
+    """An attribute computed on first access and then stored on the instance.
+
+    functools.cached_property does the same, but on Python 3.10 and 3.11
+    it takes an RLock on every first access, about 0.4 µs more per
+    attribute, and a trace and its transcripts fill about twenty of them.
+    The value goes straight into the instance __dict__, which a frozen
+    dataclass allows; since this is a non-data descriptor, later reads
+    find it there and never call __get__ again.  Two threads racing on a
+    first access may both compute it, as on Python 3.12.  Every value is
+    computed from the immutable instance alone, so either result serves;
+    the memo Transcript.classified may lose entries that way, which are
+    then computed again.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -60,12 +88,12 @@ class Trace:
     def __post_init__(self):
         object.__setattr__(self, "packets", tuple(self.packets))
 
-    @cached_property
+    @lazy
     def horizon(self) -> int:
         """Last step worth simulating: the maximum deadline (0 for an empty trace)."""
         return max((p.deadline for p in self.packets), default=0)
 
-    @cached_property
+    @lazy
     def by_id(self) -> dict[int, Packet]:
         return {p.id: p for p in self.packets}
 
@@ -73,12 +101,12 @@ class Trace:
         """The packets released at step t, in trace order (a scan, not the indexes)."""
         return tuple([p for p in self.packets if p.release == t])
 
-    @cached_property
+    @lazy
     def weight_denominator(self) -> int:
         """Least common denominator of all weights (1 for an empty trace)."""
         return math.lcm(*(p.weight.denominator for p in self.packets))
 
-    @cached_property
+    @lazy
     def scaled_weight(self) -> dict[int, int]:
         """Packet id -> weight * weight_denominator, an exact integer.
 
@@ -88,7 +116,23 @@ class Trace:
         d = self.weight_denominator
         return {p.id: p.weight.numerator * (d // p.weight.denominator) for p in self.packets}
 
-    @cached_property
+    @lazy
+    def relaxed(self) -> "Trace":
+        """The same instance with a buffer so large that capacity never binds.
+
+        Dropping the capacity constraint is the same problem as B = packet
+        count.  The view shares this trace's by_id, scaled_weight and
+        weight_denominator, so checking a schedule against it indexes
+        nothing again.
+        """
+        view = Trace(max(self.buffer_size, len(self.packets), 1), self.packets)
+        view.__dict__.update(
+            by_id=self.by_id, scaled_weight=self.scaled_weight,
+            weight_denominator=self.weight_denominator,
+        )
+        return view
+
+    @lazy
     def by_rank(self) -> tuple[Packet, ...]:
         """The packets in the processing order of the online schedulers.
 
@@ -100,48 +144,48 @@ class Trace:
         w = self.scaled_weight
         return tuple(sorted(self.packets, key=lambda p: (-w[p.id], p.deadline, p.id)))
 
-    @cached_property
+    @lazy
     def rank(self) -> dict[int, int]:
         """Packet id -> its position in by_rank."""
         return {p.id: i for i, p in enumerate(self.by_rank)}
 
-    @cached_property
+    @lazy
     def rank_deadline(self) -> tuple[int, ...]:
         """Deadline of the packet at each rank (indexed like by_rank)."""
         return tuple([p.deadline for p in self.by_rank])
 
-    @cached_property
+    @lazy
     def rank_release(self) -> tuple[int, ...]:
         """Release step of the packet at each rank (indexed like by_rank)."""
         return tuple([p.release for p in self.by_rank])
 
-    @cached_property
+    @lazy
     def rank_id(self) -> tuple[int, ...]:
         """Id of the packet at each rank (indexed like by_rank)."""
         return tuple([p.id for p in self.by_rank])
 
-    @cached_property
+    @lazy
     def rank_weight(self) -> tuple[int, ...]:
         """Trace.scaled_weight of the packet at each rank (indexed like by_rank)."""
         return tuple([self.scaled_weight[i] for i in self.rank_id])
 
-    @cached_property
+    @lazy
     def arrival_ranks(self) -> dict[int, tuple[int, ...]]:
         """Release step -> ranks of the packets released then, ascending."""
         return _ranks_by_step(self.rank_release)
 
-    @cached_property
+    @lazy
     def arrival_ids(self) -> dict[int, tuple[int, ...]]:
         """Release step -> ids of the packets released then, ascending."""
         ids = self.rank_id
         return {t: tuple(sorted([ids[r] for r in rs])) for t, rs in self.arrival_ranks.items()}
 
-    @cached_property
+    @lazy
     def expiring_ranks(self) -> dict[int, tuple[int, ...]]:
         """Deadline step -> ranks of the packets whose deadline it is, ascending."""
         return _ranks_by_step(self.rank_deadline)
 
-    @cached_property
+    @lazy
     def deadline_greedy(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The greedy set of the deadline matroid, with EDF's schedules of it.
 
@@ -342,7 +386,7 @@ class Transcript:
             raise AssertionError(f"step record {t - 1} is for t={rec.time}, not t={t}")
         return rec
 
-    @cached_property
+    @lazy
     def send_time(self) -> dict[int, int]:
         """Packet id -> the step at which it was transmitted."""
         out: dict[int, int] = {}
@@ -351,7 +395,7 @@ class Transcript:
                 out[rec.transmitted] = rec.time
         return out
 
-    @cached_property
+    @lazy
     def rejected_at(self) -> dict[int, tuple[int, str]]:
         """Packet id -> (step, cause) of its recorded rejection."""
         out: dict[int, tuple[int, str]] = {}
@@ -365,7 +409,7 @@ class Transcript:
         pid = self.step(t).transmitted
         return self.trace.by_id[pid].weight if pid is not None else ZERO
 
-    @cached_property
+    @lazy
     def scaled_sent(self) -> tuple[int, ...]:
         """Trace.scaled_weight of the packet sent at each step, indexed t - 1; 0 when idle."""
         w = self.trace.scaled_weight
@@ -373,9 +417,20 @@ class Transcript:
             0 if r.transmitted is None else w[r.transmitted] for r in self.steps
         )
 
-    @cached_property
+    @lazy
     def total_weight(self) -> Fraction:
         return Fraction(sum(self.scaled_sent), self.trace.weight_denominator)
+
+    @lazy
+    def classified(self) -> dict:
+        """(send step, packet id) -> the Charge an adversary send there gets.
+
+        Filled by charging.classify_charges, so each distinct send is
+        classified once per transcript however many adversaries contain it.
+        It depends only on this transcript, so a copy made with
+        dataclasses.replace starts with an empty one.
+        """
+        return {}
 
 
 def check_transcript_invariants(transcript: Transcript) -> list[str]:

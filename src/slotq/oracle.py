@@ -45,13 +45,13 @@ a declared value or a message.
 """
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .model import Packet, Trace
+from .model import Packet, Trace, lazy
 
 @dataclass(frozen=True, eq=True)
 class OfflineSchedule:
@@ -66,7 +66,7 @@ class OfflineSchedule:
         value = Fraction(sum(w[pid] for pid in assignment), trace.weight_denominator)
         return cls(dict(assignment), value)
 
-    @cached_property
+    @lazy
     def by_time(self) -> dict[int, int]:
         """Step -> packet id sent at that step."""
         out = {t: pid for pid, t in self.assignment.items()}
@@ -86,11 +86,14 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
 
     Occupancy comes from a difference array over the [release, send] end
     points, and the value check compares Trace.scaled_weight sums, so the cost
-    grows with the number of sends, not with the steps they span.
+    grows with the number of sends, not with the steps they span.  With B or
+    fewer sends no step can hold more than B, so occupancy is not counted.
     """
     assignment = schedule.assignment
     by_id = trace.by_id
     scaled = trace.scaled_weight
+    bsize = trace.buffer_size
+    may_overfill = len(assignment) > bsize  # B or fewer sends never overfill it
     total = 0
     outside: list[int] = []
     delta: dict[int, int] = {}  # step -> change in occupancy from the step before
@@ -101,7 +104,7 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
         total += scaled[pid]
         if not p.release <= t <= p.deadline:
             outside.append(pid)
-        if p.release <= t:
+        if may_overfill and p.release <= t:
             delta[p.release] = delta.get(p.release, 0) + 1
             delta[t + 1] = delta.get(t + 1, 0) - 1
 
@@ -116,7 +119,6 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
             f"packet {pid}: sent at {assignment[pid]}, outside window "
             f"[{p.release}, {p.deadline}]"
         )
-    bsize = trace.buffer_size
     held = 0
     points = sorted(delta)
     for s, nxt in zip(points, points[1:]):
@@ -405,8 +407,9 @@ def relax_capacity(trace: Trace) -> Trace:
 
     Dropping the capacity constraint is the same problem as B = packet count,
     so unbounded-oracle outputs are checked for feasibility against this view.
+    It is Trace.relaxed, built once per trace and sharing its indexes.
     """
-    return Trace(max(trace.buffer_size, len(trace.packets), 1), trace.packets)
+    return trace.relaxed
 
 
 # --- feasible-schedule enumeration ----------------------------------------
@@ -414,50 +417,80 @@ def relax_capacity(trace: Trace) -> Trace:
 def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
     """Up to `limit` distinct feasible schedules, exhaustive when fewer exist.
 
-    Depth-first over steps 1..horizon: at each step try sending each live,
-    still-unsent packet (ascending id), then idling.  A send is kept only if
-    the buffer occupancy it implies over [release, send] stays within
-    capacity; occupancy only ever grows as packets are added, so pruning an
-    overfull prefix is safe.  The all-idle schedule is always included (last,
+    Depth-first over the steps some window holds (any other step can only
+    idle): at each step try sending each live, still-unsent packet
+    (ascending id), then idling.  A send is kept only if the buffer
+    occupancy it implies over [release, send] stays within capacity;
+    occupancy only ever grows as packets are added, so pruning an overfull
+    prefix is safe.  The all-idle schedule is always included (last,
     when the limit permits).  The search keeps its own stack of steps, so
     long horizons need no recursion.
+
+    Occupancy is a list indexed by step, and `full` is the last step that
+    holds B packets.  Every send so far is before t, so every full step is
+    too, and sending a packet released at r at step t fits iff full < r:
+    one comparison, whatever the window's length.  A send still walks its
+    window to update occupancy.  The schedule's value is a running total of
+    Trace.scaled_weight, and each distinct total becomes one Fraction per
+    call.
     """
     if limit < 0:
         raise AssertionError(f"enumerate_feasible needs limit >= 0, got {limit}")
-    horizon = trace.horizon
+    bsize = trace.buffer_size
+    scaled, denominator = trace.scaled_weight, trace.weight_denominator
     packs = sorted(trace.packets, key=lambda p: p.id)
-    idle = len(packs)  # the last choice at every step
-    occupancy = Counter()
+    # the live packets change only at a release or just after a deadline
+    cuts = sorted({p.release for p in packs} | {p.deadline + 1 for p in packs})
+    steps = array("q")  # the steps some window holds, ascending; 8 bytes a step
+    live: list[list[Packet]] = []  # the packets whose window holds each, ascending id
+    for a, b in zip(cuts, cuts[1:]):
+        held = [p for p in packs if p.release <= a <= p.deadline]
+        if held:
+            steps.extend(range(a, b))
+            live.extend([held] * (b - a))
+    depth = len(steps)
+    occ = [0] * (trace.horizon + 1)
+    full = 0  # the last step holding B packets; 0 while there is none
+    fulls: list[int] = []  # `full` before each send still held, in send order
+    total = 0
+    values: dict[int, Fraction] = {}
     assignment: dict[int, int] = {}
     found: list[OfflineSchedule] = []
 
-    def feasible_add(p: Packet, t: int) -> bool:
-        return all(occupancy[s] < trace.buffer_size for s in range(p.release, t + 1))
-
-    def hold(p: Packet, t: int, delta: int) -> None:
-        for s in range(p.release, t + 1):
-            occupancy[s] += delta
-
-    # one frame per step 1..t: [next choice to try, packet sent by the current one]
+    # one frame per step steps[0..i]: [next choice to try, packet sent by the current one]
     stack: list[list] = [[0, None]] if limit else []
     while stack and len(found) < limit:
         frame = stack[-1]
-        t = len(stack)
-        if t > horizon:
-            found.append(OfflineSchedule.of(trace, assignment))
+        i = len(stack) - 1
+        if i == depth:
+            value = values.get(total)
+            if value is None:
+                value = values[total] = Fraction(total, denominator)
+            found.append(OfflineSchedule(dict(assignment), value))
             stack.pop()
             continue
+        t = steps[i]
         choice, sent = frame
         if sent is not None:  # back from the subtree that sends `sent` at t
-            hold(sent, t, -1)
+            for s in range(sent.release, t + 1):
+                occ[s] -= 1
+            full = fulls.pop()
+            total -= scaled[sent.id]
             del assignment[sent.id]
             frame[1] = None
+        choices = live[i]
+        idle = len(choices)  # the last choice at every step
         while choice < idle:
-            p = packs[choice]
+            p = choices[choice]
             choice += 1
-            if p.id not in assignment and p.release <= t <= p.deadline and feasible_add(p, t):
+            if p.id not in assignment and full < p.release:
+                fulls.append(full)
+                for s in range(p.release, t + 1):
+                    occ[s] += 1
+                    if occ[s] == bsize:
+                        full = s
+                total += scaled[p.id]
                 assignment[p.id] = t
-                hold(p, t, 1)
                 frame[1] = p
                 break
         else:

@@ -6,6 +6,7 @@ seeded and fully reproducible; a failure therefore comes with the instance
 that caused it.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -349,19 +350,26 @@ def _verdict_lines(out: str) -> list[str]:
 
 
 def test_charge_verdicts_survive_optimize_flag(sweep, charging, capsys):
-    # `python -O` strips assert statements.  Criteria 2 and 4 run every part
-    # of the charge layer, and criterion 6 both paths of the bounded oracle,
-    # so under -O they must still pass and print the verdict lines of a
-    # plain run.
+    # `python -O` strips assert statements, so every guarantee above must
+    # rest on checks that raise.  The whole file runs once more under -O in
+    # a child process: all nine tests must pass there and its eight verdict
+    # lines must read exactly as in a plain run, made here in-process.  The
+    # child's copy of this test starts no child of its own.
+    if sys.flags.optimize:
+        return
+    test_criterion_1_optimum_within_twice_online_value(sweep)
     test_criterion_2_charge_maps_pass_all_seven_checks(charging)
+    test_criterion_3_slot_weight_monotonicity(sweep)
     test_criterion_4_forward_charge_rejection_evidence(charging)
+    test_criterion_5_greedy_collapse_family()
     test_criterion_6_oracle_cross_checks(sweep)
+    test_criterion_7_structural_buffer_invariants(sweep)
+    test_criterion_8_adversarial_search_stays_under_two()
     plain = _verdict_lines(capsys.readouterr().out)
-    assert len(plain) == 3
+    assert len(plain) == 8
     out = run_optimized(f"""
         import pytest
-        sys.exit(pytest.main([{__file__!r}, "-q", "-s", "-p", "no:cacheprovider",
-                              "-k", "criterion_2 or criterion_4 or criterion_6"]))
+        sys.exit(pytest.main([{__file__!r}, "-q", "-s", "-p", "no:cacheprovider"]))
     """)
-    assert "3 passed" in out
+    assert "9 passed" in out
     assert _verdict_lines(out) == plain

@@ -330,6 +330,60 @@ def test_charge_layer_matches_reference(data):
     assert verdicts(verify_charge_map(bad, grq, adv)) == reference_verify_charge_map(bad, grq, adv)
 
 
+# In each, GRQ rejects a packet at step 1 (packet 1, then packet 2) that an
+# adversary can still send B or more steps later, when GRQ sends something
+# lighter or nothing: an F-charge
+FORWARD_TRACES = (
+    "B 1\np 0 1 1 5\np 1 1 3 4\n",
+    "B 2\np 0 1 2 6\np 1 1 2 5\np 2 1 5 4\np 3 3 4 1\n",
+)
+
+
+def without_rejections(grq):
+    """A copy of `grq` that records no rejection: every F-charge then names
+    a packet GRQ never rejected."""
+    return replace(grq, steps=tuple(replace(rec, rejections=()) for rec in grq.steps))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_classification_shared_per_transcript_matches_reference(data):
+    # Sends are classified once per transcript and the charges shared by
+    # every later adversary of it.  Interleave calls on one transcript, a
+    # plain copy and a copy without rejections, over every enumerated
+    # adversary, the optimum and an infeasible one: each call must still
+    # give the reference's map, or its exception and message, also after
+    # an earlier call on the same transcript raised.
+    trace = data.draw(st.one_of(
+        st.sampled_from(FORWARD_TRACES).map(parse_trace),
+        written_traces(min_packets=1, max_packets=6),
+    ))
+    grq = run_grq(trace)
+    transcripts = (grq, replace(grq), without_rejections(grq))
+    first = min(trace.packets, key=lambda p: p.id)
+    infeasible = OfflineSchedule.of(trace, {first.id: first.deadline + 1})
+    adversaries = enumerate_feasible(trace, 30) + [optimal_bounded(trace), infeasible]
+    calls = [(g, a) for g in transcripts for a in adversaries] * 2
+    for g, adv in data.draw(st.permutations(calls)):
+        want = outcome(lambda g, a: reference_assign(g, reference_classify(g, a)), g, adv)
+        assert outcome(build_charge_map, g, adv) == want
+
+
+def test_forward_traces_reach_every_outcome():
+    # the fixed traces above do exercise F-charges and the raise on a
+    # transcript that records no rejection
+    for text in FORWARD_TRACES:
+        trace = parse_trace(text)
+        grq = run_grq(trace)
+        bare = without_rejections(grq)
+        kinds, raised = set(), set()
+        for adv in enumerate_feasible(trace, 30):
+            kinds |= {c.kind for c in build_charge_map(grq, adv).charges}
+            raised.add(outcome(build_charge_map, bare, adv)[0])
+        assert F_CHARGE in kinds
+        assert {"ok", "ChargeConstructionError"} <= raised
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_many_forward_charges_match_reference(data):

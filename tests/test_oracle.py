@@ -183,6 +183,21 @@ def bursty_traces(draw):
     return parse_trace("\n".join([f"B {buffer_size}", *lines]) + "\n")
 
 
+@st.composite
+def long_window_traces(draw):
+    """Up to 6 packets with windows of 1 to 40 steps, B 1..4, ids shuffled
+    and spaced, releases spread so that some steps lie in no window."""
+    n = draw(st.integers(0, 6))
+    ids = draw(st.permutations([3 * i for i in range(n)]))
+    lines = [f"B {draw(st.integers(1, 4))}"]
+    for pid in ids:
+        release = draw(st.integers(1, 60))
+        span = draw(st.integers(0, 39))
+        weight = draw(st.sampled_from(WEIGHT_SPELLINGS))
+        lines.append(f"p {pid} {release} {release + span} {weight}")
+    return parse_trace("\n".join(lines) + "\n")
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=500, deadline=None)
     @given(bursty_traces())
@@ -283,6 +298,14 @@ class TestVerifySchedule:
         with pytest.raises(ValueError):
             verify_schedule(t, OfflineSchedule({9: 1}, Fraction(0)))
 
+    def test_relaxed_view_built_once_sharing_indexes(self):
+        t = validate_trace(1, [P(0, 1, 2, Fraction(1, 3)), P(1, 1, 2, 1)])
+        relaxed = relax_capacity(t)
+        assert relaxed is relax_capacity(t) is t.relaxed
+        assert relaxed == Trace(2, t.packets)
+        assert relaxed.by_id is t.by_id and relaxed.scaled_weight is t.scaled_weight
+        assert relaxed.weight_denominator == 3
+
     def test_oracle_outputs_always_accepted(self):
         for trace in small_traces(60, seed0=1500, n=6):
             assert verify_schedule(trace, optimal_bounded(trace)) == []
@@ -332,3 +355,62 @@ class TestEnumerateFeasible:
 
     def test_zero_limit(self):
         assert enumerate_feasible(validate_trace(1, [P(0, 1, 1, 1)]), 0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_window_traces(), st.sampled_from((0, 1, 7, 50)))
+    def test_matches_reference(self, trace, limit):
+        # the same schedules in the same order, each with the same
+        # assignment dict order and the same value
+        got = enumerate_feasible(trace, limit)
+        want = reference_enumerate_feasible(trace, limit)
+        assert [(list(s.assignment.items()), s.value) for s in got] == [
+            (list(s.assignment.items()), s.value) for s in want]
+
+
+def reference_enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
+    """enumerate_feasible as it was before occupancy moved into a step-indexed
+    list: every step 1..horizon, occupancy tested and updated step by step
+    in a Counter, and each value summed again by OfflineSchedule.of."""
+    horizon = trace.horizon
+    packs = sorted(trace.packets, key=lambda p: p.id)
+    idle = len(packs)
+    occupancy = Counter()
+    assignment: dict[int, int] = {}
+    found: list[OfflineSchedule] = []
+
+    def feasible_add(p: Packet, t: int) -> bool:
+        return all(occupancy[s] < trace.buffer_size for s in range(p.release, t + 1))
+
+    def hold(p: Packet, t: int, delta: int) -> None:
+        for s in range(p.release, t + 1):
+            occupancy[s] += delta
+
+    stack: list[list] = [[0, None]] if limit else []
+    while stack and len(found) < limit:
+        frame = stack[-1]
+        t = len(stack)
+        if t > horizon:
+            found.append(OfflineSchedule.of(trace, assignment))
+            stack.pop()
+            continue
+        choice, sent = frame
+        if sent is not None:
+            hold(sent, t, -1)
+            del assignment[sent.id]
+            frame[1] = None
+        while choice < idle:
+            p = packs[choice]
+            choice += 1
+            if p.id not in assignment and p.release <= t <= p.deadline and feasible_add(p, t):
+                assignment[p.id] = t
+                hold(p, t, 1)
+                frame[1] = p
+                break
+        else:
+            if choice > idle:
+                stack.pop()
+                continue
+            choice += 1
+        frame[0] = choice
+        stack.append([0, None])
+    return found
