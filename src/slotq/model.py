@@ -256,34 +256,62 @@ def slot_window(t: int, buffer_size: int) -> tuple[int, int]:
     return t, t + buffer_size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotBuffer:
-    """Labeled buffer snapshot: slots[i] holds the packet at label base_time + i."""
+    """Labeled snapshot of a size-B buffer: slot i holds the packet at label base_time + i.
+
+    Only the slots up to the last occupied one are stored, in `prefix`; the
+    labels after it are empty.  A slot-queue buffer holds far fewer packets
+    than B on most steps, so the snapshot costs what its occupancy does.
+    `slots` is the padded view of all `size` slots, for callers that want
+    one; the per-step code reads `prefix` only.
+
+    SlotBuffer(t, slots) takes the padded view (gaps allowed) and
+    SlotBuffer(t, prefix, B) the stored prefix; trailing empty slots are
+    dropped either way, so both spellings of one content are equal and hash
+    equal.  A prefix given as a tuple that ends in a packet, as grq_rebuild
+    builds it, is stored as it is.
+    """
 
     base_time: int
-    slots: tuple["Packet | None", ...]
+    prefix: tuple["Packet | None", ...]
+    size: "int | None" = None  # None: len(prefix), which is then the padded view
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
+        prefix = self.prefix
+        if self.size is None:
+            prefix = tuple(prefix)
+            object.__setattr__(self, "size", len(prefix))
+        if type(prefix) is not tuple or (prefix and prefix[-1] is None):
+            prefix = list(prefix)
+            while prefix and prefix[-1] is None:
+                prefix.pop()
+            prefix = tuple(prefix)
+        if prefix is not self.prefix:
+            object.__setattr__(self, "prefix", prefix)
+        if len(prefix) > self.size:
+            raise ValueError(f"{len(prefix)} stored slots exceed buffer size {self.size}")
 
     @property
-    def size(self) -> int:
-        return len(self.slots)
+    def slots(self) -> tuple["Packet | None", ...]:
+        """All `size` slots, the empty ones after the stored prefix included."""
+        return self.prefix + (None,) * (self.size - len(self.prefix))
 
     @property
     def window(self) -> tuple[int, int]:
-        return slot_window(self.base_time, len(self.slots))
+        return slot_window(self.base_time, self.size)
 
     @property
     def front(self) -> "Packet | None":
         """Packet at the label-base_time slot, the one due to transmit."""
-        return self.slots[0] if self.slots else None
+        return self.prefix[0] if self.prefix else None
 
     def at_label(self, label: int) -> "Packet | None":
         lo, hi = self.window
         if not lo <= label <= hi:
             raise ValueError(f"label {label} outside window [{lo}, {hi}]")
-        return self.slots[label - self.base_time]
+        i = label - self.base_time
+        return self.prefix[i] if i < len(self.prefix) else None
 
     def occupied(self) -> list[tuple[int, Packet]]:
         """(label, packet) pairs for the non-empty slots, in label order."""
@@ -298,11 +326,12 @@ class SlotBuffer:
 
     def labels(self) -> list[int]:
         """Labels of the non-empty slots, ascending."""
-        return list(compress(range(self.base_time, self.base_time + len(self.slots)), self.slots))
+        base = self.base_time
+        return list(compress(range(base, base + len(self.prefix)), self.prefix))
 
     def packets(self) -> tuple[Packet, ...]:
         """The packets in the non-empty slots, in label order."""
-        return tuple([*filter(None, self.slots)])
+        return tuple([*filter(None, self.prefix)])
 
 
 def check_buffer_invariants(
@@ -316,16 +345,17 @@ def check_buffer_invariants(
     post-transmit snapshot has an empty front slot, so those two checks are
     skipped for it.  Weights are compared as `scaled_weight` integers
     (normally Trace.scaled_weight, packet id -> integer weight).  One C-level
-    pass finds the occupied slots; each test then runs over those only, and
-    messages are built only when it fails.
+    pass over the stored prefix finds the occupied slots; each test then runs
+    over those only, and messages are built only when it fails.
     """
     base, occ = buffer.base_time, buffer.packets()
     if not occ:
         return []
     out: list[str] = []
-    # the n occupied slots form a prefix iff the first n slots are occupied
-    prefix = all(buffer.slots[: len(occ)])
-    labels = range(base, base + len(occ)) if prefix else buffer.labels()
+    # the stored prefix ends at the last occupied slot, so the occupied
+    # slots form a prefix of the window iff every stored slot is occupied
+    contiguous = len(occ) == len(buffer.prefix)
+    labels = range(base, base + len(occ)) if contiguous else buffer.labels()
     if not all(map(le, labels, [p.deadline for p in occ])):
         for label, p in zip(labels, occ):
             if p.deadline < label:
@@ -333,7 +363,7 @@ def check_buffer_invariants(
                     f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}"
                 )
     if phase == "post-rebuild":
-        if not prefix:
+        if not contiguous:
             j = next(j for j, label in enumerate(labels) if label != base + j)
             out.append(f"slot {labels[j]}: occupied after empty slot {base + j}")
         w = [scaled_weight[p.id] for p in occ]

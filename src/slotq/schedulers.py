@@ -23,8 +23,10 @@ prefix rule: with k slots already filled, the next packet is accepted (into
 slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
 (labeled with the current step) is then transmitted.  Because heavy packets
 grab small labels first, the front packet is always a heaviest one — checked
-on every step.  The rebuild touches every held packet, and the snapshot has
-B slots.
+on every step.  The rebuild touches every held packet, and the snapshot
+stores only the filled prefix and B (SlotBuffer.prefix and size), so a step
+costs what the buffer holds, not B.  A step with nothing carried and nothing
+arriving returns an empty snapshot at once.
 
 The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
 packets and sends the heaviest each step.  It ignores deadlines when choosing
@@ -44,7 +46,7 @@ its deadline, by Trace.rank_deadline rather than by the expiry index).
 grq_rebuild and grq_transmit decide theirs with builtins (min/max/all) over
 the rank tuples and call check_buffer_invariants only to word a failure;
 check_slot_monotonicity compares Trace.scaled_weight integers over the
-occupied slots only.
+occupied slots of the stored prefixes only.
 """
 
 from bisect import bisect_left, insort
@@ -86,14 +88,15 @@ def grq_rebuild(
     ranks of the placed packets in slot order.
     """
     size = trace.buffer_size
+    if not buffered and not arrivals:
+        # an idle step: every check below would run over an empty set
+        return SlotBuffer(t, (), size), (), []
     if len(buffered) > size:
         raise AssertionError("carried packets exceed buffer size")
     candidates = sorted([*buffered, *arrivals])
     deadline, release, weight = trace.rank_deadline, trace.rank_release, trace.rank_weight
-    if candidates and (
-        max(map(release.__getitem__, candidates)) > t
-        or min(map(deadline.__getitem__, candidates)) < t
-    ):
+    if (max(map(release.__getitem__, candidates)) > t
+            or min(map(deadline.__getitem__, candidates)) < t):
         r = next(r for r in candidates if not release[r] <= t <= deadline[r])
         raise AssertionError(f"packet {trace.rank_id[r]} not live at t={t}")
 
@@ -114,7 +117,7 @@ def grq_rebuild(
     rejections = tuple([
         Rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED) for r in rejected
     ])
-    buffer = SlotBuffer(t, tuple([by_rank[r] for r in placed]) + (None,) * (size - len(placed)))
+    buffer = SlotBuffer(t, tuple([by_rank[r] for r in placed]), size)
     # the snapshot is a filled prefix by construction; its labels and weights
     # are checked on the rank tuples, and check_buffer_invariants words a failure
     w = [weight[r] for r in placed]
@@ -230,8 +233,10 @@ def check_slot_monotonicity(transcript: Transcript) -> list[str]:
     For every slot label, the weight sitting at that label never decreases
     between one post-rebuild snapshot and the next, for as long as the label
     is in both windows (an empty slot counts as bottom).  Only the labels the
-    earlier snapshot occupies are compared, on Trace.scaled_weight integers.
-    Returns violation strings; empty means the property held at every step.
+    earlier snapshot occupies are compared, on Trace.scaled_weight integers,
+    so each pair of steps reads the stored prefixes (SlotBuffer.prefix), never
+    the B-wide padded views.  Returns violation strings; empty means the
+    property held at every step.
     """
     weight = transcript.trace.scaled_weight
     out: list[str] = []
@@ -240,14 +245,17 @@ def check_slot_monotonicity(transcript: Transcript) -> list[str]:
         buf = rec.slots
         if buf is None:
             raise AssertionError("slot monotonicity needs labeled snapshots")
-        if prev is not None:
-            lo = max(prev.base_time, buf.base_time)
-            before = prev.slots[lo - prev.base_time :]
-            after = buf.slots[lo - buf.base_time :]
-            # labels lo.. in both windows that `before` occupies, with the
-            # packets at those labels in both snapshots (see SlotBuffer.labels)
+        if prev is not None and prev.prefix:  # else prev occupies no label
+            lo, base = max(prev.base_time, buf.base_time), prev.base_time
+            # the stored labels lo.. of `prev` that are also in buf's window
+            before = prev.prefix[lo - base : max(buf.base_time + buf.size - base, 0)]
+            start = lo - buf.base_time
+            after = buf.prefix[start : start + len(before)]
+            after += (None,) * (len(before) - len(after))  # empty after buf's prefix
+            # labels in both windows that `before` occupies, with the packets
+            # at those labels in both snapshots (see SlotBuffer.labels)
             pairs = zip(
-                compress(range(lo, lo + len(after)), before),
+                compress(range(lo, lo + len(before)), before),
                 filter(None, before),
                 compress(after, before),
             )

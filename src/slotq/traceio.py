@@ -47,26 +47,18 @@ def parse_trace(text: str) -> Trace:
     packets: list[Packet] = []
     weights: dict[str, Fraction] = {}  # one shared Fraction per spelling
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # one split per line; str.split() drops the whitespace strip() would
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "B":
-            if buffer_size is not None:
-                raise TraceSyntaxError(lineno, "duplicate B directive")
-            if len(fields) != 2:
-                raise TraceSyntaxError(lineno, f"expected 'B <int>', got {raw!r}")
-            try:
-                buffer_size = int(fields[1])
-            except ValueError:
-                raise TraceSyntaxError(lineno, f"buffer size {fields[1]!r} is not an integer") from None
-        elif fields[0] == "p":
+        directive = fields[0]
+        if directive == "p":  # packet lines outnumber everything else
             if len(fields) != 5:
                 raise TraceSyntaxError(
                     lineno, f"expected 'p <id> <release> <deadline> <weight>', got {raw!r}"
                 )
             try:
-                pid, release, deadline = map(int, fields[1:4])
+                pid, release, deadline = int(fields[1]), int(fields[2]), int(fields[3])
             except ValueError:
                 raise TraceSyntaxError(lineno, f"non-integer packet field in {raw!r}") from None
             w = fields[4]
@@ -83,8 +75,17 @@ def parse_trace(text: str) -> Trace:
                         raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
                 weights[w] = weight
             packets.append(Packet(pid, release, deadline, weight))
+        elif directive == "B":
+            if buffer_size is not None:
+                raise TraceSyntaxError(lineno, "duplicate B directive")
+            if len(fields) != 2:
+                raise TraceSyntaxError(lineno, f"expected 'B <int>', got {raw!r}")
+            try:
+                buffer_size = int(fields[1])
+            except ValueError:
+                raise TraceSyntaxError(lineno, f"buffer size {fields[1]!r} is not an integer") from None
         else:
-            raise TraceSyntaxError(lineno, f"unknown directive {fields[0]!r}")
+            raise TraceSyntaxError(lineno, f"unknown directive {directive!r}")
     if buffer_size is None:
         raise TraceSyntaxError(0, "missing B directive")
     return validate_trace(buffer_size, packets)

@@ -14,7 +14,9 @@ Packets come from qtrace text so the same value can be spelled several ways
 drawn gapped, post-transmit, full, as rebuilt prefixes and at random, so
 deadlines below labels, weight inversions and fronts that are not the
 heaviest all occur; the second snapshot of a transcript is the first one
-shifted by a step with some labels emptied or refilled, lighter or not.
+shifted by a step with some labels emptied or refilled, lighter or not, and
+its window widened or narrowed.  Each snapshot is built either from all its
+slots or from its stored prefix and size, which must make no difference.
 """
 
 from dataclasses import replace
@@ -149,7 +151,8 @@ def packet_pools(draw):
 
 
 @st.composite
-def slot_buffers(draw, trace):
+def slot_lists(draw, trace):
+    """All slots of a buffer, padded to its size: gapped, full, rebuilt, ..."""
     packets = st.sampled_from(trace.packets)
     slot = st.one_of(st.none(), packets)
     size = draw(st.integers(1, 8))
@@ -166,7 +169,27 @@ def slot_buffers(draw, trace):
         if shape == "rebuilt":
             filled.sort(key=lambda p: (-p.weight, p.deadline, p.id))
         slots = filled + [None] * (size - k)
-    return SlotBuffer(draw(st.integers(1, 6)), tuple(slots))
+    return slots
+
+
+def trimmed(base_time, slots, extra=0):
+    """SlotBuffer(base_time, slots) built from its stored prefix and size instead,
+    passing up to `extra` of the empty slots after the last occupied one."""
+    end = max((i + 1 for i, p in enumerate(slots) if p is not None), default=0)
+    return SlotBuffer(base_time, tuple(slots[: end + extra]), len(slots))
+
+
+@st.composite
+def built(draw, base_time, slots):
+    """A snapshot of these slots, built padded or trimmed."""
+    if draw(st.booleans()):
+        return SlotBuffer(base_time, tuple(slots))
+    return trimmed(base_time, slots, draw(st.integers(0, 2)))
+
+
+@st.composite
+def slot_buffers(draw, trace):
+    return draw(built(draw(st.integers(1, 6)), draw(slot_lists(trace))))
 
 
 @st.composite
@@ -180,7 +203,8 @@ def two_step_transcripts(draw):
     trace = draw(packet_pools())
     first = draw(slot_buffers(trace))
     if draw(st.booleans()):
-        # the next step's window, with each label kept, emptied or refilled
+        # the next step's window, with each label kept, emptied or refilled,
+        # and the window widened or narrowed at its end
         slots = []
         for p in first.slots[1:] + (None,):
             edit = draw(st.sampled_from(("keep", "keep", "empty", "refill")))
@@ -190,12 +214,39 @@ def two_step_transcripts(draw):
                 slots.append(None)
             else:
                 slots.append(draw(st.sampled_from(trace.packets)))
-        second = SlotBuffer(first.base_time + 1, tuple(slots))
+        size = draw(st.sampled_from((len(slots),) * 2 + (max(len(slots) - 2, 1), len(slots) + 2)))
+        slots = (slots + [None] * size)[:size]
+        second = draw(built(first.base_time + 1, slots))
     else:
         second = draw(slot_buffers(trace))
     steps = tuple(
         StepRecord(t, (), buf, (), (), None) for t, buf in enumerate((first, second), start=1))
     return Transcript(trace, steps)
+
+
+@st.composite
+def slot_cases(draw):
+    trace = draw(packet_pools())
+    return draw(st.integers(1, 6)), draw(slot_lists(trace))
+
+
+@given(slot_cases(), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_padded_and_trimmed_snapshots_agree(case, extra):
+    base_time, slots = case
+    padded, short = SlotBuffer(base_time, tuple(slots)), trimmed(base_time, slots, extra)
+    assert padded == short and hash(padded) == hash(short)
+    assert short.prefix == padded.prefix and (not short.prefix or short.prefix[-1] is not None)
+    assert padded.slots == short.slots == tuple(slots)
+    assert padded.size == short.size == len(slots)
+    assert padded.window == short.window
+    assert padded.front is short.front is slots[0]
+    for label in range(padded.window[0], padded.window[1] + 1):
+        assert padded.at_label(label) is short.at_label(label) is slots[label - base_time]
+    assert padded.labels() == short.labels() == [
+        base_time + i for i, p in enumerate(slots) if p is not None]
+    assert padded.packets() == short.packets() == tuple(p for p in slots if p is not None)
+    assert padded.occupied() == short.occupied()
 
 
 @given(buffer_cases(), st.sampled_from(("post-rebuild", "post-transmit")))

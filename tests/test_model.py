@@ -155,6 +155,12 @@ class TestBufferInvariants:
         assert buf.front.id == 0
         assert buf.occupied() == [(4, buf.slots[0])]
 
+    def test_stored_prefix_fits_the_buffer(self):
+        p = P(0, 1, 9, 1)
+        assert SlotBuffer(4, [p, None], 3) == SlotBuffer(4, (p, None, None))
+        with pytest.raises(ValueError, match="^2 stored slots exceed buffer size 1$"):
+            SlotBuffer(4, (p, p), 1)
+
 
 def _single_step_transcript(trace, *steps):
     return Transcript(trace, tuple(steps))

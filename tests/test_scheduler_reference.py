@@ -21,9 +21,11 @@ from slotq.model import (
     ADMISSION_REFUSED,
     EXPIRED,
     PREEMPTED,
+    Packet,
     Rejection,
     SlotBuffer,
     StepRecord,
+    validate_trace,
 )
 from slotq.schedulers import run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
@@ -125,6 +127,8 @@ def assert_same_steps(transcript, reference):
         t = want.time
         assert got.time == t
         assert got.slots == want.slots, f"slots differ at t={t}"
+        if want.slots is not None:
+            assert got.slots.slots == want.slots.slots, f"padded slots differ at t={t}"
         assert got.held == want.held, f"held differs at t={t}"
         assert got.rejections == want.rejections, f"rejections differ at t={t}"
         assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
@@ -143,22 +147,49 @@ def bulk(buffer_size, seed):
                            burst=Fraction(1, 2))
 
 
+def sparse(buffer_size, seed):
+    return GeneratorParams(n=48, horizon=2_000, buffer_size=buffer_size, seed=seed,
+                           max_span=500, burst=Fraction(3, 4))
+
+
 # the bulk-stream shape: greedy holds 90 and more packets and lets several
 # expire in one step; at B=128 these seeds also overflow it, at B=192 no seed
 # does.  B=1 overflows on every busy step, B >= n never.
+# The sparse shape (sparse-horizon's over a tenth of its horizon, in bursts)
+# idles for hundreds of steps between bursts that fill B=2 and B=8 and
+# overflow them; at B=512 each snapshot stores a few of its slots.
+SPARSE = [sparse(8, seed) for seed in (1, 2)] + [sparse(2, 4), sparse(512, 3)]
 BULK = [bulk(128, seed) for seed in (2, 3, 5)] + [bulk(192, seed) for seed in (1, 2)] + [
-    bulk(1, 4), bulk(400, 5)]
+    bulk(1, 4), bulk(400, 5)] + SPARSE
 
 
-@pytest.mark.parametrize("params", BULK, ids=lambda p: f"B{p.buffer_size}-seed{p.seed}")
+@pytest.mark.parametrize("params", BULK, ids=lambda p: (
+    f"{'sparse-' if p.max_span else ''}B{p.buffer_size}-seed{p.seed}"))
 def test_schedulers_match_references_at_bulk_stream_size(params):
     trace = gen_random(params)
-    greedy = run_naive_greedy(trace)
-    assert_same_steps(run_grq(trace), reference_grq(trace))
+    grq, greedy = run_grq(trace), run_naive_greedy(trace)
+    assert_same_steps(grq, reference_grq(trace))
     assert_same_steps(greedy, reference_greedy(trace))
+    if params in SPARSE:
+        idle = "".join("." if not rec.held else "x" for rec in grq.steps)
+        assert "." * 300 in idle
+        held = max(len(rec.held) for rec in grq.steps)
+        assert held == params.buffer_size if params.buffer_size <= 8 else held < 20
+        return
     expiries = [sum(r.cause == EXPIRED for r in rec.rejections) for rec in greedy.steps]
     overflow = any(r.cause != EXPIRED for rec in greedy.steps for r in rec.rejections)
     assert overflow == (params.buffer_size <= 128)
     if params.buffer_size in (128, 192):
         assert max(len(rec.held) for rec in greedy.steps) >= 90
         assert max(expiries) >= 3
+
+
+def test_snapshots_store_only_their_filled_prefix():
+    # two packets in a wide buffer over a long horizon: every snapshot keeps
+    # its size but stores at most the two packets, not B slots per step
+    trace = validate_trace(512, [Packet(0, 1, 5_000, 3), Packet(1, 1, 5_000, 2)])
+    steps = run_grq(trace).steps
+    assert len(steps) == 5_000
+    assert [len(rec.slots.prefix) for rec in steps[:3]] == [2, 1, 0]
+    assert max(len(rec.slots.prefix) for rec in steps) == 2
+    assert {rec.slots.size for rec in steps} == {512}

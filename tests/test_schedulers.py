@@ -174,10 +174,13 @@ class TestTransmit:
 def test_runner_checks_survive_optimize_flag():
     # each runner check must still fire under `python -O` with its message:
     # greedy's on a trace whose expiry index is emptied, so nothing expires,
-    # run_grq's with a transmit that keeps the sent packet among the survivors
-    out = run_optimized("""
+    # run_grq's with a transmit that keeps the sent packet among the survivors,
+    # and with hand-built trimmed snapshots (stored prefix shorter than B)
+    # that break the rebuild invariants: a lighter packet before a heavier
+    # one, a gap at the front, and a rebuild misled by a tampered rank order
+    code = """
         import slotq.schedulers as s
-        from slotq.model import Packet, validate_trace
+        from slotq.model import Packet, SlotBuffer, validate_trace
 
         def attempt(run, trace):
             try:
@@ -193,24 +196,50 @@ def test_runner_checks_survive_optimize_flag():
         s.grq_transmit = lambda buf, placed, t, trace: (
             transmit(buf, placed, t, trace)[0], list(placed))
         attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
-    """)
+        s.grq_transmit = transmit
+
+        light, heavy = Packet(0, 1, 3, 1), Packet(1, 1, 1, 9)  # ranks: heavy 0, light 1
+        rebuild = s.grq_rebuild
+        for snapshot, placed in ((SlotBuffer(1, (light, heavy), 3), [1, 0]),
+                                 (SlotBuffer(1, (None, heavy), 3), [0])):
+            s.grq_rebuild = lambda held, arrivals, t, trace, out=(snapshot, (), placed): out
+            attempt(s.run_grq, validate_trace(3, [light, heavy]))
+        s.grq_rebuild = rebuild
+        trace = validate_trace(3, [light, Packet(1, 1, 3, 9)])
+        trace.__dict__.update(by_rank=(light, trace.by_id[1]), rank_weight=(1, 9))
+        attempt(s.run_grq, trace)
+    """
+    out = run_optimized(code)
     assert "raised greedy holds an expired packet at t=2" in out
     assert "raised greedy holds packets after the last deadline" in out
     assert "raised a survivor of t=1 is past its deadline" in out
+    assert "raised front packet 0 is not heaviest at t=1" in out
+    assert out.count("raised a survivor of t=1 is past its deadline") == 2
+    assert ("raised rebuild at t=1 broke the buffer invariants: "
+            "['slot 2: weight 9 exceeds weight 1 at slot 1']") in out
+    plain = run_python(code)
+    assert "optimize 0" in plain
+    assert out.splitlines()[1:] == plain.splitlines()[1:]
 
 
-def run_optimized(code):
-    """stdout of `code` run by `python -O` on this checkout's slotq."""
+def run_python(code, *flags):
+    """stdout of `code` run by this interpreter with `flags` on this checkout's slotq."""
     code = "import sys\nprint('optimize', sys.flags.optimize)\n" + textwrap.dedent(code)
     src = str(Path(slotq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert "optimize 1" in proc.stdout
     return proc.stdout
+
+
+def run_optimized(code):
+    """stdout of `code` run by `python -O` on this checkout's slotq."""
+    out = run_python(code, "-O")
+    assert "optimize 1" in out
+    return out
 
 
 class TestRunGrq:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import InvalidTraceError, Packet, validate_trace
@@ -11,6 +13,103 @@ from slotq.traceio import (
     parse_trace,
     save_trace,
 )
+
+
+def reference_parse_trace(text):
+    """The earlier parser: strip each line's comment and whitespace, then split."""
+    buffer_size = None
+    packets = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "B":
+            if buffer_size is not None:
+                raise TraceSyntaxError(lineno, "duplicate B directive")
+            if len(fields) != 2:
+                raise TraceSyntaxError(lineno, f"expected 'B <int>', got {raw!r}")
+            try:
+                buffer_size = int(fields[1])
+            except ValueError:
+                raise TraceSyntaxError(lineno, f"buffer size {fields[1]!r} is not an integer") from None
+        elif fields[0] == "p":
+            if len(fields) != 5:
+                raise TraceSyntaxError(
+                    lineno, f"expected 'p <id> <release> <deadline> <weight>', got {raw!r}"
+                )
+            try:
+                pid, release, deadline = map(int, fields[1:4])
+            except ValueError:
+                raise TraceSyntaxError(lineno, f"non-integer packet field in {raw!r}") from None
+            try:
+                weight = Fraction(fields[4])
+            except (ValueError, ZeroDivisionError):
+                raise TraceSyntaxError(lineno, f"unparseable weight {fields[4]!r}") from None
+            packets.append(Packet(pid, release, deadline, weight))
+        else:
+            raise TraceSyntaxError(lineno, f"unknown directive {fields[0]!r}")
+    if buffer_size is None:
+        raise TraceSyntaxError(0, "missing B directive")
+    return validate_trace(buffer_size, packets)
+
+
+def parsed(parse, text):
+    """The trace `parse` returns, or what it raised: type, message and line."""
+    try:
+        return "returned", parse(text)
+    except TraceSyntaxError as e:
+        return "raised", "TraceSyntaxError", str(e), e.line
+    except InvalidTraceError as e:
+        return "raised", "InvalidTraceError", e.violations
+
+
+# fields good and bad: integers in several spellings, weights that Fraction
+# reads and ones it refuses, and words
+NUMBERS = ("0", "1", "2", "07", "+3", "-1", "12", "1_0", "\u0663")
+WEIGHTS = NUMBERS + ("3/4", "2/6", "1.5", "0.25", "1/0", "w", "7.5.1", "-1/2", "1e2", "\u00b2")
+WORDS = ("a", "x1", "p", "B", "q", "#")
+SPACE = (" ", "  ", "\t", " \t ", "\u3000")
+
+
+@st.composite
+def trace_lines(draw):
+    """One qtrace line: a directive of any arity, a comment, or blank, spaced any way."""
+    kind = draw(st.sampled_from(("p",) * 5 + ("B", "other", "comment", "blank")))
+    if kind == "blank":
+        return draw(st.sampled_from(("",) + SPACE))
+    if kind == "comment":
+        return draw(st.sampled_from(SPACE + ("",))) + "# " + draw(st.sampled_from(WORDS))
+    head = {"p": "p", "B": "B"}.get(kind) or draw(st.sampled_from(("q", "P", "b", "pp", "1")))
+    arity = {"p": 4, "B": 1}.get(kind, 2)
+    arity = draw(st.sampled_from((arity,) * 5 + (0, arity - 1, arity + 1)))
+    fields = [draw(st.sampled_from(NUMBERS * 4 + WORDS[:2])) for _ in range(arity)]
+    if kind == "p" and fields:
+        fields[-1] = draw(st.sampled_from(WEIGHTS))
+    tokens = [head, *fields]
+    line = draw(st.sampled_from(("",) + SPACE))
+    for i, token in enumerate(tokens):
+        line += token + (draw(st.sampled_from(SPACE)) if i < len(tokens) - 1 else "")
+    ending = draw(st.sampled_from(("", "", " ", "\t", "#x", " # w=2", "#", "\t#c # d")))
+    return line + ending
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace whose lines are mostly well-formed packets, with at most a few bad ones."""
+    lines = [f"p {i} 1 {1 + i % 3} {1 + i % 4}" for i in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(trace_lines()))
+    for _ in range(draw(st.sampled_from((1, 1, 1, 1, 1, 0, 2)))):
+        lines.insert(draw(st.integers(0, len(lines))), f"B {draw(st.integers(1, 3))}")
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from((newline, "")))
+
+
+@given(trace_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_reference(text):
+    assert parsed(parse_trace, text) == parsed(reference_parse_trace, text)
 
 
 class TestParse:
