@@ -61,6 +61,8 @@ def reference_transmit(buffer, t):
     sent = buffer.front
     packets = tuple(p for p in buffer.slots if p is not None)
     if sent is None:
+        if packets:
+            raise AssertionError(f"front slot empty in a non-empty buffer at t={t}")
         return None, packets
     if any(p.weight > sent.weight for p in packets):
         raise AssertionError(f"front packet {sent.id} is not heaviest at t={t}")

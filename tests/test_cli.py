@@ -235,6 +235,17 @@ class TestInternalErrors:
         assert captured.err == "internal error: RuntimeError: stage broke\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("algo", ["bounded", "unbounded"])
+    def test_oracle_self_check_exits_3(self, algo, killer_trace, monkeypatch, capsys):
+        # `slotq oracle` reports no violations of its own: the oracle's
+        # verification raises, which is an internal error
+        monkeypatch.setattr("slotq.oracle.verify_schedule", lambda trace, schedule: ["forced"])
+        assert main(["oracle", "--trace", killer_trace, "--algo", algo]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"internal error: AssertionError: {algo} optimum infeasible: ['forced']\n")
+        assert captured.out == ""
+
     def test_internal_value_error_is_not_a_usage_error(self, killer_trace, monkeypatch, capsys):
         def broken(trace):
             raise ValueError("stage broke")

@@ -100,6 +100,30 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(config)
 
+    @pytest.mark.parametrize("which", ["bounded", "unbounded"])
+    def test_oracle_self_check_fails_the_row(self, which, tmp_path, monkeypatch):
+        # the oracles verify their own schedule; a violation there raises
+        # inside the oracle, and the experiment records it as a failed row
+        import slotq.oracle as oracle
+
+        real = oracle.verify_schedule
+
+        def strict(trace, schedule):
+            broken = trace.buffer_size == len(trace.packets)  # the relaxed view
+            return ["forced"] if broken == (which == "unbounded") else real(trace, schedule)
+
+        monkeypatch.setattr(oracle, "verify_schedule", strict)
+        report = run_experiment(
+            {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4"}]},
+            counterexample_dir=tmp_path,
+        )
+        (row,) = report.rows
+        assert row.failed and not report.passed
+        assert row.violations == (f"{which} oracle: {which} optimum infeasible: ['forced']",)
+        assert (row.bounded_value is None) == (which == "bounded")
+        assert (row.unbounded_value is None) == (which == "unbounded")
+        assert len(list(tmp_path.glob("*.qtrace"))) == 1
+
     def test_counterexamples_persisted(self, tmp_path, monkeypatch):
         # Force a failure by breaking the 2x check through a monkeypatched
         # scheduler value; the row must land on disk as a loadable trace.

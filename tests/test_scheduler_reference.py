@@ -142,6 +142,29 @@ def test_schedulers_match_references(trace):
     assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))
 
 
+@st.composite
+def crowded_traces(draw):
+    """More packets than B, released close together, sharing two or three
+    deadlines and a few weights: greedy overflows and holds many equal
+    deadlines, each of which one send, drop or expiry must remove once."""
+    buffer_size = draw(st.integers(1, 5))
+    deadlines = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    lines = [f"B {buffer_size}"]
+    for pid in range(draw(st.integers(buffer_size + 1, 3 * buffer_size + 6))):
+        deadline = draw(st.sampled_from(deadlines))
+        release = draw(st.integers(max(1, deadline - 3), deadline))
+        weight = draw(st.sampled_from(("1", "2", "2/4", "3")))
+        lines.append(f"p {pid} {release} {deadline} {weight}")
+    return parse_trace("\n".join(lines) + "\n")
+
+
+@given(crowded_traces())
+@settings(max_examples=300, deadline=None)
+def test_schedulers_match_references_on_crowded_deadlines(trace):
+    assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))
+    assert_same_steps(run_grq(trace), reference_grq(trace))
+
+
 def bulk(buffer_size, seed):
     return GeneratorParams(n=400, horizon=80, buffer_size=buffer_size, seed=seed,
                            burst=Fraction(1, 2))

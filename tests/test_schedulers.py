@@ -174,10 +174,13 @@ class TestTransmit:
 def test_runner_checks_survive_optimize_flag():
     # each runner check must still fire under `python -O` with its message:
     # greedy's on a trace whose expiry index is emptied, so nothing expires,
+    # and on one whose index names each packet a step after its deadline,
+    # after an overflow and with a live packet held beside the expired one;
     # run_grq's with a transmit that keeps the sent packet among the survivors,
     # and with hand-built trimmed snapshots (stored prefix shorter than B)
     # that break the rebuild invariants: a lighter packet before a heavier
-    # one, a gap at the front, and a rebuild misled by a tampered rank order
+    # one, a gap at the front (also on a one-packet trace, where nothing else
+    # would notice), and a rebuild misled by a tampered rank order
     code = """
         import slotq.schedulers as s
         from slotq.model import Packet, SlotBuffer, validate_trace
@@ -192,6 +195,21 @@ def test_runner_checks_survive_optimize_flag():
             trace = validate_trace(2, [Packet(0, 1, deadline, 5), Packet(1, 1, 1, 3)])
             trace.__dict__["expiring_ranks"] = {}
             attempt(s.run_naive_greedy, trace)
+        # B=3: the overflow drops packet 3 (deadline 9) at t=1, packet 2
+        # (deadline 2) is never sent, and packet 4 (deadline 9, released at
+        # t=2) is still held beside it when it should have expired
+        trace = validate_trace(3, [Packet(0, 1, 1, 9), Packet(1, 1, 9, 8), Packet(2, 1, 2, 3),
+                                   Packet(3, 1, 9, 1), Packet(4, 2, 9, 7)])
+        trace.__dict__["expiring_ranks"] = {
+            t + 1: ranks for t, ranks in trace.expiring_ranks.items()}
+        attempt(s.run_naive_greedy, trace)
+        # B=5, one send a step: the index drops packet 3 (deadline 5) early at
+        # t=2 and names packet 4 (deadline 3) a step late, so only the held
+        # deadlines themselves show packet 4 past its deadline at t=4
+        trace = validate_trace(5, [Packet(0, 1, 1, 9), Packet(1, 1, 9, 8), Packet(2, 1, 9, 7),
+                                   Packet(3, 1, 5, 2), Packet(4, 1, 3, 1)])
+        trace.__dict__["expiring_ranks"] = {2: (3,), 4: (4,)}
+        attempt(s.run_naive_greedy, trace)
         transmit = s.grq_transmit
         s.grq_transmit = lambda buf, placed, t, trace: (
             transmit(buf, placed, t, trace)[0], list(placed))
@@ -204,6 +222,12 @@ def test_runner_checks_survive_optimize_flag():
                                  (SlotBuffer(1, (None, heavy), 3), [0])):
             s.grq_rebuild = lambda held, arrivals, t, trace, out=(snapshot, (), placed): out
             attempt(s.run_grq, validate_trace(3, [light, heavy]))
+        # only the rebuild at t=1 leaves the gap; the real one runs after it
+        lone = Packet(1, 1, 3, 9)
+        s.grq_rebuild = lambda held, arrivals, t, trace: (
+            (SlotBuffer(1, (None, lone), 3), (), [0]) if t == 1
+            else rebuild(held, arrivals, t, trace))
+        attempt(s.run_grq, validate_trace(3, [lone]))
         s.grq_rebuild = rebuild
         trace = validate_trace(3, [light, Packet(1, 1, 3, 9)])
         trace.__dict__.update(by_rank=(light, trace.by_id[1]), rank_weight=(1, 9))
@@ -212,9 +236,12 @@ def test_runner_checks_survive_optimize_flag():
     out = run_optimized(code)
     assert "raised greedy holds an expired packet at t=2" in out
     assert "raised greedy holds packets after the last deadline" in out
+    assert "raised greedy holds an expired packet at t=3" in out
+    assert "raised greedy holds an expired packet at t=4" in out
     assert "raised a survivor of t=1 is past its deadline" in out
     assert "raised front packet 0 is not heaviest at t=1" in out
-    assert out.count("raised a survivor of t=1 is past its deadline") == 2
+    assert out.count("raised a survivor of t=1 is past its deadline") == 1
+    assert out.count("raised front slot empty in a non-empty buffer at t=1") == 2
     assert ("raised rebuild at t=1 broke the buffer invariants: "
             "['slot 2: weight 9 exceeds weight 1 at slot 1']") in out
     plain = run_python(code)

@@ -2,14 +2,50 @@
 
 slotbench/selftest.py runs every workload on tiny pools, untraced and traced,
 through the same call sequence as the benchmark, and checks digests and the
-failure accounting.  It writes no files.
+failure accounting.  It writes no files.  The gated workloads' default-seed
+pools also run once in-process here, and each trace's output digest must
+equal the one recorded in slotbench/reference.json, so a changed transcript,
+value or verdict fails the tests and not only the benchmark.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from slotq.generate import gen_random
+from slotq.traceio import emit_trace
+
 ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = json.loads((ROOT / "slotbench" / "reference.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def slotbench_modules():
+    """slotbench's pipeline and workloads modules, imported read-only."""
+    sys.path.insert(0, str(ROOT / "slotbench"))
+    try:
+        import pipeline
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "slotbench"))
+    return pipeline, workloads
+
+
+@pytest.mark.parametrize("name", [k for k in REFERENCE if k != "seed"])
+def test_default_seed_digests_match_reference(name, slotbench_modules):
+    pipeline, workloads = slotbench_modules
+    workload, reference = workloads.WORKLOADS[name], REFERENCE[name]
+    digests = []
+    for params in workload.params(REFERENCE["seed"]):
+        run = pipeline.Run()
+        pipeline.PIPELINES[workload.pipeline](run, emit_trace(gen_random(params)))
+        assert not run.failed, (len(digests), run.errors, run.violations)
+        digests.append(pipeline.digest(run))
+    assert digests == reference["traces"]
+    assert pipeline.combine(digests) == reference["digest"]
 
 
 def test_harness_selftest_passes():
