@@ -12,6 +12,8 @@ Library layout:
   search      adversarial search for high offline/online ratios
   experiment  config-driven pipeline with CSV/JSON reports
   cli         the `slotq` command
+
+`import slotq` loads the core only; search, experiment and cli are submodules.
 """
 
 from .charging import (
@@ -23,13 +25,6 @@ from .charging import (
     build_charge_map,
     classify_charges,
     verify_charge_map,
-)
-from .experiment import (
-    ConfigError,
-    ExperimentReport,
-    ExperimentRow,
-    evaluate_trace,
-    run_experiment,
 )
 from .generate import GeneratorParams, ParameterError, SplitMix64, gen_killer, gen_random
 from .model import (
@@ -63,7 +58,6 @@ from .schedulers import (
     run_grq,
     run_naive_greedy,
 )
-from .search import SearchResult, adversarial_search, competitive_ratio
 from .traceio import TraceSyntaxError, emit_trace, load_trace, parse_trace, save_trace
 
 __version__ = "0.1.0"
@@ -76,33 +70,26 @@ __all__ = [
     "ChargeConstructionError",
     "ChargeMap",
     "ChargeReport",
-    "ConfigError",
-    "ExperimentReport",
-    "ExperimentRow",
     "GeneratorParams",
     "InvalidTraceError",
     "OfflineSchedule",
     "Packet",
     "ParameterError",
     "Rejection",
-    "SearchResult",
     "SlotBuffer",
     "SplitMix64",
     "StepRecord",
     "Trace",
     "TraceSyntaxError",
     "Transcript",
-    "adversarial_search",
     "assign_f_charges",
     "build_charge_map",
     "check_buffer_invariants",
     "check_slot_monotonicity",
     "check_transcript_invariants",
     "classify_charges",
-    "competitive_ratio",
     "emit_trace",
     "enumerate_feasible",
-    "evaluate_trace",
     "gen_killer",
     "gen_random",
     "grq_rebuild",
@@ -112,7 +99,6 @@ __all__ = [
     "optimal_unbounded",
     "parse_trace",
     "relax_capacity",
-    "run_experiment",
     "run_grq",
     "run_naive_greedy",
     "save_trace",

@@ -38,6 +38,14 @@ from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from .traceio import TraceSyntaxError, emit_trace, format_weight, load_trace
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type: an exact rational, where a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _emit(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="kind", required=True)
     k = gsub.add_parser("killer", help="greedy-sinking burst instance")
     k.add_argument("--b", type=int, required=True)
-    k.add_argument("--eps", type=Fraction, required=True)
+    k.add_argument("--eps", type=_fraction, required=True)
     k.add_argument("--out")
     k.set_defaults(fn=_cmd_gen)
     r = gsub.add_parser("random", help="seeded random instance")
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-weight", type=int, default=16)
     r.add_argument("--max-span", type=int, default=None)
-    r.add_argument("--burst", type=Fraction, default=Fraction(0))
+    r.add_argument("--burst", type=_fraction, default=Fraction(0))
     r.add_argument("--out")
     r.set_defaults(fn=_cmd_gen)
 

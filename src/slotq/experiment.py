@@ -114,7 +114,7 @@ def _traces_from_config(config: dict) -> list[Trace]:
                 out.append(gen_killer(int(source["buffer_size"]), Fraction(source["eps"])))
             else:
                 raise ConfigError(f"trace source {i}: unknown kind {kind!r}")
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError(f"trace source {i}: {e}") from e

@@ -13,6 +13,9 @@ from fractions import Fraction
 from .model import Packet, Trace, validate_trace
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class ParameterError(ValueError):
@@ -24,24 +27,19 @@ class SplitMix64:
     is the standard two-round xor-multiply finalizer.  Draws below n use plain
     modulo — bias is irrelevant here, identical streams are the point."""
 
-    GAMMA = 0x9E3779B97F4A7C15
-    MIX1 = 0xBF58476D1CE4E5B9
-    MIX2 = 0x94D049BB133111EB
-
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + self.GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * self.MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * self.MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return self.below(1 << 64)  # every output is below 2**64: the modulo keeps it
 
     def below(self, n: int) -> int:
         if n < 1:
             raise AssertionError(f"below() needs n >= 1, got {n}")
-        return self.next_u64() % n
+        z = self.state = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return (z ^ (z >> 31)) % n
 
 
 @dataclass(frozen=True)
@@ -85,22 +83,26 @@ def gen_random(params: GeneratorParams) -> Trace:
     one for the release (skipped when the burst test hits), one for the
     deadline span, one for the weight.
     """
-    rng = SplitMix64(params.seed)
-    burst = params.burst
+    draw = SplitMix64(params.seed).below
+    horizon, max_weight = params.horizon, params.max_weight
+    span = horizon if params.max_span is None else params.max_span
+    burst_num, burst_den = params.burst.numerator, params.burst.denominator
+    weights: dict[int, Fraction] = {}  # one Fraction per distinct weight
     packets: list[Packet] = []
-    prev_release = 1
+    release = 1
     for i in range(params.n):
-        if burst and rng.below(burst.denominator) < burst.numerator and i > 0:
-            release = prev_release
-        else:
-            release = 1 + rng.below(params.horizon)
-        span_cap = params.horizon - release
-        if params.max_span is not None:
-            span_cap = min(span_cap, params.max_span)
-        deadline = release + rng.below(span_cap + 1)
-        weight = Fraction(1 + rng.below(params.max_weight))
+        # a burst hit keeps the previous packet's release
+        if not (burst_num and draw(burst_den) < burst_num and i > 0):
+            release = 1 + draw(horizon)
+        cap = horizon - release
+        if span < cap:
+            cap = span
+        deadline = release + draw(cap + 1)
+        w = 1 + draw(max_weight)
+        weight = weights.get(w)
+        if weight is None:
+            weight = weights[w] = Fraction(w)
         packets.append(Packet(i, release, deadline, weight))
-        prev_release = release
     return validate_trace(params.buffer_size, packets)
 
 

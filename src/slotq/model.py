@@ -97,10 +97,6 @@ class Trace:
     def by_id(self) -> dict[int, Packet]:
         return {p.id: p for p in self.packets}
 
-    def arrivals_at(self, t: int) -> tuple[Packet, ...]:
-        """The packets released at step t, in trace order (a scan, not the indexes)."""
-        return tuple([p for p in self.packets if p.release == t])
-
     @lazy
     def weight_denominator(self) -> int:
         """Least common denominator of all weights (1 for an empty trace)."""

@@ -136,6 +136,16 @@ class TestGen:
         assert main(["gen", "killer", "--b", "1", "--eps", "1/4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "killer", "--b", "3", "--eps", "1/0"],
+        ["gen", "random", "--n", "3", "--horizon", "4", "--b", "2", "--burst", "1/0"],
+    ])
+    def test_zero_denominator_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(": invalid Fraction value: '1/0'\n")
+
 
 class TestSearch:
     def test_small_search(self, capsys):

@@ -93,6 +93,8 @@ class TestRunExperiment:
         {"traces": [{"kind": "random", "n": 3}]},  # missing horizon etc.
         {"traces": [{"kind": "killer", "buffer_size": 1, "eps": "1/2"}]},
         {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "7/2"}]},
+        {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/0"}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2, "burst": "1/0"}]},
         {"algorithms": ["grq", "quantum"]},
         {"oracles": ["exactish"]},
     ])

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotq.generate import GeneratorParams, SplitMix64, gen_killer, gen_random
+from slotq.model import Packet, validate_trace
 from slotq.oracle import optimal_bounded
 from slotq.schedulers import run_grq, run_naive_greedy
 from slotq.traceio import emit_trace
@@ -21,6 +24,30 @@ class TestSplitMix64:
         assert [rng.next_u64() for _ in range(3)] == [
             0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
 
+    # Streams of the straightforward implementation (state step, mix, then
+    # modulo for below), pinned because search and the benchmark's pools draw
+    # from this class as well as gen_random.
+    @pytest.mark.parametrize("seed,stream", [
+        (1, [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0xF893A2EEFB32555E]),
+        (2**64 + 5, [0x63033B0CA389C35A, 0xC097314D939736F8, 0x3B92D3F0106BC147]),
+        (-1, [0xE4D971771B652C20, 0xE99FF867DBF682C9, 0x382FF84CB27281E9]),
+    ])
+    def test_pinned_next_u64(self, seed, stream):
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in stream] == stream
+
+    @pytest.mark.parametrize("seed,draws", [
+        (7, [0, 0, 0, 203, 4132103797, 4601199455465548305]),
+        (-3, [0, 1, 2, 994, 984335197, 589125513075409766]),
+    ])
+    def test_pinned_below(self, seed, draws):
+        rng = SplitMix64(seed)
+        assert [rng.below(n) for n in (1, 2, 7, 1000, 2**32 + 1, 2**70)] == draws
+
+    def test_below_needs_positive_bound(self):
+        with pytest.raises(AssertionError):
+            SplitMix64(0).below(0)
+
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
 
@@ -29,6 +56,46 @@ class TestSplitMix64:
         draws = [rng.below(7) for _ in range(200)]
         assert all(0 <= d < 7 for d in draws)
         assert len(set(draws)) == 7  # all residues show up in 200 draws
+
+
+def reference_gen_random(params: GeneratorParams):
+    """gen_random as first written: one Fraction and four attribute reads per packet."""
+    rng = SplitMix64(params.seed)
+    burst = params.burst
+    packets = []
+    prev_release = 1
+    for i in range(params.n):
+        if burst and rng.below(burst.denominator) < burst.numerator and i > 0:
+            release = prev_release
+        else:
+            release = 1 + rng.below(params.horizon)
+        span_cap = params.horizon - release
+        if params.max_span is not None:
+            span_cap = min(span_cap, params.max_span)
+        deadline = release + rng.below(span_cap + 1)
+        weight = Fraction(1 + rng.below(params.max_weight))
+        packets.append(Packet(i, release, deadline, weight))
+        prev_release = release
+    return validate_trace(params.buffer_size, packets)
+
+
+seeds = st.one_of(st.integers(-2**80, -1), st.integers(0, 2**64), st.integers(2**64, 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 80),
+    horizon=st.integers(1, 60),
+    buffer_size=st.integers(1, 5),
+    seed=seeds,
+    max_weight=st.integers(1, 20),
+    max_span=st.none() | st.just(0) | st.integers(1, 70),
+    burst=st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7)]),
+)
+def test_gen_random_matches_reference(n, horizon, buffer_size, seed, max_weight, max_span, burst):
+    params = GeneratorParams(n=n, horizon=horizon, buffer_size=buffer_size, seed=seed,
+                             max_weight=max_weight, max_span=max_span, burst=burst)
+    assert emit_trace(gen_random(params)) == emit_trace(reference_gen_random(params))
 
 
 class TestGenRandom:

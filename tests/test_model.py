@@ -93,12 +93,6 @@ class TestTrace:
     def test_empty_horizon(self):
         assert validate_trace(1, []).horizon == 0
 
-    def test_arrivals_at(self):
-        t = validate_trace(2, [P(0, 1, 3, 1), P(1, 2, 2, 1), P(2, 1, 1, 1)])
-        assert {p.id for p in t.arrivals_at(1)} == {0, 2}
-        assert [p.id for p in t.arrivals_at(2)] == [1]
-        assert t.arrivals_at(3) == ()
-
     def test_weight_scaling_is_exact(self):
         t = validate_trace(1, [
             P(0, 1, 1, Fraction(1, 3)), P(1, 1, 1, Fraction(2, 6)),

@@ -35,12 +35,24 @@ def fraction_key(p):
     return (-p.weight, p.deadline, p.id)
 
 
+def arrivals_at(trace, t: int):
+    """The packets released at step t, in trace order (a scan, not the indexes)."""
+    return tuple([p for p in trace.packets if p.release == t])
+
+
+def test_arrivals_at():
+    t = validate_trace(2, [Packet(0, 1, 3, 1), Packet(1, 2, 2, 1), Packet(2, 1, 1, 1)])
+    assert {p.id for p in arrivals_at(t, 1)} == {0, 2}
+    assert [p.id for p in arrivals_at(t, 2)] == [1]
+    assert arrivals_at(t, 3) == ()
+
+
 def reference_grq(trace) -> list[StepRecord]:
     size = trace.buffer_size
     steps = []
     held = ()
     for t in range(1, trace.horizon + 1):
-        arrivals = trace.arrivals_at(t)
+        arrivals = arrivals_at(trace, t)
         held_ids = {p.id for p in held}
         slots = [None] * size
         rejections = []
@@ -70,7 +82,7 @@ def reference_greedy(trace) -> list[StepRecord]:
     steps = []
     held = []
     for t in range(1, trace.horizon + 1):
-        arrivals = trace.arrivals_at(t)
+        arrivals = arrivals_at(trace, t)
         pool = sorted(held + list(arrivals), key=fraction_key)
         held, overflow = pool[: trace.buffer_size], pool[trace.buffer_size :]
         arrived_ids = {p.id for p in arrivals}
