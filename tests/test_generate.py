@@ -24,9 +24,8 @@ class TestSplitMix64:
         assert [rng.next_u64() for _ in range(3)] == [
             0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
 
-    # Streams of the straightforward implementation (state step, mix, then
-    # modulo for below), pinned because search and the benchmark's pools draw
-    # from this class as well as gen_random.
+    # Pinned because search and the benchmark's pools draw from this class
+    # too, not only gen_random.
     @pytest.mark.parametrize("seed,stream", [
         (1, [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0xF893A2EEFB32555E]),
         (2**64 + 5, [0x63033B0CA389C35A, 0xC097314D939736F8, 0x3B92D3F0106BC147]),

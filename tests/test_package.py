@@ -21,7 +21,3 @@ def test_import_leaves_experiment_and_search_unloaded(statement):
             "print([m for m in ('slotq.experiment', 'slotq.search') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
-
-
-def test_every_exported_name_resolves():
-    assert [name for name in slotq.__all__ if not hasattr(slotq, name)] == []
