@@ -23,14 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .charging import ChargeConstructionError, build_charge_map, verify_charge_map
-from .experiment import (
-    ConfigError,
-    load_config,
-    report_to_csv,
-    report_to_json,
-    run_experiment,
-    trace_digest,
-)
 from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import enumerate_feasible, optimal_bounded, optimal_unbounded
@@ -193,7 +185,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import adversarial_search  # local import: keeps startup light
+    from .experiment import trace_digest  # local imports: keep startup light
+    from .search import adversarial_search
 
     params = GeneratorParams(
         n=args.n, horizon=args.horizon, buffer_size=args.b, seed=args.seed,
@@ -213,6 +206,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import load_config, report_to_csv, report_to_json, run_experiment
+
     config = load_config(args.config)
     report = run_experiment(config, counterexample_dir=args.counterexamples)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
@@ -295,7 +290,9 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TraceSyntaxError, InvalidTraceError, ConfigError, ParameterError,
+    # ParameterError covers experiment.ConfigError, so no subcommand that
+    # does not run an experiment has to import that module
+    except (TraceSyntaxError, InvalidTraceError, ParameterError,
             OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -33,15 +33,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .charging import ChargeConstructionError, build_charge_map, verify_charge_map
-from .generate import GeneratorParams, gen_killer, gen_random
+from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from .model import Trace, check_transcript_invariants
 from .oracle import optimal_bounded, optimal_unbounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from .traceio import emit_trace, format_weight
 
 
-class ConfigError(ValueError):
-    """Malformed experiment config."""
+class ConfigError(ParameterError):
+    """Malformed experiment config: a usage error, like a bad generator parameter."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,13 @@ def _traces_from_config(config: dict) -> list[Trace]:
             if kind == "random":
                 count = int(source.get("count", 1))
                 seed = int(source.get("seed", 0))
+                max_span = source.get("max_span")
                 base = dict(
                     n=int(source["n"]),
                     horizon=int(source["horizon"]),
                     buffer_size=int(source["buffer_size"]),
                     max_weight=int(source.get("max_weight", 16)),
-                    max_span=source.get("max_span"),
+                    max_span=None if max_span is None else int(max_span),
                     burst=Fraction(source.get("burst", 0)),
                 )
                 out.extend(
@@ -114,7 +115,7 @@ def _traces_from_config(config: dict) -> list[Trace]:
                 out.append(gen_killer(int(source["buffer_size"]), Fraction(source["eps"])))
             else:
                 raise ConfigError(f"trace source {i}: unknown kind {kind!r}")
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError(f"trace source {i}: {e}") from e
@@ -207,6 +208,9 @@ def evaluate_trace(
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
     """Evaluate every configured trace; deterministic for a fixed config."""
+    for key in ("algorithms", "oracles"):
+        if not isinstance(config.get(key, []), list):
+            raise ConfigError(f"{key!r} must be a list")
     algorithms = tuple(config.get("algorithms", ("grq", "greedy")))
     oracles = tuple(config.get("oracles", ("bounded", "unbounded")))
     for a in algorithms:

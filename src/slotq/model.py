@@ -383,15 +383,14 @@ class Rejection:
 class StepRecord:
     """What one algorithm did during one time step.
 
-    `held` is the post-arrival-stage buffer content (ids, ascending); `slots`
-    is the labeled view of the same content for schedulers that keep one, None
-    otherwise.  `transmitted` is None on idle steps.
+    `slots` is the labeled post-arrival-stage buffer for schedulers that keep
+    one, None otherwise.  `transmitted` is None on idle steps.  The record
+    holds the step's events only; the buffer's contents follow from them.
     """
 
     time: int
     arrivals: tuple[int, ...]
     slots: "SlotBuffer | None"
-    held: tuple[int, ...]
     rejections: tuple[Rejection, ...]
     transmitted: "int | None"
 

@@ -9,10 +9,10 @@ A step changes few packets: its arrivals, at most one send, its rejections
 and expiries.  Both runners look these up in per-trace indexes built once:
 Trace.arrival_ranks and arrival_ids (per release step), expiring_ranks (per
 deadline) and the rank-indexed tuples rank_id, rank_deadline, rank_release
-and rank_weight.  Each holds its buffer as a sorted list of ranks and keeps
-the buffer's ids sorted across steps by bisecting in the arrivals and out
-the rejections and the send, so StepRecord.held is a copy, not a sort.  A
-rank becomes a Packet (Trace.by_rank) only in the labeled SlotBuffer.
+and rank_weight.  Each holds its buffer as a sorted list of ranks and records
+only the step's events (arrivals, rejections, send), never a copy of the
+buffer.  A rank becomes a Packet (Trace.by_rank) only in the labeled
+SlotBuffer.
 
 The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
@@ -34,7 +34,7 @@ what to keep, which is exactly how it loses: a burst of mid-weight
 short-deadline packets can crowd out slightly lighter packets that had time
 to be sent later (see generate.gen_killer).  Its step bisects the arrivals
 in, and the overflow, the send and the packets of expiring_ranks[t] out,
-of the held ranks, their ids and their deadlines (by Trace.rank_deadline).
+of the held ranks and their deadlines (by Trace.rank_deadline).
 
 Both runners return a Transcript over steps t = 1..horizon with idle steps
 recorded explicitly.  Their self-checks run on every step and raise
@@ -171,23 +171,14 @@ def run_grq(trace: Trace) -> Transcript:
     deadline = trace.rank_deadline
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks of the survivors, in slot order (= rank order)
-    ids: list[int] = []  # their ids, ascending
     for t in range(1, trace.horizon + 1):
-        arrived = arrival_ids.get(t, ())
         buffer, rejections, placed = grq_rebuild(held, arrival_ranks.get(t, ()), t, trace)
         sent, held = grq_transmit(buffer, placed, t, trace)
         # survivors sat at labels >= t+1, so none can be past deadline at t+1
         if held and min([deadline[r] for r in held]) <= t:
             raise AssertionError(f"a survivor of t={t} is past its deadline")
-        # the buffer's ids change by the arrivals, the rejections and the send
-        for i in arrived:
-            insort(ids, i)
-        for rej in rejections:
-            del ids[bisect_left(ids, rej.packet_id)]
-        held_ids, sent_id = tuple(ids), None if sent is None else sent.id
-        if sent is not None:
-            del ids[bisect_left(ids, sent_id)]
-        steps.append(StepRecord(t, arrived, buffer, held_ids, rejections, sent_id))
+        steps.append(StepRecord(t, arrival_ids.get(t, ()), buffer, rejections,
+                                None if sent is None else sent.id))
     if held:
         raise AssertionError("packets left in the buffer after the last deadline")
     return Transcript(trace, tuple(steps))
@@ -208,7 +199,6 @@ def run_naive_greedy(trace: Trace) -> Transcript:
     size = trace.buffer_size
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks, ascending
-    ids: list[int] = []  # their ids, ascending
     dls: list[int] = []  # their deadlines, ascending
     for t in range(1, trace.horizon + 1):
         if dls and dls[0] < t:
@@ -216,32 +206,27 @@ def run_naive_greedy(trace: Trace) -> Transcript:
         arrived = arrival_ranks.get(t, ())
         for r in arrived:
             insort(held, r)
-            insort(ids, rank_id[r])
             insort(dls, deadline[r])
         rejections, fresh = [], set(arrived)
         for r in held[size:]:
-            del ids[bisect_left(ids, rank_id[r])]
             del dls[bisect_left(dls, deadline[r])]
             rejections.append(Rejection(rank_id[r], ADMISSION_REFUSED if r in fresh else PREEMPTED))
         del held[size:]
-        held_ids = tuple(ids)
 
         sent = None
         if held:
             r = held.pop(0)
             sent = rank_id[r]
-            del ids[bisect_left(ids, sent)]
             del dls[bisect_left(dls, deadline[r])]
         # unsent packets whose deadline is t are lost; record while in window
         for r in expiring.get(t, ()):
             i = bisect_left(held, r)
             if i < len(held) and held[i] == r:
                 del held[i]
-                del ids[bisect_left(ids, rank_id[r])]
                 del dls[bisect_left(dls, deadline[r])]
                 rejections.append(Rejection(rank_id[r], EXPIRED))
 
-        steps.append(StepRecord(t, arrival_ids.get(t, ()), None, held_ids, tuple(rejections), sent))
+        steps.append(StepRecord(t, arrival_ids.get(t, ()), None, tuple(rejections), sent))
     if held:
         raise AssertionError("greedy holds packets after the last deadline")
     return Transcript(trace, tuple(steps))

@@ -17,6 +17,7 @@ from .oracle import optimal_bounded
 from .schedulers import run_grq
 
 ONE = Fraction(1)
+RESTART_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,19 @@ def _mutate(trace: Trace, rng: SplitMix64, params: GeneratorParams) -> Trace:
     return validate_trace(trace.buffer_size, packets)
 
 
-def adversarial_search(
-    params: GeneratorParams,
-    iterations: int,
-    restart_every: int = 4,
-) -> SearchResult:
+def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult:
     """Hunt for the worst ratio reachable within the parameter box.
 
-    Every `restart_every`-th candidate is a fresh random trace; the others
+    Every RESTART_EVERY-th candidate is a fresh random trace; the others
     mutate the best instance so far.  Deterministic for fixed inputs.
     """
     if iterations < 0:
         raise ParameterError(f"iterations must be >= 0, got {iterations}")
-    if restart_every < 1:
-        raise ParameterError(f"restart_every must be >= 1, got {restart_every}")
     rng = SplitMix64(params.seed)
     best_trace: Trace | None = None
     best_ratio = ONE
     for it in range(iterations):
-        if best_trace is None or it % restart_every == 0:
+        if best_trace is None or it % RESTART_EVERY == 0:
             candidate = gen_random(replace(params, seed=rng.next_u64()))
         else:
             candidate = _mutate(best_trace, rng, params)

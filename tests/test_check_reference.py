@@ -222,7 +222,7 @@ def two_step_transcripts(draw):
     else:
         second = draw(slot_buffers(trace))
     steps = tuple(
-        StepRecord(t, (), buf, (), (), None) for t, buf in enumerate((first, second), start=1))
+        StepRecord(t, (), buf, (), None) for t, buf in enumerate((first, second), start=1))
     return Transcript(trace, steps)
 
 

@@ -190,6 +190,23 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"algorithms": null}',
+        '{"oracles": 5}',
+        '{"algorithms": "grq"}',
+        '{"traces": [{"kind": "killer", "buffer_size": 3, "eps": 1e400}]}',
+        '{"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2, "burst": 1e400}]}',
+        '{"traces": [{"kind": "random", "n": 1e400, "horizon": 3, "buffer_size": 2}]}',
+        '{"traces": [{"kind": "random", "count": 1e400, "n": 3, "horizon": 3, "buffer_size": 2}]}',
+        '{"traces": [{"kind": "random", "n": 4, "horizon": 30, "buffer_size": 2, "max_span": 1e400}]}',
+    ])
+    def test_malformed_config_is_a_usage_error(self, text, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(text)
+        assert main(["experiment", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
 
 class TestUsageErrors:
     def test_missing_trace_file(self, capsys):

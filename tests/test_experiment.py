@@ -97,10 +97,35 @@ class TestRunExperiment:
         {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2, "burst": "1/0"}]},
         {"algorithms": ["grq", "quantum"]},
         {"oracles": ["exactish"]},
+        {"algorithms": None},
+        {"oracles": 5},
+        # JSON's 1e400 loads as infinity, which Fraction and int overflow on
+        {"traces": [{"kind": "killer", "buffer_size": 3, "eps": float("inf")}]},
+        {"traces": [{"kind": "killer", "buffer_size": float("inf"), "eps": "1/4"}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                     "burst": float("inf")}]},
+        {"traces": [{"kind": "random", "n": float("inf"), "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "count": float("inf"), "n": 3, "horizon": 3,
+                     "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                     "max_span": float("inf")}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                     "max_span": float("nan")}]},
     ])
     def test_bad_configs(self, config):
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+    def test_max_span_is_an_integer_field(self):
+        # int() truncates it like n or count; a float span would give
+        # packets deadlines such as 6.5, which no runner can step through
+        base = {"kind": "random", "count": 3, "n": 6, "horizon": 30, "buffer_size": 2}
+        spans = [run_experiment({"traces": [{**base, "max_span": span}]}) for span in (2.5, 2)]
+        assert spans[0] == spans[1] and spans[0].passed
+
+    def test_names_must_be_a_list_not_a_string(self):
+        with pytest.raises(ConfigError, match="'algorithms' must be a list"):
+            run_experiment({"algorithms": "grq"})
 
     @pytest.mark.parametrize("which", ["bounded", "unbounded"])
     def test_oracle_self_check_fails_the_row(self, which, tmp_path, monkeypatch):

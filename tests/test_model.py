@@ -167,8 +167,8 @@ class TestTranscriptSteps:
         # what run_grq records on this trace: 5 sent at t=1, 3 at t=2
         trace = validate_trace(2, [P(0, 1, 1, 5), P(1, 2, 2, 3)])
         return Transcript(trace, (
-            StepRecord(1, (0,), None, (0,), (), 0),
-            StepRecord(2, (1,), None, (1,), (), 1),
+            StepRecord(1, (0,), None, (), 0),
+            StepRecord(2, (1,), None, (), 1),
         ))
 
     def test_in_range(self):
@@ -195,8 +195,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (0,), None, (0,), (), 0),
-            StepRecord(2, (), None, (), (), None),
+            StepRecord(1, (0,), None, (), 0),
+            StepRecord(2, (), None, (), None),
         )
         assert check_transcript_invariants(ts) == []
         assert ts.send_time == {0: 1}
@@ -208,8 +208,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (0,), None, (0,), (), None),
-            StepRecord(2, (), None, (0,), (), None),
+            StepRecord(1, (0,), None, (), None),
+            StepRecord(2, (), None, (), None),
         )
         assert any("exactly one terminal" in v for v in check_transcript_invariants(ts))
 
@@ -217,9 +217,9 @@ class TestTranscriptInvariants:
         # horizon-3 trace so a step-3 send of packet 0 (deadline 2) is representable
         t3 = validate_trace(1, [P(0, 1, 2, 4), P(1, 3, 3, 1)])
         ts = Transcript(t3, (
-            StepRecord(1, (0,), None, (0,), (), None),
-            StepRecord(2, (), None, (0,), (), None),
-            StepRecord(3, (1,), None, (1,), (Rejection(1, EXPIRED),), 0),
+            StepRecord(1, (0,), None, (), None),
+            StepRecord(2, (), None, (), None),
+            StepRecord(3, (1,), None, (Rejection(1, EXPIRED),), 0),
         ))
         assert any("outside window" in v for v in check_transcript_invariants(ts))
 
@@ -227,8 +227,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (0,), None, (0,), (), 0),
-            StepRecord(2, (), None, (), (Rejection(0, ADMISSION_REFUSED),), None),
+            StepRecord(1, (0,), None, (), 0),
+            StepRecord(2, (), None, (Rejection(0, ADMISSION_REFUSED),), None),
         )
         assert any("exactly one terminal" in v for v in check_transcript_invariants(ts))
 
@@ -236,8 +236,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (), None, (), (), 0),
-            StepRecord(2, (), None, (), (), None),
+            StepRecord(1, (), None, (), 0),
+            StepRecord(2, (), None, (), None),
         )
         assert any("arrivals" in v for v in check_transcript_invariants(ts))
 
@@ -245,8 +245,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (0,), None, (0,), (), 7),
-            StepRecord(2, (), None, (), (), 0),
+            StepRecord(1, (0,), None, (), 7),
+            StepRecord(2, (), None, (), 0),
         )
         assert any("unknown packet 7" in v for v in check_transcript_invariants(ts))
 
@@ -254,8 +254,8 @@ class TestTranscriptInvariants:
         t = self._trace()
         ts = _single_step_transcript(
             t,
-            StepRecord(1, (0,), None, (), (Rejection(0, ADMISSION_REFUSED),), None),
-            StepRecord(2, (), None, (), (), None),
+            StepRecord(1, (0,), None, (Rejection(0, ADMISSION_REFUSED),), None),
+            StepRecord(2, (), None, (), None),
         )
         assert ts.rejected_at[0] == (1, ADMISSION_REFUSED)
         assert check_transcript_invariants(ts) == []

@@ -1,4 +1,4 @@
-"""The package root loads the core layers only, each in a fresh interpreter."""
+"""The package root and the CLI load the core layers only, each in a fresh interpreter."""
 
 import subprocess
 import sys
@@ -15,6 +15,7 @@ SRC = str(Path(slotq.__file__).resolve().parents[1])
     "import slotq",
     "from slotq import *",  # raises if a name in __all__ does not resolve
     "from slotq import charging, generate, model, oracle, schedulers, traceio",
+    "import slotq.cli",  # experiment and search load only in their subcommands
 ])
 def test_import_leaves_experiment_and_search_unloaded(statement):
     code = (f"import sys; sys.path.insert(0, {SRC!r}); {statement}; "

@@ -5,6 +5,8 @@ order: the slot-queue rebuild sorts by Fraction keys and scans the slots for
 the smallest empty one no later than each packet's deadline, and greedy
 re-sorts its whole pool by Fraction keys every step.  The production
 schedulers (rank-keyed, prefix-rule rebuild) must leave identical transcripts.
+The references also keep their buffers' ids per step; a transcript records
+only events, so held_at derives the same ids from them.
 
 Traces are written as qtrace text so the same value can be spelled several
 ways (1/3, 2/6, 0.5, 2/4, ...), next to near-equal values such as 333/1000.
@@ -47,9 +49,27 @@ def test_arrivals_at():
     assert arrivals_at(t, 3) == ()
 
 
-def reference_grq(trace) -> list[StepRecord]:
+def held_at(transcript, t: int) -> tuple[int, ...]:
+    """The ids in the buffer after step t's arrival stage, ascending, from the
+    recorded events alone: the packets released by t that are sent or expire
+    at t or later, or are refused or preempted after t (a packet refused or
+    preempted at t leaves in t's arrival stage)."""
+    send, rejected = transcript.send_time, transcript.rejected_at
+
+    def stays(pid):
+        if pid in send:
+            return send[pid] >= t
+        end, cause = rejected[pid]
+        return end >= t if cause == EXPIRED else end > t
+
+    return tuple(sorted(p.id for p in transcript.trace.packets
+                        if p.release <= t and stays(p.id)))
+
+
+def reference_grq(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
+    """The slot queue's steps and its buffer's ids after each arrival stage."""
     size = trace.buffer_size
-    steps = []
+    steps, held_ids_at = [], []
     held = ()
     for t in range(1, trace.horizon + 1):
         arrivals = arrivals_at(trace, t)
@@ -71,15 +91,16 @@ def reference_grq(trace) -> list[StepRecord]:
             time=t,
             arrivals=tuple(sorted(p.id for p in arrivals)),
             slots=buffer,
-            held=tuple(sorted(p.id for p in buffer.packets())),
             rejections=tuple(rejections),
             transmitted=None if sent is None else sent.id,
         ))
-    return steps
+        held_ids_at.append(tuple(sorted(p.id for p in buffer.packets())))
+    return steps, held_ids_at
 
 
-def reference_greedy(trace) -> list[StepRecord]:
-    steps = []
+def reference_greedy(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
+    """Greedy's steps and its buffer's ids after each arrival stage."""
+    steps, held_ids_at = [], []
     held = []
     for t in range(1, trace.horizon + 1):
         arrivals = arrivals_at(trace, t)
@@ -90,7 +111,7 @@ def reference_greedy(trace) -> list[StepRecord]:
             Rejection(p.id, ADMISSION_REFUSED if p.id in arrived_ids else PREEMPTED)
             for p in overflow
         ]
-        held_ids = tuple(sorted(p.id for p in held))
+        held_ids_at.append(tuple(sorted(p.id for p in held)))
         sent = held.pop(0) if held else None
         rejections += [Rejection(p.id, EXPIRED) for p in held if p.deadline == t]
         held = [p for p in held if p.deadline > t]
@@ -98,11 +119,10 @@ def reference_greedy(trace) -> list[StepRecord]:
             time=t,
             arrivals=tuple(sorted(arrived_ids)),
             slots=None,
-            held=held_ids,
             rejections=tuple(rejections),
             transmitted=None if sent is None else sent.id,
         ))
-    return steps
+    return steps, held_ids_at
 
 
 # equal values spelled differently, and near-equal values next to them
@@ -134,14 +154,15 @@ def written_traces(draw):
 
 
 def assert_same_steps(transcript, reference):
-    assert len(transcript.steps) == len(reference)
-    for got, want in zip(transcript.steps, reference):
+    steps, held_ids_at = reference
+    assert len(transcript.steps) == len(steps) == len(held_ids_at)
+    for got, want, want_held in zip(transcript.steps, steps, held_ids_at):
         t = want.time
         assert got.time == t
         assert got.slots == want.slots, f"slots differ at t={t}"
         if want.slots is not None:
             assert got.slots.slots == want.slots.slots, f"padded slots differ at t={t}"
-        assert got.held == want.held, f"held differs at t={t}"
+        assert held_at(transcript, t) == want_held, f"held differs at t={t}"
         assert got.rejections == want.rejections, f"rejections differ at t={t}"
         assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
         assert got.arrivals == want.arrivals, f"arrivals differ at t={t}"
@@ -206,16 +227,16 @@ def test_schedulers_match_references_at_bulk_stream_size(params):
     assert_same_steps(grq, reference_grq(trace))
     assert_same_steps(greedy, reference_greedy(trace))
     if params in SPARSE:
-        idle = "".join("." if not rec.held else "x" for rec in grq.steps)
+        idle = "".join("." if not held_at(grq, rec.time) else "x" for rec in grq.steps)
         assert "." * 300 in idle
-        held = max(len(rec.held) for rec in grq.steps)
+        held = max(len(held_at(grq, rec.time)) for rec in grq.steps)
         assert held == params.buffer_size if params.buffer_size <= 8 else held < 20
         return
     expiries = [sum(r.cause == EXPIRED for r in rec.rejections) for rec in greedy.steps]
     overflow = any(r.cause != EXPIRED for rec in greedy.steps for r in rec.rejections)
     assert overflow == (params.buffer_size <= 128)
     if params.buffer_size in (128, 192):
-        assert max(len(rec.held) for rec in greedy.steps) >= 90
+        assert max(len(held_at(greedy, rec.time)) for rec in greedy.steps) >= 90
         assert max(expiries) >= 3
 
 
