@@ -305,6 +305,35 @@ def verify_charge_map(
     return ChargeReport(checks, adv_value, grq_value)
 
 
+def check_charges(
+    grq: Transcript, adv: OfflineSchedule
+) -> tuple["ChargeReport | None", list[str]]:
+    """Build the charge map of `adv` against `grq` and verify it.
+
+    Returns the report and its failures.  A map that cannot be built gives
+    no report and the one failure "construction: <reason>".
+    """
+    try:
+        report = verify_charge_map(build_charge_map(grq, adv), grq, adv)
+    except ChargeConstructionError as e:
+        return None, [f"construction: {e}"]
+    return report, report.failures()
+
+
+def value_ratio(optimum: Fraction, online: Fraction) -> Fraction:
+    """optimum / online, exactly, where 0/0 counts as 1.
+
+    Both are zero only together: if anything weighs more than 0, the slot
+    queue sends something that does.  A zero online value against a positive
+    optimum is therefore a fault, raised as AssertionError.
+    """
+    if online:
+        return optimum / online
+    if optimum:
+        raise AssertionError(f"online value 0 against optimum {optimum}")
+    return Fraction(1)
+
+
 # Each helper below runs only after its check's pre-test failed, and lists
 # the violations in the order a full scan meets them.
 

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .charging import ChargeConstructionError, build_charge_map, verify_charge_map
+from .charging import check_charges
 from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import enumerate_feasible, optimal_bounded, optimal_unbounded
@@ -46,11 +46,13 @@ def _emit(text: str, out: "str | None") -> None:
 
 
 def _transcript_rows(transcript: Transcript) -> list[dict]:
+    arriving, ids = transcript.trace.arrival_ranks, transcript.trace.rank_id
     rows = []
     for rec in transcript.steps:
+        arrivals = sorted([ids[r] for r in arriving.get(rec.time, ())])
         rows.append({
             "step": rec.time,
-            "arrivals": " ".join(map(str, rec.arrivals)),
+            "arrivals": " ".join(map(str, arrivals)),
             "transmitted": "" if rec.transmitted is None else rec.transmitted,
             "weight": format_weight(transcript.transmitted_weight(rec.time)),
             "rejections": " ".join(f"{r.packet_id}:{r.cause}" for r in rec.rejections),
@@ -58,13 +60,17 @@ def _transcript_rows(transcript: Transcript) -> list[dict]:
     return rows
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _write_table(args, rows: list[dict], payload: dict) -> None:
+    """Write to --out (stdout without it): `rows` as CSV, or `payload` as JSON."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return
     buf = io.StringIO()
     if rows:
         w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-    return buf.getvalue()
+    _emit(buf.getvalue(), args.out)
 
 
 def _cmd_run(args) -> int:
@@ -75,15 +81,8 @@ def _cmd_run(args) -> int:
     if args.algo == "grq":
         violations += check_slot_monotonicity(transcript)
     rows = _transcript_rows(transcript)
-    if args.format == "json":
-        text = json.dumps(
-            {"rows": rows, "total": format_weight(transcript.total_weight),
-             "violations": violations},
-            indent=2,
-        ) + "\n"
-    else:
-        text = _rows_to_csv(rows)
-    _emit(text, args.out)
+    _write_table(args, rows, {"rows": rows, "total": format_weight(transcript.total_weight),
+                              "violations": violations})
     print(f"{args.algo} total: {format_weight(transcript.total_weight)}")
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
@@ -100,24 +99,10 @@ def _cmd_oracle(args) -> int:
          "weight": format_weight(trace.by_id[pid].weight)}
         for pid, t in sorted(schedule.assignment.items())
     ]
-    if args.format == "json":
-        text = json.dumps(
-            {"rows": rows, "value": format_weight(schedule.value), "violations": []},
-            indent=2,
-        ) + "\n"
-    else:
-        text = _rows_to_csv(rows)
-    _emit(text, args.out)
+    _write_table(args, rows, {"rows": rows, "value": format_weight(schedule.value),
+                              "violations": []})
     print(f"{args.algo} optimum: {format_weight(schedule.value)}")
     return 0
-
-
-def _check_one_adversary(grq, adv) -> tuple[list[str], "object"]:
-    try:
-        report = verify_charge_map(build_charge_map(grq, adv), grq, adv)
-    except ChargeConstructionError as e:
-        return [f"construction: {e}"], None
-    return report.failures(), report
 
 
 def _cmd_charge(args) -> int:
@@ -126,7 +111,7 @@ def _cmd_charge(args) -> int:
     trace = load_trace(args.trace)
     grq = run_grq(trace)
     adv = optimal_bounded(trace)
-    failures, report = _check_one_adversary(grq, adv)
+    report, failures = check_charges(grq, adv)
     if report is not None:
         for c in report.checks:
             print(f"check {c.number} {c.name}: {'pass' if c.passed else 'FAIL'}")
@@ -141,15 +126,19 @@ def _cmd_charge(args) -> int:
     if args.enumerate:
         schedules = enumerate_feasible(trace, args.enumerate)
         for i, alt in enumerate(schedules):
-            fs, _ = _check_one_adversary(grq, alt)
-            enum_failures += [f"adversary {i}: {f}" for f in fs]
+            enum_failures += [f"adversary {i}: {f}" for f in check_charges(grq, alt)[1]]
         print(f"enumerated adversaries checked: {len(schedules)}, "
               f"failures: {len(enum_failures)}")
         for f in enum_failures:
             print(f"violation: {f}", file=sys.stderr)
 
     if args.out is not None and report is not None:
-        payload = {
+        rows = [
+            {"check": c.number, "name": c.name, "result": "pass" if c.passed else "fail",
+             "violations": " | ".join(c.violations)}
+            for c in report.checks
+        ]
+        _write_table(args, rows, {
             "checks": [
                 {"number": c.number, "name": c.name, "passed": c.passed,
                  "violations": list(c.violations)}
@@ -157,17 +146,7 @@ def _cmd_charge(args) -> int:
             ],
             "adversary_value": format_weight(report.adversary_value),
             "grq_value": format_weight(report.grq_value),
-        }
-        if args.format == "json":
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            rows = [
-                {"check": c["number"], "name": c["name"],
-                 "result": "pass" if c["passed"] else "fail",
-                 "violations": " | ".join(c["violations"])}
-                for c in payload["checks"]
-            ]
-            _emit(_rows_to_csv(rows), args.out)
+        })
     return 1 if failures or enum_failures else 0
 
 

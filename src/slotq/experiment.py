@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .charging import ChargeConstructionError, build_charge_map, verify_charge_map
+from .charging import check_charges, value_ratio
 from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from .model import Trace, check_transcript_invariants
 from .oracle import optimal_bounded, optimal_unbounded
@@ -60,7 +60,7 @@ class ExperimentRow:
 
     @property
     def failed(self) -> bool:
-        return bool(self.violations) or self.charging == "fail"
+        return bool(self.violations)  # a failed charge check is a violation too
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,8 @@ def load_config(path: "str | Path") -> dict:
 
 
 def _traces_from_config(config: dict) -> list[Trace]:
-    sources = config.get("traces", [])
-    if not isinstance(sources, list):
-        raise ConfigError("'traces' must be a list")
     out: list[Trace] = []
-    for i, source in enumerate(sources):
+    for i, source in enumerate(config.get("traces", [])):
         if not isinstance(source, dict) or "kind" not in source:
             raise ConfigError(f"trace source {i}: expected an object with a 'kind'")
         kind = source["kind"]
@@ -172,24 +169,18 @@ def evaluate_trace(
                 )
 
     if grq is not None and bounded is not None:
-        if grq_value == 0:
-            ratio = Fraction(1)
-            if bounded_value > 0:
-                violations.append(f"GRQ sent nothing against optimum {bounded_value}")
-        else:
-            ratio = bounded_value / grq_value
+        try:
+            ratio = value_ratio(bounded_value, grq_value)
+        except AssertionError as e:
+            violations.append(f"ratio: {e}")
         if bounded_value > 2 * grq_value:
             violations.append(
                 f"ratio: optimum {bounded_value} exceeds twice GRQ value {grq_value}"
             )
         if verify:
-            try:
-                report = verify_charge_map(build_charge_map(grq, bounded), grq, bounded)
-                charging = "pass" if report.passed else "fail"
-                violations += [f"charging: {f}" for f in report.failures()]
-            except ChargeConstructionError as e:
-                charging = "fail"
-                violations.append(f"charging construction: {e}")
+            failures = check_charges(grq, bounded)[1]
+            charging = "fail" if failures else "pass"
+            violations += [f"charging: {f}" for f in failures]
 
     return ExperimentRow(
         index=index,
@@ -208,9 +199,13 @@ def evaluate_trace(
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
     """Evaluate every configured trace; deterministic for a fixed config."""
-    for key in ("algorithms", "oracles"):
-        if not isinstance(config.get(key, []), list):
-            raise ConfigError(f"{key!r} must be a list")
+    for key, kind, what in (
+        ("traces", list, "a list"), ("algorithms", list, "a list"),
+        ("oracles", list, "a list"), ("verify", bool, "true or false"),
+        ("counterexample_dir", (str, type(None)), "a string or null"),
+    ):
+        if key in config and not isinstance(config[key], kind):
+            raise ConfigError(f"{key!r} must be {what}")
     algorithms = tuple(config.get("algorithms", ("grq", "greedy")))
     oracles = tuple(config.get("oracles", ("bounded", "unbounded")))
     for a in algorithms:
@@ -219,7 +214,7 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
     for o in oracles:
         if o not in ("bounded", "unbounded"):
             raise ConfigError(f"unknown oracle {o!r}")
-    verify = bool(config.get("verify", True))
+    verify = config.get("verify", True)
     ce_dir = counterexample_dir or config.get("counterexample_dir")
 
     traces = _traces_from_config(config)
@@ -248,9 +243,7 @@ def _persist_counterexample(directory: Path, trace: Trace, row: ExperimentRow) -
     directory.mkdir(parents=True, exist_ok=True)
     stem = directory / f"trace-{row.index:05d}-{row.digest}"
     stem.with_suffix(".qtrace").write_text(emit_trace(trace))
-    stem.with_suffix(".violations.txt").write_text(
-        "\n".join(row.violations) + "\n" if row.violations else "charging failed\n"
-    )
+    stem.with_suffix(".violations.txt").write_text("\n".join(row.violations) + "\n")
 
 
 # --- serialization ---------------------------------------------------------
@@ -265,17 +258,23 @@ _COLUMNS = (
 )
 
 
+def _cells(r: ExperimentRow) -> list:
+    """The row's cells in _COLUMNS order; the violations stay a list."""
+    return [
+        r.index, r.digest, r.n, r.buffer_size,
+        _cell(r.grq_value), _cell(r.greedy_value),
+        _cell(r.bounded_value), _cell(r.unbounded_value),
+        _cell(r.ratio), r.charging, list(r.violations),
+    ]
+
+
 def report_to_csv(report: ExperimentReport) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_COLUMNS)
     for r in report.rows:
-        w.writerow([
-            r.index, r.digest, r.n, r.buffer_size,
-            _cell(r.grq_value), _cell(r.greedy_value),
-            _cell(r.bounded_value), _cell(r.unbounded_value),
-            _cell(r.ratio), r.charging, " | ".join(r.violations),
-        ])
+        *cells, violations = _cells(r)
+        w.writerow([*cells, " | ".join(violations)])
     w.writerow([])
     w.writerow([
         "aggregate", "", len(report.rows), "", "", "", "",
@@ -287,22 +286,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
-        "rows": [
-            {
-                "index": r.index,
-                "digest": r.digest,
-                "n": r.n,
-                "buffer_size": r.buffer_size,
-                "grq": _cell(r.grq_value),
-                "greedy": _cell(r.greedy_value),
-                "bounded_opt": _cell(r.bounded_value),
-                "unbounded_opt": _cell(r.unbounded_value),
-                "ratio": _cell(r.ratio),
-                "charging": r.charging,
-                "violations": list(r.violations),
-            }
-            for r in report.rows
-        ],
+        "rows": [dict(zip(_COLUMNS, _cells(r))) for r in report.rows],
         "aggregate": {
             "traces": len(report.rows),
             "max_ratio": _cell(report.max_ratio),

@@ -62,6 +62,10 @@ class GeneratorParams:
     burst: Fraction = Fraction(0)
 
     def __post_init__(self):
+        for name in ("n", "horizon", "buffer_size", "seed", "max_weight", "max_span"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (value is None and name == "max_span"):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n < 0:
             raise ParameterError(f"n must be >= 0, got {self.n}")
         if self.horizon < 1:

@@ -171,12 +171,6 @@ class Trace:
         return _ranks_by_step(self.rank_release)
 
     @lazy
-    def arrival_ids(self) -> dict[int, tuple[int, ...]]:
-        """Release step -> ids of the packets released then, ascending."""
-        ids = self.rank_id
-        return {t: tuple(sorted([ids[r] for r in rs])) for t, rs in self.arrival_ranks.items()}
-
-    @lazy
     def expiring_ranks(self) -> dict[int, tuple[int, ...]]:
         """Deadline step -> ranks of the packets whose deadline it is, ascending."""
         return _ranks_by_step(self.rank_deadline)
@@ -217,9 +211,10 @@ class InvalidTraceError(ValueError):
 def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     """Build a Trace, checking every model invariant.
 
-    Collects ALL violations (duplicate id, deadline < release, negative
-    weight, release < 1, buffer_size < 1) before raising InvalidTraceError,
-    so callers can report a malformed instance in one pass.
+    Collects ALL violations (an id, release or deadline that is not an int,
+    duplicate id, deadline < release, negative weight, release < 1,
+    buffer_size < 1) before raising InvalidTraceError, so callers can report
+    a malformed instance in one pass.
     """
     packets = tuple(packets)
     violations: list[str] = []
@@ -227,6 +222,11 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
         violations.append(f"buffer size must be >= 1, got {buffer_size}")
     seen: set[int] = set()
     for p in packets:
+        if not (isinstance(p.id, int) and isinstance(p.release, int)
+                and isinstance(p.deadline, int)):
+            violations.append(f"packet {p.id!r}: id, release and deadline must be integers, "
+                              f"got release {p.release!r}, deadline {p.deadline!r}")
+            continue
         if p.id < 0:
             violations.append(f"packet {p.id}: id must be non-negative")
         if p.id in seen:
@@ -385,11 +385,11 @@ class StepRecord:
 
     `slots` is the labeled post-arrival-stage buffer for schedulers that keep
     one, None otherwise.  `transmitted` is None on idle steps.  The record
-    holds the step's events only; the buffer's contents follow from them.
+    holds the step's decisions only, its rejections and send; its arrivals
+    are the trace's, and the buffer's contents follow from the events.
     """
 
     time: int
-    arrivals: tuple[int, ...]
     slots: "SlotBuffer | None"
     rejections: tuple[Rejection, ...]
     transmitted: "int | None"
@@ -464,10 +464,9 @@ def check_transcript_invariants(transcript: Transcript) -> list[str]:
     Every packet of the trace must terminate exactly once, as a transmission
     or a rejection, at a step within its [release, deadline] window; each step
     transmits at most one packet (structural, one field per step) and never a
-    packet foreign to the trace; recorded arrivals must match the trace.
+    packet foreign to the trace.
 
-    One pass over the steps compares the recorded arrivals with
-    Trace.arrival_ids and collects the terminal events into one
+    One pass over the steps collects the terminal events into one
     id -> step dict.  Builtins then decide the rest in rank order against
     Trace.rank_release and rank_deadline.  Only a transcript that fails goes
     through _transcript_violations, which words every violation.  (Builtin
@@ -475,13 +474,10 @@ def check_transcript_invariants(transcript: Transcript) -> list[str]:
     costs as much as this loop's whole step.)
     """
     trace = transcript.trace
-    released = trace.arrival_ids.get
     ended: dict[int, int] = {}
     events = 0
     for rec in transcript.steps:
         t = rec.time
-        if rec.arrivals != released(t, ()):
-            return _transcript_violations(transcript)
         if rec.transmitted is not None:
             ended[rec.transmitted] = t
             events += 1
@@ -510,11 +506,6 @@ def _transcript_violations(transcript: Transcript) -> list[str]:
     events: dict[int, list[tuple[str, int]]] = {p.id: [] for p in trace.packets}
 
     for rec in transcript.steps:
-        expected = trace.arrival_ids.get(rec.time, ())
-        if rec.arrivals != expected:
-            out.append(
-                f"step {rec.time}: recorded arrivals {rec.arrivals} != released {expected}"
-            )
         if rec.transmitted is not None:
             if rec.transmitted not in events:
                 out.append(f"step {rec.time}: transmitted unknown packet {rec.transmitted}")

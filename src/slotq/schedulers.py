@@ -7,12 +7,12 @@ the order is exact and no Fraction is compared while sorting.
 
 A step changes few packets: its arrivals, at most one send, its rejections
 and expiries.  Both runners look these up in per-trace indexes built once:
-Trace.arrival_ranks and arrival_ids (per release step), expiring_ranks (per
-deadline) and the rank-indexed tuples rank_id, rank_deadline, rank_release
-and rank_weight.  Each holds its buffer as a sorted list of ranks and records
-only the step's events (arrivals, rejections, send), never a copy of the
-buffer.  A rank becomes a Packet (Trace.by_rank) only in the labeled
-SlotBuffer.
+Trace.arrival_ranks (per release step), expiring_ranks (per deadline) and
+the rank-indexed tuples rank_id, rank_deadline, rank_release and
+rank_weight.  Each holds its buffer as a sorted list of ranks and records
+only its own decisions (rejections, send): never the step's arrivals, which
+the trace holds, nor a copy of the buffer.  A rank becomes a Packet
+(Trace.by_rank) only in the labeled SlotBuffer.
 
 The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
@@ -167,8 +167,7 @@ def grq_transmit(
 
 def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
-    arrival_ranks, arrival_ids = trace.arrival_ranks, trace.arrival_ids
-    deadline = trace.rank_deadline
+    arrival_ranks, deadline = trace.arrival_ranks, trace.rank_deadline
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks of the survivors, in slot order (= rank order)
     for t in range(1, trace.horizon + 1):
@@ -177,8 +176,7 @@ def run_grq(trace: Trace) -> Transcript:
         # survivors sat at labels >= t+1, so none can be past deadline at t+1
         if held and min([deadline[r] for r in held]) <= t:
             raise AssertionError(f"a survivor of t={t} is past its deadline")
-        steps.append(StepRecord(t, arrival_ids.get(t, ()), buffer, rejections,
-                                None if sent is None else sent.id))
+        steps.append(StepRecord(t, buffer, rejections, None if sent is None else sent.id))
     if held:
         raise AssertionError("packets left in the buffer after the last deadline")
     return Transcript(trace, tuple(steps))
@@ -194,7 +192,7 @@ def run_naive_greedy(trace: Trace) -> Transcript:
     deadline unsent are recorded as expired at that deadline step, right
     after the transmission they lost.
     """
-    arrival_ranks, arrival_ids = trace.arrival_ranks, trace.arrival_ids
+    arrival_ranks = trace.arrival_ranks
     expiring, deadline, rank_id = trace.expiring_ranks, trace.rank_deadline, trace.rank_id
     size = trace.buffer_size
     steps: list[StepRecord] = []
@@ -226,7 +224,7 @@ def run_naive_greedy(trace: Trace) -> Transcript:
                 del dls[bisect_left(dls, deadline[r])]
                 rejections.append(Rejection(rank_id[r], EXPIRED))
 
-        steps.append(StepRecord(t, arrival_ids.get(t, ()), None, tuple(rejections), sent))
+        steps.append(StepRecord(t, None, tuple(rejections), sent))
     if held:
         raise AssertionError("greedy holds packets after the last deadline")
     return Transcript(trace, tuple(steps))

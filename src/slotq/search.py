@@ -2,7 +2,8 @@
 
 Seeded random restarts mixed with small mutations of the best instance found
 so far (nudge one packet's weight, deadline, or release).  The score of a
-candidate is bounded-optimum value over slot-queue value, computed exactly.
+candidate is bounded-optimum value over slot-queue value, computed exactly
+by charging.value_ratio.
 The search never clips or hides a score: if an instance ever scored above 2
 it would be returned as found — that would be a counterexample to the
 competitiveness bound, which is precisely what the search exists to hunt for.
@@ -11,12 +12,12 @@ competitiveness bound, which is precisely what the search exists to hunt for.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .charging import value_ratio
 from .generate import GeneratorParams, ParameterError, SplitMix64, gen_random
-from .model import Packet, Trace, validate_trace
+from .model import Trace, validate_trace
 from .oracle import optimal_bounded
 from .schedulers import run_grq
 
-ONE = Fraction(1)
 RESTART_EVERY = 4
 
 
@@ -25,21 +26,6 @@ class SearchResult:
     trace: "Trace | None"
     ratio: Fraction
     iterations: int
-
-
-def competitive_ratio(trace: Trace) -> Fraction:
-    """Exact bounded-OPT / slot-queue ratio for one instance.
-
-    Both values are zero only together (if anything of positive weight exists,
-    the slot queue sends something positive), and 0/0 counts as ratio 1.
-    """
-    opt = optimal_bounded(trace).value
-    online = run_grq(trace).total_weight
-    if online == 0:
-        if opt != 0:
-            raise AssertionError("online total 0 against positive optimum")
-        return ONE
-    return opt / online
 
 
 def _mutate(trace: Trace, rng: SplitMix64, params: GeneratorParams) -> Trace:
@@ -73,13 +59,13 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
         raise ParameterError(f"iterations must be >= 0, got {iterations}")
     rng = SplitMix64(params.seed)
     best_trace: Trace | None = None
-    best_ratio = ONE
+    best_ratio = Fraction(1)
     for it in range(iterations):
         if best_trace is None or it % RESTART_EVERY == 0:
             candidate = gen_random(replace(params, seed=rng.next_u64()))
         else:
             candidate = _mutate(best_trace, rng, params)
-        ratio = competitive_ratio(candidate)
+        ratio = value_ratio(optimal_bounded(candidate).value, run_grq(candidate).total_weight)
         if best_trace is None or ratio > best_ratio:
             best_trace, best_ratio = candidate, ratio
     return SearchResult(best_trace, best_ratio, iterations)

@@ -108,8 +108,8 @@ class TestClassify:
         # doctored transcript: GRQ "forgot" to reject the packet it never sent
         t = validate_trace(1, [P(0, 1, 2, 1)])
         fake = Transcript(t, (
-            StepRecord(1, (0,), None, (), None),
-            StepRecord(2, (), None, (), None),
+            StepRecord(1, None, (), None),
+            StepRecord(2, None, (), None),
         ))
         adv = OfflineSchedule.of(t, {0: 2})
         with pytest.raises(ChargeConstructionError):

@@ -97,11 +97,6 @@ def reference_transcript_invariants(transcript):
     events = {p.id: [] for p in trace.packets}
 
     for rec in transcript.steps:
-        expected = trace.arrival_ids.get(rec.time, ())
-        if rec.arrivals != expected:
-            out.append(
-                f"step {rec.time}: recorded arrivals {rec.arrivals} != released {expected}"
-            )
         if rec.transmitted is not None:
             if rec.transmitted not in events:
                 out.append(f"step {rec.time}: transmitted unknown packet {rec.transmitted}")
@@ -222,7 +217,7 @@ def two_step_transcripts(draw):
     else:
         second = draw(slot_buffers(trace))
     steps = tuple(
-        StepRecord(t, (), buf, (), None) for t, buf in enumerate((first, second), start=1))
+        StepRecord(t, buf, (), None) for t, buf in enumerate((first, second), start=1))
     return Transcript(trace, steps)
 
 
@@ -277,7 +272,7 @@ def test_slot_monotonicity_matches_reference(transcript):
 @st.composite
 def tampered_transcripts(draw):
     """A run of either scheduler with up to three events dropped, duplicated,
-    moved to another step, replaced by a foreign id, or arrivals misrecorded."""
+    moved to another step, or replaced by a foreign id."""
     trace = gen_random(GeneratorParams(
         n=draw(st.integers(0, 8)), horizon=draw(st.integers(1, 6)),
         buffer_size=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)), max_weight=4))
@@ -295,7 +290,7 @@ def tampered_transcripts(draw):
     for _ in range(draw(st.integers(0, 3)) if steps else 0):
         i = draw(step)
         rec = steps[i]
-        edit = draw(st.sampled_from(("drop", "add", "move", "arrivals")))
+        edit = draw(st.sampled_from(("drop", "add", "move")))
         if edit == "drop" and (rec.transmitted is not None or rec.rejections):
             if rec.transmitted is not None and (not rec.rejections or draw(st.booleans())):
                 steps[i] = replace(rec, transmitted=None)
@@ -317,10 +312,6 @@ def tampered_transcripts(draw):
             j = draw(moved(rec.rejections[0].packet_id))
             steps[i] = replace(rec, rejections=rec.rejections[1:])
             steps[j] = replace(steps[j], rejections=steps[j].rejections + rec.rejections[:1])
-        elif edit == "arrivals":
-            steps[i] = replace(rec, arrivals=draw(st.sampled_from((
-                rec.arrivals[1:], rec.arrivals + (draw(st.sampled_from(ids)),),
-                rec.arrivals[::-1], ()))))
     return Transcript(trace, tuple(steps))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import slotq
+from slotq.charging import ChargeConstructionError
 from slotq.cli import main
 from slotq.generate import gen_killer, gen_random, GeneratorParams
 from slotq.traceio import emit_trace, parse_trace
@@ -47,6 +49,18 @@ class TestRun:
         assert payload["total"] == "5/2"
         assert payload["violations"] == []
         assert [r["step"] for r in payload["rows"]] == [1, 2, 3]
+
+    @pytest.mark.parametrize("algo", ["grq", "greedy"])
+    def test_arrivals_column_lists_released_ids(self, algo, random_trace, tmp_path):
+        out = tmp_path / "run.json"
+        assert main(["run", "--trace", random_trace, "--algo", algo,
+                     "--format", "json", "--out", str(out)]) in (0, 1)
+        trace = parse_trace(Path(random_trace).read_text())
+        assert [r["arrivals"] for r in json.loads(out.read_text())["rows"]] == [
+            " ".join(str(p.id) for p in sorted(trace.packets, key=lambda p: p.id)
+                     if p.release == t)
+            for t in range(1, trace.horizon + 1)
+        ]
 
 
 class TestOracle:
@@ -116,6 +130,18 @@ class TestCharge:
         payload = json.loads(out.read_text())
         assert len(payload["checks"]) == 7
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_construction_error_is_a_violation(self, killer_trace, tmp_path, monkeypatch,
+                                               capsys):
+        def unbuildable(grq, adv):
+            raise ChargeConstructionError("forced")
+
+        monkeypatch.setattr("slotq.charging.build_charge_map", unbuildable)
+        out = tmp_path / "charge.json"
+        assert main(["charge", "--trace", killer_trace, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "violation: construction: forced\n")
+        assert not out.exists()  # no report was built, so none is written
 
 
 class TestGen:
@@ -199,6 +225,8 @@ class TestExperiment:
         '{"traces": [{"kind": "random", "n": 1e400, "horizon": 3, "buffer_size": 2}]}',
         '{"traces": [{"kind": "random", "count": 1e400, "n": 3, "horizon": 3, "buffer_size": 2}]}',
         '{"traces": [{"kind": "random", "n": 4, "horizon": 30, "buffer_size": 2, "max_span": 1e400}]}',
+        '{"verify": "false"}',
+        '{"counterexample_dir": 5, "traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4"}]}',
     ])
     def test_malformed_config_is_a_usage_error(self, text, tmp_path, capsys):
         config = tmp_path / "exp.json"
@@ -295,25 +323,72 @@ def test_module_entry_point(tmp_path):
     assert parse_trace(proc.stdout) == gen_killer(3, Fraction(1, 4))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("algo", ["grq", "greedy"])
-def test_readme_run_examples_identical_under_optimize_flag(tmp_path, algo, fmt):
-    # the README's `slotq run` examples; `python -O` strips assert statements,
-    # so the scheduler checks raise explicitly and the output must not change
+# The README's experiment config.
+README_CONFIG = {
+    "traces": [
+        {"kind": "random", "count": 100, "seed": 7,
+         "n": 8, "horizon": 6, "buffer_size": 3, "max_weight": 16},
+        {"kind": "killer", "buffer_size": 10, "eps": "1/10"},
+    ],
+    "algorithms": ["grq", "greedy"],
+    "oracles": ["bounded", "unbounded"],
+    "verify": True,
+}
+KILLER = ("--trace", "killer.qtrace")
+
+# Each README CLI example: its arguments, the file it writes (None: stdout
+# only), and the first 12 hex digits of the sha256 of its exit code, stdout,
+# stderr and that file.  A refactor of the pipeline must leave every byte
+# of these as it is.
+README_EXAMPLES = {
+    "gen-killer": (("gen", "killer", "--b", "10", "--eps", "1/10", "--out", "killer.qtrace"),
+                   "killer.qtrace", "739161f03da0"),
+    "grq-csv": (("run", *KILLER, "--algo", "grq", "--format", "csv"), None, "e0535f06ad91"),
+    "grq-json": (("run", *KILLER, "--algo", "grq", "--format", "json"), None, "185d99335068"),
+    "greedy-csv": (("run", *KILLER, "--algo", "greedy", "--format", "csv"), None, "8877281c01c7"),
+    "greedy-json": (("run", *KILLER, "--algo", "greedy", "--format", "json"), None, "1a93b6a9d27a"),
+    "oracle-bounded-csv": (("oracle", *KILLER, "--algo", "bounded"), None, "47667abf366c"),
+    "oracle-bounded-json": (("oracle", *KILLER, "--algo", "bounded", "--format", "json"),
+                            None, "5cb5e008e617"),
+    "oracle-unbounded-csv": (("oracle", *KILLER, "--algo", "unbounded"), None, "16b9d50e2d5b"),
+    "oracle-unbounded-json": (("oracle", *KILLER, "--algo", "unbounded", "--format", "json"),
+                              None, "b1a8f019ff28"),
+    "charge-enumerate": (("charge", *KILLER, "--enumerate", "50"), None, "603d1ebf78d2"),
+    "charge-out-csv": (("charge", *KILLER, "--enumerate", "50", "--out", "charge.csv"),
+                       "charge.csv", "d4f6793486b1"),
+    "charge-out-json": (("charge", *KILLER, "--enumerate", "50", "--format", "json",
+                         "--out", "charge.json"), "charge.json", "897c70758442"),
+    "gen-random": (("gen", "random", "--n", "8", "--horizon", "6", "--b", "2", "--seed", "1",
+                    "--out", "r.qtrace"), "r.qtrace", "0c9bd776e77a"),
+    "search": (("search", "--n", "8", "--horizon", "8", "--b", "3", "--seed", "7",
+                "--iters", "10000", "--out", "worst.qtrace"), "worst.qtrace", "71feb564962d"),
+    "experiment-csv": (("experiment", "--config", "exp.json", "--out", "report.csv"),
+                       "report.csv", "234786c80047"),
+    "experiment-json": (("experiment", "--config", "exp.json", "--format", "json",
+                         "--out", "report.json"), "report.json", "53b6f5cfe04e"),
+}
+
+
+@pytest.mark.parametrize("example", list(README_EXAMPLES))
+def test_readme_run_examples_identical_under_optimize_flag(tmp_path, example):
+    # every README CLI example gives the recorded output; `python -O` strips
+    # assert statements, so the checks raise explicitly and nothing changes
+    argv, written, digest = README_EXAMPLES[example]
     src = str(Path(slotq.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    (tmp_path / "exp.json").write_text(json.dumps(README_CONFIG, indent=2) + "\n")
 
-    def slotq_cli(*flags_and_args):
-        return subprocess.run([sys.executable, *flags_and_args], capture_output=True,
-                              env=env, cwd=tmp_path)
+    def slotq_cli(*flags):
+        done = subprocess.run([sys.executable, *flags, "-m", "slotq", *argv],
+                              capture_output=True, env=env, cwd=tmp_path)
+        output = b"" if written is None else (tmp_path / written).read_bytes()
+        return done.returncode, done.stdout, done.stderr, output
 
-    gen = slotq_cli("-m", "slotq", "gen", "killer", "--b", "10", "--eps", "1/10",
-                    "--out", "killer.qtrace")
+    gen = subprocess.run([sys.executable, "-m", "slotq", *README_EXAMPLES["gen-killer"][0]],
+                         capture_output=True, env=env, cwd=tmp_path)
     assert gen.returncode == 0, gen.stderr
-    args = ("-m", "slotq", "run", "--trace", "killer.qtrace", "--algo", algo, "--format", fmt)
-    plain, optimized = slotq_cli(*args), slotq_cli("-O", *args)
-    assert plain.returncode == 0, plain.stderr
-    assert plain.stdout.endswith(f"{algo} total: {'91/10' if algo == 'grq' else '1'}\n".encode())
-    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
-        plain.returncode, plain.stdout, plain.stderr)
+    plain, optimized = slotq_cli(), slotq_cli("-O")
+    assert plain[0] == 0, plain[2]
+    assert optimized == plain
+    assert hashlib.sha256(repr(plain).encode()).hexdigest()[:12] == digest

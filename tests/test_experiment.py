@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from slotq.experiment import (
     trace_digest,
 )
 from slotq.generate import GeneratorParams, gen_killer, gen_random
-from slotq.model import Packet, validate_trace
+from slotq.charging import ChargeConstructionError
+from slotq.model import Packet, Trace, validate_trace
+from slotq.schedulers import run_grq
 from slotq.traceio import parse_trace
 
 SMALL = {
@@ -53,6 +56,29 @@ class TestEvaluateTrace:
     def test_charging_skipped_without_verify(self):
         row = evaluate_trace(gen_killer(2, Fraction(1, 2)), verify=False)
         assert row.charging == "skipped" and row.ratio is not None
+
+    def test_charge_construction_error_fails_the_row(self, monkeypatch):
+        def unbuildable(grq, adv):
+            raise ChargeConstructionError("forced")
+
+        monkeypatch.setattr("slotq.charging.build_charge_map", unbuildable)
+        row = evaluate_trace(gen_killer(3, Fraction(1, 4)))
+        assert row.failed and row.charging == "fail"
+        assert row.violations == ("charging: construction: forced",)
+
+    def test_zero_online_value_is_a_fault(self, monkeypatch):
+        # a slot queue that sends nothing of weight against a positive optimum
+        def weightless_run(trace):
+            return run_grq(Trace(trace.buffer_size,
+                                 [replace(p, weight=Fraction(0)) for p in trace.packets]))
+
+        monkeypatch.setattr("slotq.experiment.run_grq", weightless_run)
+        row = evaluate_trace(gen_killer(3, Fraction(1, 4)), verify=False)
+        assert row.failed and row.ratio is None
+        assert row.violations == (
+            "ratio: online value 0 against optimum 5/2",
+            "ratio: optimum 5/2 exceeds twice GRQ value 0",
+        )
 
     def test_digest_is_stable_and_content_addressed(self):
         a = gen_killer(3, Fraction(1, 4))
@@ -111,6 +137,10 @@ class TestRunExperiment:
                      "max_span": float("inf")}]},
         {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
                      "max_span": float("nan")}]},
+        {"verify": "false"},  # a string, which bool() reads as true
+        {"verify": 0},
+        {"counterexample_dir": 5},
+        {"counterexample_dir": ["out"]},
     ])
     def test_bad_configs(self, config):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotq.generate import GeneratorParams, SplitMix64, gen_killer, gen_random
+from slotq.generate import GeneratorParams, ParameterError, SplitMix64, gen_killer, gen_random
 from slotq.model import Packet, validate_trace
 from slotq.oracle import optimal_bounded
 from slotq.schedulers import run_grq, run_naive_greedy
@@ -143,9 +143,17 @@ class TestGenRandom:
         dict(n=3, horizon=3, buffer_size=1, seed=0, max_weight=0),
         dict(n=3, horizon=3, buffer_size=1, seed=0, max_span=-1),
         dict(n=3, horizon=3, buffer_size=1, seed=0, burst=Fraction(3, 2)),
+        # an integer field that is not an int: max_span 2.5 at horizon 30
+        # gave deadlines such as 6.5, which no runner can step through
+        dict(n=4, horizon=30, buffer_size=2, seed=1, max_span=2.5),
+        dict(n=3.0, horizon=3, buffer_size=1, seed=0),
+        dict(n=3, horizon="3", buffer_size=1, seed=0),
+        dict(n=3, horizon=3, buffer_size=None, seed=0),
+        dict(n=3, horizon=3, buffer_size=1, seed=0.5),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, max_weight=Fraction(4)),
     ])
     def test_invalid_params(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             GeneratorParams(**kwargs)
 
 

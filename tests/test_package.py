@@ -22,3 +22,14 @@ def test_import_leaves_experiment_and_search_unloaded(statement):
             "print([m for m in ('slotq.experiment', 'slotq.search') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "charge"])
+def test_trace_commands_leave_experiment_and_search_unloaded(command, tmp_path):
+    trace = tmp_path / "killer.qtrace"
+    trace.write_text("# qtrace v1\nB 2\np 0 1 1 1\np 1 1 1 1\np 2 1 2 1/2\n")
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); from slotq.cli import main; "
+            f"code = main([{command!r}, '--trace', {str(trace)!r}]); "
+            "print(code, [m for m in ('slotq.experiment', 'slotq.search') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "0 []", "")

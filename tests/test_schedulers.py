@@ -358,10 +358,10 @@ class TestSlotMonotonicity:
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4), P(2, 2, 3, 1)])
         heavy, mid, light = trace.packets
         fake = Transcript(trace, (
-            StepRecord(1, (0, 1), SlotBuffer(1, (heavy, mid)), (), 0),
+            StepRecord(1, SlotBuffer(1, (heavy, mid)), (), 0),
             # label 2 held weight 4 at t=1 but only 1 now: a decrease
-            StepRecord(2, (2,), SlotBuffer(2, (light, None)), (), 2),
-            StepRecord(3, (), SlotBuffer(3, (mid, None)), (), 1),
+            StepRecord(2, SlotBuffer(2, (light, None)), (), 2),
+            StepRecord(3, SlotBuffer(3, (mid, None)), (), 1),
         ))
         errs = check_slot_monotonicity(fake)
         assert len(errs) == 1 and "label 2" in errs[0]
@@ -370,9 +370,9 @@ class TestSlotMonotonicity:
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4)])
         heavy, mid = trace.packets
         fake = Transcript(trace, (
-            StepRecord(1, (0, 1), SlotBuffer(1, (heavy, mid)), (), 0),
-            StepRecord(2, (), SlotBuffer(2, (None, None)), (), None),
-            StepRecord(3, (), SlotBuffer(3, (mid, None)), (), 1),
+            StepRecord(1, SlotBuffer(1, (heavy, mid)), (), 0),
+            StepRecord(2, SlotBuffer(2, (None, None)), (), None),
+            StepRecord(3, SlotBuffer(3, (mid, None)), (), 1),
         ))
         assert any("empty" in e for e in check_slot_monotonicity(fake))
 

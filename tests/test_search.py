@@ -1,10 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from slotq.charging import value_ratio
 from slotq.generate import GeneratorParams, gen_killer, gen_random
-from slotq.search import adversarial_search, competitive_ratio
+from slotq.model import Trace
+from slotq.oracle import optimal_bounded
+from slotq.schedulers import run_grq
+from slotq.search import adversarial_search
 from slotq.traceio import emit_trace
+
+
+def competitive_ratio(trace):
+    """The score adversarial_search gives a candidate."""
+    return value_ratio(optimal_bounded(trace).value, run_grq(trace).total_weight)
 
 
 class TestCompetitiveRatio:
@@ -62,3 +72,13 @@ class TestAdversarialSearch:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             adversarial_search(self.PARAMS, iterations=-1)
+
+    def test_zero_online_value_is_a_fault(self, monkeypatch):
+        # a slot queue that sends nothing of weight against a positive optimum
+        def weightless_run(trace):
+            return run_grq(Trace(trace.buffer_size,
+                                 [replace(p, weight=Fraction(0)) for p in trace.packets]))
+
+        monkeypatch.setattr("slotq.search.run_grq", weightless_run)
+        with pytest.raises(AssertionError, match=r"^online value 0 against optimum \d"):
+            adversarial_search(self.PARAMS, iterations=1)
