@@ -40,7 +40,6 @@ from .model import (
     Transcript,
     check_buffer_invariants,
     check_transcript_invariants,
-    slot_window,
     validate_trace,
 )
 from .oracle import (
@@ -102,7 +101,6 @@ __all__ = [
     "run_grq",
     "run_naive_greedy",
     "save_trace",
-    "slot_window",
     "validate_trace",
     "verify_charge_map",
     "verify_schedule",

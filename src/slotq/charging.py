@@ -79,13 +79,6 @@ class ChargeMap:
     charges: tuple["Charge", ...]
 
     @lazy
-    def by_target(self) -> dict["int | None", tuple["Charge", ...]]:
-        out: dict[int | None, list[Charge]] = {}
-        for c in self.charges:
-            out.setdefault(c.target, []).append(c)
-        return {t: tuple(cs) for t, cs in out.items()}
-
-    @lazy
     def _by_kind(self) -> dict[str, tuple["Charge", ...]]:
         out: dict[str, list[Charge]] = {}
         for c in self.charges:

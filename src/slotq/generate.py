@@ -51,6 +51,9 @@ class GeneratorParams:
     within the horizon.  `burst` is the probability (an exact rational in
     [0, 1]) that a packet reuses the previous packet's release step, which
     clumps arrivals the way overload instances need.
+
+    Integer fields must be ints and `burst` an int or a Fraction (a bool is
+    neither, and a float is not exact); anything else is a ParameterError.
     """
 
     n: int
@@ -64,8 +67,10 @@ class GeneratorParams:
     def __post_init__(self):
         for name in ("n", "horizon", "buffer_size", "seed", "max_weight", "max_span"):
             value = getattr(self, name)
-            if not isinstance(value, int) and not (value is None and name == "max_span"):
+            if type(value) is not int and not (value is None and name == "max_span"):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if type(self.burst) not in (int, Fraction):
+            raise ParameterError(f"burst must be an integer or a Fraction, got {self.burst!r}")
         if self.n < 0:
             raise ParameterError(f"n must be >= 0, got {self.n}")
         if self.horizon < 1:

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import le
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Mapping
 
 # Rejection causes recorded in transcripts.
 ADMISSION_REFUSED = "admission-refused"  # arrival found no usable slot
 PREEMPTED = "preempted"                  # buffered packet squeezed out at a rebuild
 EXPIRED = "expired"                      # buffered packet reached its deadline unsent
-
-Phase = Literal["post-rebuild", "post-transmit"]
 
 ZERO = Fraction(0)
 
@@ -176,16 +174,14 @@ class Trace:
         return _ranks_by_step(self.rank_deadline)
 
     @lazy
-    def deadline_greedy(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """The greedy set of the deadline matroid, with EDF's schedules of it.
+    def deadline_greedy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The greedy set of the deadline matroid, with EDF's schedule of it.
 
-        Returns (kept, steps, positive_steps).  The greedy takes the packets
-        in rank order and keeps each iff EDF still meets every window
-        [release, deadline] with it added; `kept` lists the ranks it keeps,
-        ascending, and steps[i] is EDF's send step of kept[i].  Ranks put
-        weight first, so the positive-weight members are the first
-        len(positive_steps) of `kept`, and positive_steps is EDF's schedule
-        of those alone.  Both oracles read it, so a trace runs it once.
+        Returns (kept, steps).  The greedy takes the packets in rank order,
+        up to the first of weight 0, and keeps each iff EDF still meets every
+        window [release, deadline] with it added; `kept` lists the ranks it
+        keeps, ascending, and steps[i] is EDF's send step of kept[i].  Both
+        oracles read it, so a trace runs it once.
         """
         from .oracle import deadline_greedy  # oracle imports this module
 
@@ -212,13 +208,15 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     """Build a Trace, checking every model invariant.
 
     Collects ALL violations (an id, release or deadline that is not an int,
-    duplicate id, deadline < release, negative weight, release < 1,
-    buffer_size < 1) before raising InvalidTraceError, so callers can report
-    a malformed instance in one pass.
+    duplicate id, deadline < release, negative weight, release < 1, a
+    buffer_size that is a bool or not an int >= 1) before raising
+    InvalidTraceError, so callers can report a malformed instance in one pass.
     """
     packets = tuple(packets)
     violations: list[str] = []
-    if buffer_size < 1:
+    if type(buffer_size) is not int:
+        violations.append(f"buffer size must be an integer, got {buffer_size!r}")
+    elif buffer_size < 1:
         violations.append(f"buffer size must be >= 1, got {buffer_size}")
     seen: set[int] = set()
     for p in packets:
@@ -243,13 +241,6 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     if violations:
         raise InvalidTraceError(violations)
     return Trace(buffer_size, packets)
-
-
-def slot_window(t: int, buffer_size: int) -> tuple[int, int]:
-    """Inclusive label range [t, t+B-1] of a size-B buffer at time t."""
-    if t < 1 or buffer_size < 1:
-        raise ValueError(f"slot_window needs t >= 1 and B >= 1, got t={t}, B={buffer_size}")
-    return t, t + buffer_size - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,20 +285,9 @@ class SlotBuffer:
         return self.prefix + (None,) * (self.size - len(self.prefix))
 
     @property
-    def window(self) -> tuple[int, int]:
-        return slot_window(self.base_time, self.size)
-
-    @property
     def front(self) -> "Packet | None":
         """Packet at the label-base_time slot, the one due to transmit."""
         return self.prefix[0] if self.prefix else None
-
-    def at_label(self, label: int) -> "Packet | None":
-        lo, hi = self.window
-        if not lo <= label <= hi:
-            raise ValueError(f"label {label} outside window [{lo}, {hi}]")
-        i = label - self.base_time
-        return self.prefix[i] if i < len(self.prefix) else None
 
     def occupied(self) -> list[tuple[int, Packet]]:
         """(label, packet) pairs for the non-empty slots, in label order."""
@@ -330,16 +310,13 @@ class SlotBuffer:
         return tuple([*filter(None, self.prefix)])
 
 
-def check_buffer_invariants(
-    buffer: SlotBuffer, phase: Phase, scaled_weight: Mapping[int, int]
-) -> list[str]:
-    """Violations of the slot-labeling rules; an empty list means the snapshot is sound.
+def check_buffer_invariants(buffer: SlotBuffer, scaled_weight: Mapping[int, int]) -> list[str]:
+    """Violations of the slot-labeling rules in a snapshot taken right after
+    an arrival-stage rebuild; an empty list means the snapshot is sound.
 
-    Deadline-vs-label must hold in any phase.  Right after an arrival-stage
-    rebuild the occupied slots must additionally form a contiguous prefix of
-    the label range with non-increasing weights (ties allowed).  A
-    post-transmit snapshot has an empty front slot, so those two checks are
-    skipped for it.  Weights are compared as `scaled_weight` integers
+    No packet may sit at a label past its deadline, and the occupied slots
+    must form a contiguous prefix of the label range with non-increasing
+    weights (ties allowed).  Weights are compared as `scaled_weight` integers
     (normally Trace.scaled_weight, packet id -> integer weight).  One C-level
     pass over the stored prefix finds the occupied slots; each test then runs
     over those only, and messages are built only when it fails.
@@ -358,18 +335,17 @@ def check_buffer_invariants(
                 out.append(
                     f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}"
                 )
-    if phase == "post-rebuild":
-        if not contiguous:
-            j = next(j for j, label in enumerate(labels) if label != base + j)
-            out.append(f"slot {labels[j]}: occupied after empty slot {base + j}")
-        w = [scaled_weight[p.id] for p in occ]
-        if w != sorted(w, reverse=True):  # non-increasing iff already sorted descending
-            for i in range(1, len(occ)):
-                if w[i] > w[i - 1]:
-                    out.append(
-                        f"slot {labels[i]}: weight {occ[i].weight} exceeds "
-                        f"weight {occ[i - 1].weight} at slot {labels[i - 1]}"
-                    )
+    if not contiguous:
+        j = next(j for j, label in enumerate(labels) if label != base + j)
+        out.append(f"slot {labels[j]}: occupied after empty slot {base + j}")
+    w = [scaled_weight[p.id] for p in occ]
+    if w != sorted(w, reverse=True):  # non-increasing iff already sorted descending
+        for i in range(1, len(occ)):
+            if w[i] > w[i - 1]:
+                out.append(
+                    f"slot {labels[i]}: weight {occ[i].weight} exceeds "
+                    f"weight {occ[i - 1].weight} at slot {labels[i - 1]}"
+                )
     return out
 
 

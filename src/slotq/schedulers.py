@@ -133,7 +133,7 @@ def grq_rebuild(
     w = [weight[r] for r in placed]
     if not (all(map(le, range(t, label), placed_dl))
             and all(map(ge, w, w[1:]))):
-        violations = check_buffer_invariants(buffer, "post-rebuild", trace.scaled_weight)
+        violations = check_buffer_invariants(buffer, trace.scaled_weight)
         raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
     return buffer, rejections, placed
 

@@ -294,7 +294,7 @@ def test_criterion_7_structural_buffer_invariants(sweep):
             buf = rec.slots
             violations += [
                 f"trace {i} step {rec.time}: {v}"
-                for v in check_buffer_invariants(buf, "post-rebuild", weight)
+                for v in check_buffer_invariants(buf, weight)
             ]
             front = buf.front
             if rec.transmitted is None:

@@ -331,9 +331,8 @@ class TestEndToEnd:
             grq = run_grq(trace)
             opt = optimal_bounded(trace)
             cmap = build_charge_map(grq, opt)
-            for target, charges in cmap.by_target.items():
-                load = sum(
-                    (trace.by_id[c.source_id].weight for c in charges),
-                    Fraction(0),
-                )
-                assert load <= 2 * grq.transmitted_weight(target)
+            load: dict[int, Fraction] = {}
+            for c in cmap.charges:
+                load[c.target] = load.get(c.target, 0) + trace.by_id[c.source_id].weight
+            for target, total in load.items():
+                assert total <= 2 * grq.transmitted_weight(target)

@@ -129,6 +129,8 @@ class TestGenRandom:
         t = gen_random(GeneratorParams(
             n=10, horizon=8, buffer_size=2, seed=5, burst=Fraction(1)))
         assert len({p.release for p in t.packets}) == 1
+        assert gen_random(GeneratorParams(  # an int burst is exact too
+            n=10, horizon=8, buffer_size=2, seed=5, burst=1)) == t
 
     def test_burst_zero_matches_plain_draws(self):
         plain = gen_random(GeneratorParams(n=6, horizon=5, buffer_size=2, seed=7))
@@ -151,6 +153,13 @@ class TestGenRandom:
         dict(n=3, horizon=3, buffer_size=None, seed=0),
         dict(n=3, horizon=3, buffer_size=1, seed=0.5),
         dict(n=3, horizon=3, buffer_size=1, seed=0, max_weight=Fraction(4)),
+        # a bool is refused as an int, and burst must be exact: 0.5 passed
+        # the range check and then made gen_random raise AttributeError
+        dict(n=True, horizon=3, buffer_size=1, seed=0),
+        dict(n=3, horizon=3, buffer_size=True, seed=0),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, burst=0.5),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, burst=True),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, burst="1/2"),
     ])
     def test_invalid_params(self, kwargs):
         with pytest.raises(ParameterError):

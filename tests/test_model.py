@@ -14,35 +14,12 @@ from slotq.model import (
     Transcript,
     check_buffer_invariants,
     check_transcript_invariants,
-    slot_window,
     validate_trace,
 )
 
 
 def P(pid, r, d, w):
     return Packet(pid, r, d, Fraction(w))
-
-
-class TestSlotWindow:
-    def test_basic(self):
-        assert slot_window(1, 3) == (1, 3)
-
-    def test_degenerate_single_slot(self):
-        assert slot_window(2, 1) == (2, 2)
-
-    def test_offset(self):
-        assert slot_window(5, 4) == (5, 8)
-
-    def test_shift_by_one_step(self):
-        # label persistence: the window at t+1 is the window at t shifted by one
-        for t in range(1, 10):
-            lo, hi = slot_window(t, 3)
-            assert slot_window(t + 1, 3) == (lo + 1, hi + 1)
-
-    @pytest.mark.parametrize("t,b", [(0, 3), (-1, 1), (1, 0), (2, -2)])
-    def test_rejects_bad_args(self, t, b):
-        with pytest.raises(ValueError):
-            slot_window(t, b)
 
 
 class TestPacket:
@@ -69,6 +46,18 @@ class TestValidateTrace:
         with pytest.raises(InvalidTraceError) as e:
             validate_trace(0, [])
         assert any("buffer size" in v for v in e.value.violations)
+
+    @pytest.mark.parametrize("buffer_size", [2.5, True])
+    def test_buffer_size_must_be_an_int(self, buffer_size):
+        # a float B made run_grq raise ValueError from SlotBuffer; a bool
+        # is an int to Python but no buffer size
+        packets = [P(0, 1, 2, 1), P(1, 1, 2, 1), P(2, 1, 3, 1), Packet(3, 1, 0, 1)]
+        with pytest.raises(InvalidTraceError) as e:
+            validate_trace(buffer_size, packets)
+        assert e.value.violations == [
+            f"buffer size must be an integer, got {buffer_size!r}",
+            "packet 3: deadline 0 < release 1",
+        ]
 
     def test_collects_all_violations(self):
         packets = [P(1, 1, 2, 1), P(1, 0, 1, 1), Packet(2, 1, 2, Fraction(-1))]
@@ -131,37 +120,27 @@ def weights_of(buf):
 class TestBufferInvariants:
     def test_weights_must_not_increase(self):
         buf = SlotBuffer(1, (P(0, 1, 2, 3), P(1, 1, 3, 5)))
-        errs = check_buffer_invariants(buf, "post-rebuild", weights_of(buf))
+        errs = check_buffer_invariants(buf, weights_of(buf))
         assert len(errs) == 1 and "exceeds" in errs[0]
 
     def test_deadline_below_label(self):
-        buf = SlotBuffer(1, (None, P(0, 1, 1, 5)))
-        errs = check_buffer_invariants(buf, "post-transmit", weights_of(buf))
-        assert len(errs) == 1 and "deadline" in errs[0]
+        buf = SlotBuffer(1, (P(1, 1, 2, 5), P(0, 1, 1, 5)))
+        errs = check_buffer_invariants(buf, weights_of(buf))
+        assert errs == ["slot 2: packet 0 has deadline 1 < label 2"]
 
     def test_prefix_with_empty_tail_ok(self):
         buf = SlotBuffer(1, (P(0, 1, 3, 5), None, None))
-        assert check_buffer_invariants(buf, "post-rebuild", weights_of(buf)) == []
+        assert check_buffer_invariants(buf, weights_of(buf)) == []
 
     def test_gap_flagged_post_rebuild_only(self):
         buf = SlotBuffer(1, (None, P(0, 1, 3, 5)))
-        assert any("occupied after empty" in e
-                   for e in check_buffer_invariants(buf, "post-rebuild", weights_of(buf)))
-        assert check_buffer_invariants(buf, "post-transmit", weights_of(buf)) == []
+        assert check_buffer_invariants(buf, weights_of(buf)) == [
+            "slot 2: occupied after empty slot 1"
+        ]
         mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5), None))
-        assert check_buffer_invariants(mid, "post-rebuild", weights_of(mid)) == [
+        assert check_buffer_invariants(mid, weights_of(mid)) == [
             "slot 3: occupied after empty slot 2"
         ]
-
-    def test_at_label_and_window(self):
-        buf = SlotBuffer(4, (P(0, 1, 9, 1), None))
-        assert buf.window == (4, 5)
-        assert buf.at_label(4).id == 0
-        assert buf.at_label(5) is None
-        with pytest.raises(ValueError):
-            buf.at_label(6)
-        assert buf.front.id == 0
-        assert buf.occupied() == [(4, buf.slots[0])]
 
     def test_stored_prefix_fits_the_buffer(self):
         p = P(0, 1, 9, 1)

@@ -246,23 +246,32 @@ def reference_greedy(trace: Trace):
     return every, every if positive is None else positive
 
 
-def greedy_views(trace: Trace):
-    kept, steps, positive = trace.deadline_greedy
-    return (kept, steps), (kept[:len(positive)], positive)
-
-
 class TestDeadlineGreedy:
     @settings(max_examples=500, deadline=None)
     @given(bursty_traces())
     def test_matches_reference(self, trace):
-        assert greedy_views(trace) == reference_greedy(trace)
+        assert trace.deadline_greedy == reference_greedy(trace)[1]
 
     def test_matches_reference_on_large_traces(self):
         for seed in range(6):
             trace = gen_random(GeneratorParams(
                 n=300, horizon=40 + 40 * (seed % 3), buffer_size=8, seed=seed,
                 max_weight=1 + seed, burst=Fraction(1, 2)))
-            assert greedy_views(trace) == reference_greedy(trace)
+            assert trace.deadline_greedy == reference_greedy(trace)[1]
+
+    @settings(max_examples=500, deadline=None)
+    @given(bursty_traces())
+    def test_unbounded_leaves_out_zero_weights(self, trace):
+        # The greedy over every packet and the greedy over the positive
+        # weights reach one value; the unbounded oracle sends no packet of
+        # weight 0, and it is optimal_bounded where the buffer never binds.
+        unbounded = optimal_unbounded(trace)
+        (every, _), _ = reference_greedy(trace)
+        assert unbounded.value == sum(
+            (trace.by_rank[r].weight for r in every), Fraction(0))
+        assert all(trace.by_id[pid].weight > 0 for pid in unbounded.assignment)
+        assert list(unbounded.assignment.items()) == list(
+            optimal_bounded(trace.relaxed).assignment.items())
 
 
 class TestMonotonicityInB:

@@ -60,30 +60,28 @@ class TestRebuild:
     def test_tight_deadline_loses_to_heavier(self):
         a, b = P(0, 1, 2, 5), P(1, 1, 1, 3)
         buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert buf.at_label(1) == a and buf.at_label(2) is None
+        assert buf.slots == (a, None)
         assert [r.packet_id for r in rej] == [1]
         assert rej[0].cause == ADMISSION_REFUSED
 
     def test_both_fit_when_heavy_is_tight(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
         buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert buf.at_label(1) == a and buf.at_label(2) == b
+        assert buf.slots == (a, b)
         assert rej == ()
 
     def test_burst_placement(self):
         ones = [P(i, 1, 1, 1) for i in range(3)]
         soft = [P(3 + i, 1, 3, Fraction(3, 4)) for i in range(2)]
         buf, rej = rebuild([], ones + soft, t=1, buffer_size=3)
-        assert buf.at_label(1).weight == 1
-        assert buf.at_label(2).weight == Fraction(3, 4)
-        assert buf.at_label(3).weight == Fraction(3, 4)
+        assert [p.weight for p in buf.slots] == [1, Fraction(3, 4), Fraction(3, 4)]
         assert sorted(r.packet_id for r in rej) == [1, 2]
 
     def test_buffered_packet_squeezed_out_is_preempted(self):
         held = P(0, 1, 2, 1)
         heavy = P(1, 2, 2, 5)
         buf, rej = rebuild([held], [heavy], t=2, buffer_size=2)
-        assert buf.at_label(2) == heavy
+        assert buf.occupied() == [(2, heavy)]
         assert [(r.packet_id, r.cause) for r in rej] == [(0, PREEMPTED)]
 
     def test_tie_break_prefers_earlier_deadline_then_id(self):
@@ -119,7 +117,7 @@ class TestRebuild:
     def test_result_satisfies_rebuild_invariants(self):
         pkts = [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)]
         buf, _ = rebuild([], pkts, t=1, buffer_size=4)
-        assert check_buffer_invariants(buf, "post-rebuild", weights_of(buf)) == []
+        assert check_buffer_invariants(buf, weights_of(buf)) == []
 
 
 class TestTransmit:
@@ -295,8 +293,7 @@ class TestRunGrq:
             ts = run_grq(trace)
             assert check_transcript_invariants(ts) == []
             for rec in ts.steps:
-                assert check_buffer_invariants(
-                    rec.slots, "post-rebuild", trace.scaled_weight) == []
+                assert check_buffer_invariants(rec.slots, trace.scaled_weight) == []
 
     def test_preemption_recorded_at_rebuild_time(self):
         t = validate_trace(2, [P(0, 1, 2, 1), P(1, 1, 3, 2), P(2, 2, 2, 5)])
