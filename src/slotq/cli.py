@@ -23,7 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .charging import check_charges
-from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
+from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
+                       parse_rational, require_int)
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import enumerate_feasible, optimal_bounded, optimal_unbounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
@@ -31,11 +32,11 @@ from .traceio import TraceSyntaxError, emit_trace, format_weight, load_trace
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type: an exact rational, where a zero denominator is a usage error too."""
+    """argparse type: generate.parse_rational, where a refusal is a usage error."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        return parse_rational("value", text)
+    except ParameterError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _emit(text: str, out: "str | None") -> None:
@@ -106,8 +107,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_charge(args) -> int:
-    if args.enumerate < 0:
-        raise ParameterError(f"--enumerate must be >= 0, got {args.enumerate}")
+    require_int("--enumerate", args.enumerate, 0)
     trace = load_trace(args.trace)
     grq = run_grq(trace)
     adv = optimal_bounded(trace)

@@ -1,8 +1,8 @@
 """Experiment harness: run the full pipeline over generated traces.
 
-A config (JSON file or equivalent dict) names trace sources and what to run
-on each: both schedulers, both oracles, the structural checks, and the charge
-verifier against the bounded optimum.  Example:
+A config (JSON file or equivalent dict) names trace sources; every trace
+goes through both schedulers with their structural checks, both oracles and
+the charge verifier against the bounded optimum.  Example:
 
     {
       "traces": [
@@ -10,11 +10,11 @@ verifier against the bounded optimum.  Example:
          "n": 8, "horizon": 6, "buffer_size": 3, "max_weight": 16},
         {"kind": "killer", "buffer_size": 10, "eps": "1/10"}
       ],
-      "algorithms": ["grq", "greedy"],
-      "oracles": ["bounded", "unbounded"],
-      "verify": true,
       "counterexample_dir": null
     }
+
+The keys are closed, and a source's fields go as they are to GeneratorParams
+or gen_killer, whose rules decide each field's type.
 
 Every row is a pure function of the config (seeds included).  Ratios are
 exact rationals end to end; serialization writes them as num/den.  Any
@@ -28,12 +28,13 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .charging import check_charges, value_ratio
-from .generate import GeneratorParams, ParameterError, gen_killer, gen_random
+from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
+                       parse_rational, require_int)
 from .model import Trace, check_transcript_invariants
 from .oracle import optimal_bounded, optimal_unbounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
@@ -50,8 +51,8 @@ class ExperimentRow:
     digest: str
     n: int
     buffer_size: int
-    grq_value: "Fraction | None"
-    greedy_value: "Fraction | None"
+    grq_value: Fraction
+    greedy_value: Fraction
     bounded_value: "Fraction | None"
     unbounded_value: "Fraction | None"
     ratio: "Fraction | None"  # bounded optimum / grq
@@ -85,110 +86,94 @@ def load_config(path: "str | Path") -> dict:
     return config
 
 
-def _traces_from_config(config: dict) -> list[Trace]:
-    out: list[Trace] = []
-    for i, source in enumerate(config.get("traces", [])):
-        if not isinstance(source, dict) or "kind" not in source:
-            raise ConfigError(f"trace source {i}: expected an object with a 'kind'")
-        kind = source["kind"]
-        try:
-            if kind == "random":
-                count = int(source.get("count", 1))
-                seed = int(source.get("seed", 0))
-                max_span = source.get("max_span")
-                base = dict(
-                    n=int(source["n"]),
-                    horizon=int(source["horizon"]),
-                    buffer_size=int(source["buffer_size"]),
-                    max_weight=int(source.get("max_weight", 16)),
-                    max_span=None if max_span is None else int(max_span),
-                    burst=Fraction(source.get("burst", 0)),
-                )
-                out.extend(
-                    gen_random(GeneratorParams(seed=seed + k, **base))
-                    for k in range(count)
-                )
-            elif kind == "killer":
-                out.append(gen_killer(int(source["buffer_size"]), Fraction(source["eps"])))
-            else:
-                raise ConfigError(f"trace source {i}: unknown kind {kind!r}")
-        except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError(f"trace source {i}: {e}") from e
-    return out
+# per kind: the fields a source must give, then the ones it may give
+_SOURCE_FIELDS = {"random": (("n", "horizon", "buffer_size"),
+                             ("count", "seed", "max_weight", "max_span", "burst")),
+                  "killer": (("buffer_size", "eps"), ())}
+
+
+def _source_traces(source) -> list[Trace]:
+    """The traces of one source, whose fields go to its generator as they are."""
+    if not isinstance(source, dict) or "kind" not in source:
+        raise ConfigError("expected an object with a 'kind'")
+    fields = dict(source)
+    kind = fields.pop("kind")
+    if kind not in ("random", "killer"):
+        raise ConfigError(f"unknown kind {kind!r}")
+    required, optional = _SOURCE_FIELDS[kind]
+    for key in fields:
+        if key not in required + optional:
+            raise ConfigError(f"unknown field {key!r}")
+    for key in required:
+        if key not in fields:
+            raise ConfigError(f"missing field {key!r}")
+    if kind == "killer":
+        return [gen_killer(fields["buffer_size"], parse_rational("eps", fields["eps"]))]
+    count = require_int("count", fields.pop("count", 1), 0)
+    if "burst" in fields:
+        fields["burst"] = parse_rational("burst", fields["burst"])
+    params = GeneratorParams(**{"seed": 0, **fields})
+    return [gen_random(replace(params, seed=params.seed + k)) for k in range(count)]
 
 
 def trace_digest(trace: Trace) -> str:
     return hashlib.sha256(emit_trace(trace).encode()).hexdigest()[:12]
 
 
-def evaluate_trace(
-    trace: Trace,
-    index: int = 0,
-    algorithms: tuple[str, ...] = ("grq", "greedy"),
-    oracles: tuple[str, ...] = ("bounded", "unbounded"),
-    verify: bool = True,
-) -> ExperimentRow:
-    """Run the selected components on one trace and collect every violation."""
+def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
+    """Run both schedulers with their checks, both oracles, the oracle order,
+    the ratio and the charge verifier on one trace; collect every violation.
+    `charging` is "skipped" only when the bounded oracle failed its self-check."""
     violations: list[str] = []
-    grq_value = greedy_value = bounded_value = unbounded_value = ratio = None
+    bounded_value = unbounded_value = ratio = None
     charging = "skipped"
 
-    grq = None
-    if "grq" in algorithms:
-        grq = run_grq(trace)
-        grq_value = grq.total_weight
-        violations += [f"transcript: {v}" for v in check_transcript_invariants(grq)]
-        violations += [f"monotonicity: {v}" for v in check_slot_monotonicity(grq)]
-    if "greedy" in algorithms:
-        greedy = run_naive_greedy(trace)
-        greedy_value = greedy.total_weight
-        violations += [f"greedy transcript: {v}" for v in check_transcript_invariants(greedy)]
+    grq = run_grq(trace)
+    violations += [f"transcript: {v}" for v in check_transcript_invariants(grq)]
+    violations += [f"monotonicity: {v}" for v in check_slot_monotonicity(grq)]
+    greedy = run_naive_greedy(trace)
+    violations += [f"greedy transcript: {v}" for v in check_transcript_invariants(greedy)]
 
     # each oracle verifies its own schedule and raises AssertionError if it is
     # infeasible; that marks the row failed, so the trace is kept for replay
-    bounded = None
-    if "bounded" in oracles:
-        try:
-            bounded = optimal_bounded(trace)
-        except AssertionError as e:
-            violations.append(f"bounded oracle: {e}")
-        else:
-            bounded_value = bounded.value
-    if "unbounded" in oracles:
-        try:
-            unbounded = optimal_unbounded(trace)
-        except AssertionError as e:
-            violations.append(f"unbounded oracle: {e}")
-        else:
-            unbounded_value = unbounded.value
-            if bounded is not None and bounded.value > unbounded.value:
-                violations.append(
-                    f"oracle order: bounded {bounded.value} > unbounded {unbounded.value}"
-                )
+    try:
+        bounded = optimal_bounded(trace)
+    except AssertionError as e:
+        bounded = None
+        violations.append(f"bounded oracle: {e}")
+    else:
+        bounded_value = bounded.value
+    try:
+        unbounded = optimal_unbounded(trace)
+    except AssertionError as e:
+        violations.append(f"unbounded oracle: {e}")
+    else:
+        unbounded_value = unbounded.value
+        if bounded is not None and bounded.value > unbounded.value:
+            violations.append(
+                f"oracle order: bounded {bounded.value} > unbounded {unbounded.value}"
+            )
 
-    if grq is not None and bounded is not None:
+    if bounded is not None:
         try:
-            ratio = value_ratio(bounded_value, grq_value)
+            ratio = value_ratio(bounded_value, grq.total_weight)
         except AssertionError as e:
             violations.append(f"ratio: {e}")
-        if bounded_value > 2 * grq_value:
+        if bounded_value > 2 * grq.total_weight:
             violations.append(
-                f"ratio: optimum {bounded_value} exceeds twice GRQ value {grq_value}"
+                f"ratio: optimum {bounded_value} exceeds twice GRQ value {grq.total_weight}"
             )
-        if verify:
-            failures = check_charges(grq, bounded)[1]
-            charging = "fail" if failures else "pass"
-            violations += [f"charging: {f}" for f in failures]
+        failures = check_charges(grq, bounded)[1]
+        charging = "fail" if failures else "pass"
+        violations += [f"charging: {f}" for f in failures]
 
     return ExperimentRow(
         index=index,
         digest=trace_digest(trace),
         n=len(trace.packets),
         buffer_size=trace.buffer_size,
-        grq_value=grq_value,
-        greedy_value=greedy_value,
+        grq_value=grq.total_weight,
+        greedy_value=greedy.total_weight,
         bounded_value=bounded_value,
         unbounded_value=unbounded_value,
         ratio=ratio,
@@ -199,31 +184,24 @@ def evaluate_trace(
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
     """Evaluate every configured trace; deterministic for a fixed config."""
-    for key, kind, what in (
-        ("traces", list, "a list"), ("algorithms", list, "a list"),
-        ("oracles", list, "a list"), ("verify", bool, "true or false"),
-        ("counterexample_dir", (str, type(None)), "a string or null"),
-    ):
-        if key in config and not isinstance(config[key], kind):
-            raise ConfigError(f"{key!r} must be {what}")
-    algorithms = tuple(config.get("algorithms", ("grq", "greedy")))
-    oracles = tuple(config.get("oracles", ("bounded", "unbounded")))
-    for a in algorithms:
-        if a not in ("grq", "greedy"):
-            raise ConfigError(f"unknown algorithm {a!r}")
-    for o in oracles:
-        if o not in ("bounded", "unbounded"):
-            raise ConfigError(f"unknown oracle {o!r}")
-    verify = config.get("verify", True)
+    for key, value in config.items():
+        if key not in ("traces", "counterexample_dir"):
+            raise ConfigError(f"unknown config key {key!r}")
+        if key == "traces" and not isinstance(value, list):
+            raise ConfigError("'traces' must be a list")
+        if key == "counterexample_dir" and not isinstance(value, (str, type(None))):
+            raise ConfigError("'counterexample_dir' must be a string or null")
     ce_dir = counterexample_dir or config.get("counterexample_dir")
 
-    traces = _traces_from_config(config)
+    traces: list[Trace] = []
+    for i, source in enumerate(config.get("traces", [])):
+        try:
+            traces += _source_traces(source)
+        except ParameterError as e:
+            raise ConfigError(f"trace source {i}: {e}") from e
     rows: list[ExperimentRow] = []
     for i, trace in enumerate(traces):
-        row = evaluate_trace(
-            trace, index=i, algorithms=algorithms, oracles=oracles,
-            verify=verify,
-        )
+        row = evaluate_trace(trace, index=i)
         rows.append(row)
         if row.failed and ce_dir is not None:
             _persist_counterexample(Path(ce_dir), trace, row)

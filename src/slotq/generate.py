@@ -22,6 +22,33 @@ class ParameterError(ValueError):
     """A generator or search parameter out of its documented range."""
 
 
+def require_int(name: str, value, least: "int | None" = None) -> int:
+    """The integer rule: an int (never a bool, which Python counts as one) >= least."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def require_rational(name: str, value) -> "int | Fraction":
+    """The rational rule: an int or a Fraction, never a bool or a float (not exact)."""
+    if type(value) not in (int, Fraction):
+        raise ParameterError(f"{name} must be an integer or a Fraction, got {value!r}")
+    return value
+
+
+def parse_rational(name: str, value) -> "int | Fraction":
+    """An exact rational from an int, a Fraction or text such as "1/10" or "0.5";
+    other text (a zero denominator too) and other values are a ParameterError."""
+    if type(value) is not str:
+        return require_rational(name, value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"invalid Fraction value: {value!r}") from None
+
+
 class SplitMix64:
     """splitmix64 stream: state advances by the golden-gamma constant, output
     is the standard two-round xor-multiply finalizer.  Draws below n use plain
@@ -52,8 +79,8 @@ class GeneratorParams:
     [0, 1]) that a packet reuses the previous packet's release step, which
     clumps arrivals the way overload instances need.
 
-    Integer fields must be ints and `burst` an int or a Fraction (a bool is
-    neither, and a float is not exact); anything else is a ParameterError.
+    Integer fields follow require_int and `burst` require_rational (a bool is
+    neither, and a float is not exact); a bad type or range is a ParameterError.
     """
 
     n: int
@@ -65,23 +92,12 @@ class GeneratorParams:
     burst: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("n", "horizon", "buffer_size", "seed", "max_weight", "max_span"):
-            value = getattr(self, name)
-            if type(value) is not int and not (value is None and name == "max_span"):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if type(self.burst) not in (int, Fraction):
-            raise ParameterError(f"burst must be an integer or a Fraction, got {self.burst!r}")
-        if self.n < 0:
-            raise ParameterError(f"n must be >= 0, got {self.n}")
-        if self.horizon < 1:
-            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
-        if self.buffer_size < 1:
-            raise ParameterError(f"buffer size must be >= 1, got {self.buffer_size}")
-        if self.max_weight < 1:
-            raise ParameterError(f"max_weight must be >= 1, got {self.max_weight}")
-        if self.max_span is not None and self.max_span < 0:
-            raise ParameterError(f"max_span must be >= 0, got {self.max_span}")
-        if not 0 <= self.burst <= 1:
+        for name, least in (("n", 0), ("horizon", 1), ("buffer_size", 1), ("seed", None),
+                            ("max_weight", 1)):
+            require_int(name, getattr(self, name), least)
+        if self.max_span is not None:
+            require_int("max_span", self.max_span, 0)
+        if not 0 <= require_rational("burst", self.burst) <= 1:
             raise ParameterError(f"burst must be in [0, 1], got {self.burst}")
 
 
@@ -125,12 +141,11 @@ def gen_killer(buffer_size: int, eps: Fraction) -> Trace:
     all B-1 of the (1-eps)-weight packets: total 1 + (B-1)(1-eps), so the
     ratio grows linearly in B as eps shrinks.  The slot-queue scheduler keeps
     exactly one weight-1 packet (label 1) plus all the long-deadline packets
-    and matches the optimum.
+    and matches the optimum.  `buffer_size` (>= 2) follows require_int and
+    `eps` require_rational.
     """
-    if buffer_size < 2:
-        raise ParameterError(f"killer instance needs buffer size >= 2, got {buffer_size}")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
+    require_int("buffer_size", buffer_size, 2)
+    if not 0 < require_rational("eps", eps) < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     packets = [
         Packet(i, 1, 1, Fraction(1)) for i in range(buffer_size)

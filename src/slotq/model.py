@@ -207,9 +207,9 @@ class InvalidTraceError(ValueError):
 def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     """Build a Trace, checking every model invariant.
 
-    Collects ALL violations (an id, release or deadline that is not an int,
-    duplicate id, deadline < release, negative weight, release < 1, a
-    buffer_size that is a bool or not an int >= 1) before raising
+    Collects ALL violations (an id, release, deadline or buffer_size that is
+    a bool or not an int, per generate.require_int; a duplicate id, deadline
+    < release, negative weight, release < 1, buffer_size < 1) before raising
     InvalidTraceError, so callers can report a malformed instance in one pass.
     """
     packets = tuple(packets)
@@ -220,8 +220,7 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
         violations.append(f"buffer size must be >= 1, got {buffer_size}")
     seen: set[int] = set()
     for p in packets:
-        if not (isinstance(p.id, int) and isinstance(p.release, int)
-                and isinstance(p.deadline, int)):
+        if not (type(p.id) is int and type(p.release) is int and type(p.deadline) is int):
             violations.append(f"packet {p.id!r}: id, release and deadline must be integers, "
                               f"got release {p.release!r}, deadline {p.deadline!r}")
             continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .charging import value_ratio
-from .generate import GeneratorParams, ParameterError, SplitMix64, gen_random
+from .generate import GeneratorParams, SplitMix64, gen_random, require_int
 from .model import Trace, validate_trace
 from .oracle import optimal_bounded
 from .schedulers import run_grq
@@ -55,8 +55,7 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
     Every RESTART_EVERY-th candidate is a fresh random trace; the others
     mutate the best instance so far.  Deterministic for fixed inputs.
     """
-    if iterations < 0:
-        raise ParameterError(f"iterations must be >= 0, got {iterations}")
+    require_int("iterations", iterations, 0)
     rng = SplitMix64(params.seed)
     best_trace: Trace | None = None
     best_ratio = Fraction(1)

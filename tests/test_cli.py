@@ -226,6 +226,8 @@ class TestExperiment:
         '{"traces": [{"kind": "random", "count": 1e400, "n": 3, "horizon": 3, "buffer_size": 2}]}',
         '{"traces": [{"kind": "random", "n": 4, "horizon": 30, "buffer_size": 2, "max_span": 1e400}]}',
         '{"verify": "false"}',
+        '{"verify": false, "traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4"}]}',
+        '{"traces": [{"kind": "random", "n": 2.5, "horizon": 3, "buffer_size": 2}]}',
         '{"counterexample_dir": 5, "traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4"}]}',
     ])
     def test_malformed_config_is_a_usage_error(self, text, tmp_path, capsys):
@@ -330,9 +332,6 @@ README_CONFIG = {
          "n": 8, "horizon": 6, "buffer_size": 3, "max_weight": 16},
         {"kind": "killer", "buffer_size": 10, "eps": "1/10"},
     ],
-    "algorithms": ["grq", "greedy"],
-    "oracles": ["bounded", "unbounded"],
-    "verify": True,
 }
 KILLER = ("--trace", "killer.qtrace")
 

@@ -46,17 +46,6 @@ class TestEvaluateTrace:
         assert row.grq_value == row.bounded_value == row.unbounded_value == 5
         assert row.n == 1 and row.buffer_size == 1
 
-    def test_component_selection(self):
-        t = gen_killer(2, Fraction(1, 2))
-        row = evaluate_trace(t, algorithms=("greedy",), oracles=())
-        assert row.greedy_value == 1
-        assert row.grq_value is None and row.ratio is None
-        assert row.charging == "skipped"
-
-    def test_charging_skipped_without_verify(self):
-        row = evaluate_trace(gen_killer(2, Fraction(1, 2)), verify=False)
-        assert row.charging == "skipped" and row.ratio is not None
-
     def test_charge_construction_error_fails_the_row(self, monkeypatch):
         def unbuildable(grq, adv):
             raise ChargeConstructionError("forced")
@@ -73,7 +62,10 @@ class TestEvaluateTrace:
                                  [replace(p, weight=Fraction(0)) for p in trace.packets]))
 
         monkeypatch.setattr("slotq.experiment.run_grq", weightless_run)
-        row = evaluate_trace(gen_killer(3, Fraction(1, 4)), verify=False)
+        # the charge verifier would flag the weightless run as well; this
+        # test pins the ratio rule's two violations alone
+        monkeypatch.setattr("slotq.experiment.check_charges", lambda grq, adv: (None, []))
+        row = evaluate_trace(gen_killer(3, Fraction(1, 4)))
         assert row.failed and row.ratio is None
         assert row.violations == (
             "ratio: online value 0 against optimum 5/2",
@@ -121,11 +113,15 @@ class TestRunExperiment:
         {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "7/2"}]},
         {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/0"}]},
         {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2, "burst": "1/0"}]},
+        # the selection knobs are gone: each is an unknown key, so an old
+        # config that turned the verifier off fails instead of running it
         {"algorithms": ["grq", "quantum"]},
         {"oracles": ["exactish"]},
         {"algorithms": None},
         {"oracles": 5},
-        # JSON's 1e400 loads as infinity, which Fraction and int overflow on
+        {"verify": False, "traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4"}]},
+        {"verify": True},
+        # JSON's 1e400 loads as infinity, a float, which no field takes
         {"traces": [{"kind": "killer", "buffer_size": 3, "eps": float("inf")}]},
         {"traces": [{"kind": "killer", "buffer_size": float("inf"), "eps": "1/4"}]},
         {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
@@ -137,8 +133,21 @@ class TestRunExperiment:
                      "max_span": float("inf")}]},
         {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
                      "max_span": float("nan")}]},
-        {"verify": "false"},  # a string, which bool() reads as true
+        {"verify": "false"},
         {"verify": 0},
+        # each field's type is its constructor's: nothing is truncated
+        # (n 2.5 as n=2, count 2.9 as two traces) or converted (n "3")
+        {"traces": [{"kind": "random", "n": 2.5, "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "count": 2.9, "n": 3, "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "count": -1, "n": 3, "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "seed": 1.7, "n": 3, "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "n": "3", "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "random", "n": True, "horizon": 3, "buffer_size": 2}]},
+        {"traces": [{"kind": "killer", "buffer_size": 2.5, "eps": "1/2"}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2, "burst": 0.5}]},
+        {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                     "max_wieght": 4}]},
+        {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4", "count": 2}]},
         {"counterexample_dir": 5},
         {"counterexample_dir": ["out"]},
     ])
@@ -147,15 +156,44 @@ class TestRunExperiment:
             run_experiment(config)
 
     def test_max_span_is_an_integer_field(self):
-        # int() truncates it like n or count; a float span would give
-        # packets deadlines such as 6.5, which no runner can step through
+        # a float span is refused, not truncated: it would give packets
+        # deadlines such as 6.5, which no runner can step through
         base = {"kind": "random", "count": 3, "n": 6, "horizon": 30, "buffer_size": 2}
-        spans = [run_experiment({"traces": [{**base, "max_span": span}]}) for span in (2.5, 2)]
-        assert spans[0] == spans[1] and spans[0].passed
+        with pytest.raises(ConfigError, match="max_span must be an integer, got 2.5"):
+            run_experiment({"traces": [{**base, "max_span": 2.5}]})
+        assert run_experiment({"traces": [{**base, "max_span": 2}]}).passed
+
+    @pytest.mark.parametrize("config,named", [
+        ({"verify": False}, "unknown config key 'verify'"),
+        ({"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                      "max_wieght": 4}]}, "trace source 0: unknown field 'max_wieght'"),
+        ({"traces": [{"kind": "random", "n": 3, "buffer_size": 2}]},
+         "trace source 0: missing field 'horizon'"),
+        ({"traces": [{"kind": "killer", "buffer_size": 3}]},
+         "trace source 0: missing field 'eps'"),
+    ])
+    def test_a_bad_key_is_named(self, config, named):
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(config)
 
     def test_names_must_be_a_list_not_a_string(self):
-        with pytest.raises(ConfigError, match="'algorithms' must be a list"):
-            run_experiment({"algorithms": "grq"})
+        with pytest.raises(ConfigError, match="'traces' must be a list"):
+            run_experiment({"traces": "random"})
+
+    def test_sources_match_their_constructors(self):
+        # the config adds only count (seed + k per copy) and the default seed
+        # 0; every other field is the constructor's, burst and eps as text too
+        report = run_experiment({"traces": [
+            {"kind": "random", "count": 2, "n": 5, "horizon": 6, "buffer_size": 2,
+             "burst": "1/2"},
+            {"kind": "killer", "buffer_size": 3, "eps": "0.25"},
+        ]})
+        expected = [
+            gen_random(GeneratorParams(n=5, horizon=6, buffer_size=2, seed=k,
+                                       burst=Fraction(1, 2)))
+            for k in (0, 1)
+        ] + [gen_killer(3, Fraction(1, 4))]
+        assert [r.digest for r in report.rows] == [trace_digest(t) for t in expected]
 
     @pytest.mark.parametrize("which", ["bounded", "unbounded"])
     def test_oracle_self_check_fails_the_row(self, which, tmp_path, monkeypatch):
@@ -177,6 +215,8 @@ class TestRunExperiment:
         (row,) = report.rows
         assert row.failed and not report.passed
         assert row.violations == (f"{which} oracle: {which} optimum infeasible: ['forced']",)
+        # with no bounded optimum there is nothing to charge against
+        assert row.charging == ("skipped" if which == "bounded" else "pass")
         assert (row.bounded_value is None) == (which == "bounded")
         assert (row.unbounded_value is None) == (which == "unbounded")
         assert len(list(tmp_path.glob("*.qtrace"))) == 1

@@ -196,7 +196,10 @@ class TestGenKiller:
     @pytest.mark.parametrize("b,eps", [
         (1, Fraction(1, 2)), (0, Fraction(1, 2)),
         (2, Fraction(0)), (2, Fraction(1)), (2, Fraction(-1, 4)),
+        # the integer and rational rules of GeneratorParams: 2.5 reached
+        # range(buffer_size) and raised TypeError there
+        (2.5, Fraction(1, 2)), (True, Fraction(1, 2)), (3, 0.5), (3, "1/2"),
     ])
     def test_invalid_args(self, b, eps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             gen_killer(b, eps)

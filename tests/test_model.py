@@ -79,9 +79,11 @@ class TestValidateTrace:
 
     def test_times_and_ids_must_be_ints(self):
         # the runners step through integer times; a float deadline made
-        # run_grq raise TypeError
+        # run_grq raise TypeError; a bool id was written as `p True 1 2 1`,
+        # which parse_trace refuses, so it did not survive a save and load
         packets = [Packet(0, 1, 2.0, 1), Packet(1, 1.5, 2, 1), Packet(2.0, 1, 2, 1),
-                   Packet(3, "1", 2, 1), P(4, 1, 2, 1)]
+                   Packet(3, "1", 2, 1), P(4, 1, 2, 1),
+                   Packet(True, 1, 2, 1), Packet(5, True, 2, 1), Packet(6, 1, True, 1)]
         with pytest.raises(InvalidTraceError) as e:
             validate_trace(1, packets)
         assert e.value.violations == [
@@ -89,6 +91,9 @@ class TestValidateTrace:
             "packet 1: id, release and deadline must be integers, got release 1.5, deadline 2",
             "packet 2.0: id, release and deadline must be integers, got release 1, deadline 2",
             "packet 3: id, release and deadline must be integers, got release '1', deadline 2",
+            "packet True: id, release and deadline must be integers, got release 1, deadline 2",
+            "packet 5: id, release and deadline must be integers, got release True, deadline 2",
+            "packet 6: id, release and deadline must be integers, got release 1, deadline True",
         ]
 
 

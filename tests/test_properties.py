@@ -2,17 +2,21 @@
 
 Each property restates a contract the rest of the suite pins with examples:
 structural soundness of transcripts, oracle ordering and exactness bounds,
-charge-map verification, and format round-trips.
+charge-map verification, and format round-trips.  The last group feeds each
+entry point JSON-like values and asserts a result or a typed error.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slotq.charging import build_charge_map, verify_charge_map
+from slotq.charging import build_charge_map, check_charges, verify_charge_map
+from slotq.experiment import ConfigError, run_experiment
+from slotq.generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from slotq.model import (
     EXPIRED,
+    InvalidTraceError,
     Packet,
     check_transcript_invariants,
     validate_trace,
@@ -25,7 +29,7 @@ from slotq.oracle import (
     verify_schedule,
 )
 from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
-from slotq.traceio import emit_trace, parse_trace
+from slotq.traceio import TraceSyntaxError, emit_trace, parse_trace
 
 
 @st.composite
@@ -146,3 +150,164 @@ def test_all_zero_weights_flow_through(trace):
     )
     assert run_grq(zeroed).total_weight == 0
     assert optimal_bounded(zeroed).value == 0
+
+
+# --- any input: a result or a typed error ----------------------------------
+
+# JSON-like values plus Fractions; ints stay small, so no accepted value
+# makes a trace walk a long horizon
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 50), st.floats(),
+    st.sampled_from(["3", "1/10", "0.5", "1/0", "x", ""]), st.text(max_size=3),
+    st.fractions(-2, 50, max_denominator=8),
+)
+
+
+# True about one time in eight; shrinks to False
+_rarely = st.sampled_from((False,) * 7 + (True,))
+
+
+def _maybe(draw, valid):
+    """A draw from `valid`, or rarely a JSON-like value."""
+    return draw(json_values) if draw(_rarely) else draw(valid)
+
+
+@st.composite
+def generator_calls(draw):
+    if draw(st.booleans()):
+        return gen_killer, {"buffer_size": _maybe(draw, st.integers(2, 6)),
+                            "eps": _maybe(draw, st.fractions(0, 1, max_denominator=10))}
+    fields = {"n": _maybe(draw, st.integers(0, 12)), "horizon": _maybe(draw, st.integers(1, 50)),
+              "buffer_size": _maybe(draw, st.integers(1, 6)),
+              "seed": _maybe(draw, st.integers(-2**64, 2**64))}
+    for key, valid in (("max_weight", st.integers(1, 16)),
+                       ("max_span", st.none() | st.integers(0, 50)),
+                       ("burst", st.fractions(0, 1, max_denominator=10))):
+        if draw(st.booleans()):
+            fields[key] = _maybe(draw, valid)
+    return GeneratorParams, fields
+
+
+@given(generator_calls())
+@example((gen_killer, {"buffer_size": 2.5, "eps": Fraction(1, 2)}))
+@settings(max_examples=100, deadline=None)
+def test_generators_give_a_parameter_error_or_a_runnable_trace(call):
+    make, fields = call
+    try:
+        made = make(**fields)
+    except ParameterError:
+        return
+    trace = gen_random(made) if make is GeneratorParams else made
+    grq = run_grq(trace)
+    assert check_transcript_invariants(grq) == [] == check_slot_monotonicity(grq)
+    assert check_transcript_invariants(run_naive_greedy(trace)) == []
+
+
+@st.composite
+def packet_lists(draw):
+    packets = []
+    for i in range(draw(st.integers(0, 6))):
+        release = draw(st.integers(1, 12))
+        packets.append(Packet(_maybe(draw, st.just(i)), _maybe(draw, st.just(release)),
+                              _maybe(draw, st.integers(release, release + 6)),
+                              draw(st.fractions(0, 16, max_denominator=8))))
+    return _maybe(draw, st.integers(1, 4)), packets
+
+
+@given(packet_lists())
+@example((1, [Packet(True, 1, 2, 1)]))
+@settings(max_examples=100, deadline=None)
+def test_validation_gives_an_invalid_trace_error_or_a_certifiable_trace(args):
+    try:
+        trace = validate_trace(*args)
+    except InvalidTraceError:
+        return
+    # emission writes packets in id order, so compare them by id
+    reloaded = parse_trace(emit_trace(trace))
+    assert (reloaded.buffer_size, reloaded.by_id) == (trace.buffer_size, trace.by_id)
+    grq = run_grq(trace)
+    assert check_transcript_invariants(grq) == [] == check_slot_monotonicity(grq)
+    assert check_transcript_invariants(run_naive_greedy(trace)) == []
+    adv = optimal_bounded(trace)
+    assert adv.value <= optimal_unbounded(trace).value
+    assert check_charges(grq, adv)[1] == []
+
+
+def _declared(key, value) -> bool:
+    """Whether a source field has the type the README declares for it."""
+    if key in ("burst", "eps"):
+        return type(value) in (int, Fraction, str)
+    return type(value) is int or (key == "max_span" and value is None)
+
+
+@st.composite
+def configs(draw):
+    sources = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            source = {"kind": "killer", "buffer_size": draw(st.integers(2, 5)),
+                      "eps": draw(st.sampled_from(["1/10", "0.25", Fraction(1, 3)]))}
+        else:
+            source = {"kind": "random", "count": draw(st.integers(0, 2)),
+                      "seed": draw(st.integers(-2, 2)), "n": draw(st.integers(0, 8)),
+                      "horizon": draw(st.integers(1, 50)), "buffer_size": draw(st.integers(1, 4))}
+            for key, valid in (("max_weight", st.integers(1, 16)),
+                               ("max_span", st.none() | st.integers(0, 6)),
+                               ("burst", st.sampled_from(["1/2", "0.25", 1, Fraction(1, 3)]))):
+                if draw(st.booleans()):
+                    source[key] = draw(valid)
+        edit = draw(st.sampled_from(["keep", "keep", "replace", "drop", "add"]))
+        if edit == "replace":
+            source[draw(st.sampled_from(sorted(source)))] = draw(json_values)
+        elif edit == "drop":
+            del source[draw(st.sampled_from(sorted(source)))]
+        elif edit == "add":
+            source[draw(st.sampled_from(["max_wieght", "count", "eps"]))] = draw(json_values)
+        sources.append(source)
+    config = {"traces": sources}
+    if draw(_rarely):
+        config[draw(st.sampled_from(["verify", "algorithms", "oracles"]))] = draw(json_values)
+    return config
+
+
+@given(configs())
+@example({"traces": [{"kind": "random", "n": 2.5, "horizon": 3, "buffer_size": 2}]})
+@settings(max_examples=75, deadline=None)
+def test_experiment_gives_a_config_error_or_a_full_report(config):
+    try:
+        report = run_experiment(config)
+    except ConfigError:
+        return
+    # accepted: no key beyond the declared ones and no value converted on
+    # the way, so each source gave exactly `count` traces of its own fields
+    assert list(config) == ["traces"]
+    for source in config["traces"]:
+        assert all(_declared(k, v) for k, v in source.items() if k != "kind"), source
+    assert len(report.rows) == sum(s.get("count", 1) for s in config["traces"])
+    assert report.passed
+
+
+@st.composite
+def qtrace_texts(draw):
+    lines = []
+    heads = [_maybe(draw, st.just("p")) for _ in range(draw(st.integers(0, 6)))]
+    for head in ["B", *heads]:
+        width = 1 if head == "B" else 4
+        if draw(_rarely):
+            width = draw(st.integers(0, 5))
+        tokens = [str(draw(st.integers(0, 12))) for _ in range(width)]
+        if tokens and draw(_rarely):
+            tokens[draw(st.integers(0, width - 1))] = str(draw(json_values))
+        lines.append(" ".join([str(head), *tokens]))
+    return "\n".join(lines)
+
+
+@given(qtrace_texts())
+@settings(max_examples=150, deadline=None)
+def test_parse_gives_a_syntax_error_an_invalid_trace_or_a_trace(text):
+    try:
+        trace = parse_trace(text)
+    except (TraceSyntaxError, InvalidTraceError):
+        return
+    reloaded = parse_trace(emit_trace(trace))
+    assert (reloaded.buffer_size, reloaded.by_id) == (trace.buffer_size, trace.by_id)
