@@ -9,19 +9,18 @@ the charge verifier against the bounded optimum.  Example:
         {"kind": "random", "count": 100, "seed": 7,
          "n": 8, "horizon": 6, "buffer_size": 3, "max_weight": 16},
         {"kind": "killer", "buffer_size": 10, "eps": "1/10"}
-      ],
-      "counterexample_dir": null
+      ]
     }
 
-The keys are closed, and a source's fields go as they are to GeneratorParams
-or gen_killer, whose rules decide each field's type.
+The keys are closed, and `traces` is the only top-level one; a source's fields
+go as they are to GeneratorParams or gen_killer, whose rules decide their type.
 
 Every row is a pure function of the config (seeds included).  Ratios are
 exact rationals end to end; serialization writes them as num/den.  Any
 violation — structural, monotonicity, or charging — marks the row failed,
-and when a counterexample directory is configured the offending trace is
-persisted there with its violations, because a failing instance is the most
-valuable output this tool can produce.
+and when run_experiment is given a counterexample directory (the CLI's
+--counterexamples) the offending trace is persisted there with its violations,
+because a failing instance is the most valuable output this tool can produce.
 """
 
 import csv
@@ -77,9 +76,10 @@ class ExperimentReport:
 
 
 def load_config(path: "str | Path") -> dict:
+    text = Path(path).read_text()
     try:
-        config = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        config = json.loads(text)
+    except ValueError as e:  # a JSONDecodeError, or an int of more digits than Python converts
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -183,15 +183,13 @@ def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
 
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
-    """Evaluate every configured trace; deterministic for a fixed config."""
+    """Evaluate every configured trace; deterministic for a fixed config.
+    A failing trace is persisted in `counterexample_dir` unless it is None or ""."""
     for key, value in config.items():
-        if key not in ("traces", "counterexample_dir"):
+        if key != "traces":
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "traces" and not isinstance(value, list):
+        if not isinstance(value, list):
             raise ConfigError("'traces' must be a list")
-        if key == "counterexample_dir" and not isinstance(value, (str, type(None))):
-            raise ConfigError("'counterexample_dir' must be a string or null")
-    ce_dir = counterexample_dir or config.get("counterexample_dir")
 
     traces: list[Trace] = []
     for i, source in enumerate(config.get("traces", [])):
@@ -203,8 +201,8 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
     for i, trace in enumerate(traces):
         row = evaluate_trace(trace, index=i)
         rows.append(row)
-        if row.failed and ce_dir is not None:
-            _persist_counterexample(Path(ce_dir), trace, row)
+        if row.failed and counterexample_dir:
+            _persist_counterexample(Path(counterexample_dir), trace, row)
 
     ratios = [r.ratio for r in rows if r.ratio is not None]
     max_ratio = max(ratios) if ratios else None

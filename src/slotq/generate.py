@@ -40,13 +40,16 @@ def require_rational(name: str, value) -> "int | Fraction":
 
 def parse_rational(name: str, value) -> "int | Fraction":
     """An exact rational from an int, a Fraction or text such as "1/10" or "0.5";
-    other text (a zero denominator too) and other values are a ParameterError."""
+    other text (a zero denominator too, or a value too long for Python to
+    print) and other values are a ParameterError."""
     if type(value) is not str:
         return require_rational(name, value)
     try:
-        return Fraction(value)
+        rational = Fraction(value)
+        str(rational)  # raises ValueError past sys.get_int_max_str_digits() digits
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"invalid Fraction value: {value!r}") from None
+    return rational
 
 
 class SplitMix64:

@@ -72,7 +72,7 @@ class Packet:
     weight: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.weight, Fraction):
+        if type(self.weight) is int:  # never a bool: validate_trace reports one
             object.__setattr__(self, "weight", Fraction(self.weight))
 
 
@@ -208,9 +208,11 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     """Build a Trace, checking every model invariant.
 
     Collects ALL violations (an id, release, deadline or buffer_size that is
-    a bool or not an int, per generate.require_int; a duplicate id, deadline
+    a bool or not an int, per generate.require_int; a weight that is not a
+    Fraction once Packet has converted an int; a duplicate id, deadline
     < release, negative weight, release < 1, buffer_size < 1) before raising
     InvalidTraceError, so callers can report a malformed instance in one pass.
+    A sound trace whose values would not print is refused too.
     """
     packets = tuple(packets)
     violations: list[str] = []
@@ -223,6 +225,9 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
         if not (type(p.id) is int and type(p.release) is int and type(p.deadline) is int):
             violations.append(f"packet {p.id!r}: id, release and deadline must be integers, "
                               f"got release {p.release!r}, deadline {p.deadline!r}")
+            continue
+        if type(p.weight) is not Fraction:
+            violations.append(f"packet {p.id}: weight {p.weight!r} is not an int or a Fraction")
             continue
         if p.id < 0:
             violations.append(f"packet {p.id}: id must be non-negative")
@@ -239,7 +244,15 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
             violations.append(f"packet {p.id}: negative weight {p.weight}")
     if violations:
         raise InvalidTraceError(violations)
-    return Trace(buffer_size, packets)
+    trace = Trace(buffer_size, packets)
+    # Python prints no int of more than sys.get_int_max_str_digits() digits; each
+    # weight or sum of weights is s / D with 0 <= s <= the total scaled weight and
+    # D the common denominator, so if D and the total print, every value does
+    try:
+        str(trace.weight_denominator), str(sum(trace.scaled_weight.values()))
+    except ValueError as e:
+        raise InvalidTraceError([f"weights do not print: {e}"]) from None
+    return trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,41 +260,26 @@ class SlotBuffer:
     """Labeled snapshot of a size-B buffer: slot i holds the packet at label base_time + i.
 
     Only the slots up to the last occupied one are stored, in `prefix`; the
-    labels after it are empty.  A slot-queue buffer holds far fewer packets
-    than B on most steps, so the snapshot costs what its occupancy does.
-    `slots` is the padded view of all `size` slots, for callers that want
-    one; the per-step code reads `prefix` only.
-
-    SlotBuffer(t, slots) takes the padded view (gaps allowed) and
-    SlotBuffer(t, prefix, B) the stored prefix; trailing empty slots are
-    dropped either way, so both spellings of one content are equal and hash
-    equal.  A prefix given as a tuple that ends in a packet, as grq_rebuild
-    builds it, is stored as it is.
+    labels after it, up to base_time + size - 1, are empty.  A slot-queue
+    buffer holds far fewer packets than B on most steps, so the snapshot
+    costs what its occupancy does.  SlotBuffer(t, prefix, B) is the one
+    spelling: `prefix` is a tuple of at most B slots that ends in a packet
+    (empty slots before it are allowed), as grq_rebuild builds it; anything
+    else is a ValueError, so one content has one value.
     """
 
     base_time: int
     prefix: tuple["Packet | None", ...]
-    size: "int | None" = None  # None: len(prefix), which is then the padded view
+    size: int
 
     def __post_init__(self):
         prefix = self.prefix
-        if self.size is None:
-            prefix = tuple(prefix)
-            object.__setattr__(self, "size", len(prefix))
-        if type(prefix) is not tuple or (prefix and prefix[-1] is None):
-            prefix = list(prefix)
-            while prefix and prefix[-1] is None:
-                prefix.pop()
-            prefix = tuple(prefix)
-        if prefix is not self.prefix:
-            object.__setattr__(self, "prefix", prefix)
+        if type(prefix) is not tuple:
+            raise ValueError(f"prefix must be a tuple, got {prefix!r}")
+        if prefix and prefix[-1] is None:
+            raise ValueError("prefix must end in a packet, not an empty slot")
         if len(prefix) > self.size:
             raise ValueError(f"{len(prefix)} stored slots exceed buffer size {self.size}")
-
-    @property
-    def slots(self) -> tuple["Packet | None", ...]:
-        """All `size` slots, the empty ones after the stored prefix included."""
-        return self.prefix + (None,) * (self.size - len(self.prefix))
 
     @property
     def front(self) -> "Packet | None":

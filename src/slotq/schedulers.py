@@ -238,7 +238,7 @@ def check_slot_monotonicity(transcript: Transcript) -> list[str]:
     is in both windows (an empty slot counts as bottom).  Only the labels the
     earlier snapshot occupies are compared, on Trace.scaled_weight integers,
     so each pair of steps reads the stored prefixes (SlotBuffer.prefix), never
-    the B-wide padded views.  Returns violation strings; empty means the
+    all B slots.  Returns violation strings; empty means the
     property held at every step.
     """
     weight = transcript.trace.scaled_weight

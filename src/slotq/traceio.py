@@ -13,7 +13,7 @@ Weights accept integers, decimals, or num/den and always become exact
 rationals (1.5 is exactly 3/2).  Emission canonicalizes: header line, the B
 directive, then packets sorted by id, weights printed as integers or num/den.
 Parsing an emitted file yields an equal trace; a parsed decimal re-emits as
-its exact fraction, which is the same value.
+its exact fraction, which is the same value.  A trace that parses emits.
 """
 
 from fractions import Fraction
@@ -64,15 +64,12 @@ def parse_trace(text: str) -> Trace:
             w = fields[4]
             weight = weights.get(w)
             if weight is None:
-                if w.isascii() and w.isdigit():
-                    # a plain integer, the common case: int() is ~3x cheaper
-                    # than Fraction's string parser and gives the same value
-                    weight = Fraction(int(w))
-                else:
-                    try:
-                        weight = Fraction(w)
-                    except (ValueError, ZeroDivisionError):
-                        raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
+                # a plain integer, the common case: int() is ~3x cheaper than Fraction's
+                # parser and gives the same value; both raise ValueError past Python's digit limit
+                try:
+                    weight = Fraction(int(w) if w.isascii() and w.isdigit() else w)
+                except (ValueError, ZeroDivisionError):
+                    raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
                 weights[w] = weight
             packets.append(Packet(pid, release, deadline, weight))
         elif directive == "B":
@@ -100,7 +97,3 @@ def emit_trace(trace: Trace) -> str:
 
 def load_trace(path: "str | Path") -> Trace:
     return parse_trace(Path(path).read_text())
-
-
-def save_trace(trace: Trace, path: "str | Path") -> None:
-    Path(path).write_text(emit_trace(trace))

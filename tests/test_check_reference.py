@@ -15,8 +15,9 @@ drawn gapped, post-transmit, full, as rebuilt prefixes and at random, so
 deadlines below labels, weight inversions and fronts that are not the
 heaviest all occur; the second snapshot of a transcript is the first one
 shifted by a step with some labels emptied or refilled, lighter or not, and
-its window widened or narrowed.  Each snapshot is built either from all its
-slots or from its stored prefix and size, which must make no difference.
+its window widened or narrowed.  Each snapshot is drawn as all its slots and
+built from its stored prefix and size; the references read the slots back
+through padded().
 """
 
 from dataclasses import replace
@@ -38,14 +39,19 @@ from slotq.schedulers import check_slot_monotonicity, grq_transmit, run_grq, run
 from slotq.traceio import parse_trace
 
 
+def padded(buffer):
+    """All `size` slots of a snapshot, the empty ones after its stored prefix included."""
+    return buffer.prefix + (None,) * (buffer.size - len(buffer.prefix))
+
+
 def reference_buffer_invariants(buffer):
     out = []
-    occ = [(buffer.base_time + i, p) for i, p in enumerate(buffer.slots) if p is not None]
+    occ = [(buffer.base_time + i, p) for i, p in enumerate(padded(buffer)) if p is not None]
     for label, p in occ:
         if p.deadline < label:
             out.append(f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}")
     if occ and occ[-1][0] - buffer.base_time >= len(occ):
-        gap_at = buffer.base_time + buffer.slots.index(None)
+        gap_at = buffer.base_time + padded(buffer).index(None)
         after = next(label for label, _ in occ if label > gap_at)
         out.append(f"slot {after}: occupied after empty slot {gap_at}")
     for (la, pa), (lb, pb) in zip(occ, occ[1:]):
@@ -58,7 +64,7 @@ def reference_transmit(buffer, t):
     if buffer.base_time != t:
         raise AssertionError(f"buffer based at {buffer.base_time} transmitted at t={t}")
     sent = buffer.front
-    packets = tuple(p for p in buffer.slots if p is not None)
+    packets = tuple(p for p in padded(buffer) if p is not None)
     if sent is None:
         if packets:
             raise AssertionError(f"front slot empty in a non-empty buffer at t={t}")
@@ -76,7 +82,7 @@ def reference_monotonicity(transcript):
         if prev is not None:
             lo = max(prev.base_time, buf.base_time)
             # zip stops at the end of the shorter window: labels lo..hi
-            pairs = zip(prev.slots[lo - prev.base_time :], buf.slots[lo - buf.base_time :])
+            pairs = zip(padded(prev)[lo - prev.base_time :], padded(buf)[lo - buf.base_time :])
             for label, (before, after) in enumerate(pairs, start=lo):
                 if before is None or after is before:
                     continue
@@ -168,24 +174,16 @@ def slot_lists(draw, trace):
     return slots
 
 
-def trimmed(base_time, slots, extra=0):
-    """SlotBuffer(base_time, slots) built from its stored prefix and size instead,
-    passing up to `extra` of the empty slots after the last occupied one."""
+def built(base_time, slots):
+    """The snapshot of these slots: their stored prefix, up to the last
+    occupied one, and their count as the size."""
     end = max((i + 1 for i, p in enumerate(slots) if p is not None), default=0)
-    return SlotBuffer(base_time, tuple(slots[: end + extra]), len(slots))
-
-
-@st.composite
-def built(draw, base_time, slots):
-    """A snapshot of these slots, built padded or trimmed."""
-    if draw(st.booleans()):
-        return SlotBuffer(base_time, tuple(slots))
-    return trimmed(base_time, slots, draw(st.integers(0, 2)))
+    return SlotBuffer(base_time, tuple(slots[:end]), len(slots))
 
 
 @st.composite
 def slot_buffers(draw, trace):
-    return draw(built(draw(st.integers(1, 6)), draw(slot_lists(trace))))
+    return built(draw(st.integers(1, 6)), draw(slot_lists(trace)))
 
 
 @st.composite
@@ -202,7 +200,7 @@ def two_step_transcripts(draw):
         # the next step's window, with each label kept, emptied or refilled,
         # and the window widened or narrowed at its end
         slots = []
-        for p in first.slots[1:] + (None,):
+        for p in padded(first)[1:] + (None,):
             edit = draw(st.sampled_from(("keep", "keep", "empty", "refill")))
             if edit == "keep":
                 slots.append(p)
@@ -212,7 +210,7 @@ def two_step_transcripts(draw):
                 slots.append(draw(st.sampled_from(trace.packets)))
         size = draw(st.sampled_from((len(slots),) * 2 + (max(len(slots) - 2, 1), len(slots) + 2)))
         slots = (slots + [None] * size)[:size]
-        second = draw(built(first.base_time + 1, slots))
+        second = built(first.base_time + 1, slots)
     else:
         second = draw(slot_buffers(trace))
     steps = tuple(
@@ -226,20 +224,16 @@ def slot_cases(draw):
     return draw(st.integers(1, 6)), draw(slot_lists(trace))
 
 
-@given(slot_cases(), st.integers(0, 2))
+@given(slot_cases())
 @settings(max_examples=300, deadline=None)
-def test_padded_and_trimmed_snapshots_agree(case, extra):
+def test_snapshot_views_match_its_slots(case):
     base_time, slots = case
-    padded, short = SlotBuffer(base_time, tuple(slots)), trimmed(base_time, slots, extra)
-    assert padded == short and hash(padded) == hash(short)
-    assert short.prefix == padded.prefix and (not short.prefix or short.prefix[-1] is not None)
-    assert padded.slots == short.slots == tuple(slots)
-    assert padded.size == short.size == len(slots)
-    assert padded.front is short.front is slots[0]
-    assert padded.labels() == short.labels() == [
-        base_time + i for i, p in enumerate(slots) if p is not None]
-    assert padded.packets() == short.packets() == tuple(p for p in slots if p is not None)
-    assert padded.occupied() == short.occupied()
+    buf = built(base_time, slots)
+    assert padded(buf) == tuple(slots) and buf.size == len(slots)
+    assert buf.front is slots[0]
+    assert buf.labels() == [base_time + i for i, p in enumerate(slots) if p is not None]
+    assert buf.packets() == tuple(p for p in slots if p is not None)
+    assert buf.occupied() == list(zip(buf.labels(), buf.packets()))
 
 
 @given(buffer_cases())

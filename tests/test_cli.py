@@ -173,6 +173,18 @@ class TestGen:
         assert capsys.readouterr().err.endswith(": invalid Fraction value: '1/0'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "killer", "--b", "3", "--eps", "1e-5000"],
+    ["gen", "random", "--n", "3", "--horizon", "4", "--b", "2", "--burst", "1e5000"],
+])
+def test_a_rational_too_long_to_print_is_a_usage_error(argv, capsys):
+    # refused where it is parsed: the range check's message could not print it
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f": invalid Fraction value: {argv[-1]!r}\n")
+
+
 class TestSearch:
     def test_small_search(self, capsys):
         assert main(["search", "--n", "5", "--horizon", "4", "--b", "2",

@@ -150,6 +150,8 @@ class TestRunExperiment:
         {"traces": [{"kind": "killer", "buffer_size": 3, "eps": "1/4", "count": 2}]},
         {"counterexample_dir": 5},
         {"counterexample_dir": ["out"]},
+        # one setting: run_experiment(counterexample_dir=), the CLI's --counterexamples
+        {"counterexample_dir": "out"},
     ])
     def test_bad_configs(self, config):
         with pytest.raises(ConfigError):
@@ -247,6 +249,16 @@ class TestRunExperiment:
         assert reloaded == gen_killer(2, Fraction(1, 2))
         assert "forced" in notes[0].read_text()
 
+        # an empty directory name persists nothing, as no name does
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for where in ("", None):
+            assert not ex.run_experiment(
+                {"traces": [{"kind": "killer", "buffer_size": 2, "eps": "1/2"}]},
+                counterexample_dir=where).passed
+        assert list(cwd.iterdir()) == []
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -258,6 +270,13 @@ class TestLoadConfig:
         p = tmp_path / "config.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_integer_too_long_to_convert(self, tmp_path):
+        # past Python's digit limit json.loads raises a ValueError, not a JSONDecodeError
+        p = tmp_path / "config.json"
+        p.write_text('{"traces": [{"kind": "killer", "buffer_size": ' + "3" * 5000 + "}]}")
+        with pytest.raises(ConfigError, match="^config is not valid JSON: Exceeds the limit"):
             load_config(p)
 
     def test_non_object_root(self, tmp_path):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from slotq.model import (
     check_transcript_invariants,
     validate_trace,
 )
+from slotq.traceio import emit_trace
 
 
 def P(pid, r, d, w):
@@ -26,6 +28,8 @@ class TestPacket:
     def test_weight_coerced_to_fraction(self):
         p = Packet(0, 1, 2, 3)
         assert p.weight == Fraction(3) and isinstance(p.weight, Fraction)
+        # only an int is converted; validate_trace reports anything else
+        assert [Packet(0, 1, 2, w).weight for w in (True, 0.5, "1/2")] == [True, 0.5, "1/2"]
 
     def test_exact_decimal_string(self):
         assert Packet(0, 1, 1, Fraction("1.5")).weight == Fraction(3, 2)
@@ -96,6 +100,38 @@ class TestValidateTrace:
             "packet 6: id, release and deadline must be integers, got release 1, deadline True",
         ]
 
+    def test_weights_must_be_ints_or_fractions(self):
+        # Packet converts an int alone, so validation names None, text, a bool
+        # and a float (0.1 is not exact) instead of the constructor raising
+        packets = [Packet(0, 1, 2, None), Packet(1, 1, 2, "x"), Packet(2, 1, 2, 0.1),
+                   Packet(3, 1, 2, True), Packet(4, 1, 2, 3), P(5, 1, 2, "1/3")]
+        with pytest.raises(InvalidTraceError) as e:
+            validate_trace(1, packets)
+        assert e.value.violations == [
+            "packet 0: weight None is not an int or a Fraction",
+            "packet 1: weight 'x' is not an int or a Fraction",
+            "packet 2: weight 0.1 is not an int or a Fraction",
+            "packet 3: weight True is not an int or a Fraction",
+        ]
+
+    @pytest.mark.parametrize("weights", [
+        [Fraction(10**5000)],
+        [Fraction(1, 10**5000)],
+        [Fraction(1, 10**2500 + 1), Fraction(1, 10**2500 + 3)],  # only their sum is too long
+        [Fraction(10**4299 - 1)] * 11,  # only their total is
+    ], ids=["numerator", "denominator", "common-denominator", "total"])
+    def test_every_value_must_print(self, weights):
+        # Python prints no int of more than sys.get_int_max_str_digits() digits
+        packets = [P(i, 1, 2, w) for i, w in enumerate(weights)]
+        with pytest.raises(InvalidTraceError) as e:
+            validate_trace(2, packets)
+        assert e.value.violations[0].startswith("weights do not print: Exceeds the limit")
+
+    def test_values_at_the_digit_limit_print(self):
+        limit = sys.get_int_max_str_digits()
+        trace = validate_trace(1, [P(0, 1, 1, Fraction(10**limit - 1, 10**(limit - 1)))])
+        assert len(emit_trace(trace)) > 2 * limit
+
 
 class TestTrace:
     def test_empty_horizon(self):
@@ -124,34 +160,41 @@ def weights_of(buf):
 
 class TestBufferInvariants:
     def test_weights_must_not_increase(self):
-        buf = SlotBuffer(1, (P(0, 1, 2, 3), P(1, 1, 3, 5)))
+        buf = SlotBuffer(1, (P(0, 1, 2, 3), P(1, 1, 3, 5)), 2)
         errs = check_buffer_invariants(buf, weights_of(buf))
         assert len(errs) == 1 and "exceeds" in errs[0]
 
     def test_deadline_below_label(self):
-        buf = SlotBuffer(1, (P(1, 1, 2, 5), P(0, 1, 1, 5)))
+        buf = SlotBuffer(1, (P(1, 1, 2, 5), P(0, 1, 1, 5)), 2)
         errs = check_buffer_invariants(buf, weights_of(buf))
         assert errs == ["slot 2: packet 0 has deadline 1 < label 2"]
 
     def test_prefix_with_empty_tail_ok(self):
-        buf = SlotBuffer(1, (P(0, 1, 3, 5), None, None))
+        buf = SlotBuffer(1, (P(0, 1, 3, 5),), 3)
         assert check_buffer_invariants(buf, weights_of(buf)) == []
 
     def test_gap_flagged_post_rebuild_only(self):
-        buf = SlotBuffer(1, (None, P(0, 1, 3, 5)))
+        buf = SlotBuffer(1, (None, P(0, 1, 3, 5)), 2)
         assert check_buffer_invariants(buf, weights_of(buf)) == [
             "slot 2: occupied after empty slot 1"
         ]
-        mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5), None))
+        mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5)), 5)
         assert check_buffer_invariants(mid, weights_of(mid)) == [
             "slot 3: occupied after empty slot 2"
         ]
 
     def test_stored_prefix_fits_the_buffer(self):
         p = P(0, 1, 9, 1)
-        assert SlotBuffer(4, [p, None], 3) == SlotBuffer(4, (p, None, None))
+        assert SlotBuffer(4, (p,), 3).prefix == (p,)
         with pytest.raises(ValueError, match="^2 stored slots exceed buffer size 1$"):
             SlotBuffer(4, (p, p), 1)
+        # one spelling per content: no list, no stored empty tail, no padded default
+        with pytest.raises(ValueError, match="^prefix must be a tuple"):
+            SlotBuffer(4, [p], 3)
+        with pytest.raises(ValueError, match="^prefix must end in a packet"):
+            SlotBuffer(4, (p, None), 3)
+        with pytest.raises(TypeError):
+            SlotBuffer(4, (p,))
 
 
 def _single_step_transcript(trace, *steps):

@@ -1,4 +1,4 @@
-"""The package root and the CLI load the core layers only, each in a fresh interpreter."""
+"""The package root loads no layer and the CLI the core layers only, each in a fresh interpreter."""
 
 import subprocess
 import sys
@@ -13,7 +13,7 @@ SRC = str(Path(slotq.__file__).resolve().parents[1])
 
 @pytest.mark.parametrize("statement", [
     "import slotq",
-    "from slotq import *",  # raises if a name in __all__ does not resolve
+    "from slotq import *",  # the root re-exports no name, so this binds none
     "from slotq import charging, generate, model, oracle, schedulers, traceio",
     "import slotq.cli",  # experiment and search load only in their subcommands
 ])
@@ -22,6 +22,14 @@ def test_import_leaves_experiment_and_search_unloaded(statement):
             "print([m for m in ('slotq.experiment', 'slotq.search') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_package_root_loads_no_layer():
+    # the root holds its docstring and __version__; every layer is a submodule
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import slotq; "
+            "print(slotq.__version__, [m for m in sys.modules if m.startswith('slotq.')])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.1.0 []\n", "")
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "charge"])

@@ -3,15 +3,21 @@
 Each property restates a contract the rest of the suite pins with examples:
 structural soundness of transcripts, oracle ordering and exactness bounds,
 charge-map verification, and format round-trips.  The last group feeds each
-entry point JSON-like values and asserts a result or a typed error.
+entry point JSON-like values and asserts a result or a typed error, and the
+CLI an exit code that is not 3.
 """
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slotq.charging import build_charge_map, check_charges, verify_charge_map
+from slotq.cli import main
 from slotq.experiment import ConfigError, run_experiment
 from slotq.generate import GeneratorParams, ParameterError, gen_killer, gen_random
 from slotq.model import (
@@ -205,23 +211,31 @@ def test_generators_give_a_parameter_error_or_a_runnable_trace(call):
 
 @st.composite
 def packet_lists(draw):
+    """A buffer size and the (id, release, deadline, weight) of each packet."""
     packets = []
     for i in range(draw(st.integers(0, 6))):
         release = draw(st.integers(1, 12))
-        packets.append(Packet(_maybe(draw, st.just(i)), _maybe(draw, st.just(release)),
-                              _maybe(draw, st.integers(release, release + 6)),
-                              draw(st.fractions(0, 16, max_denominator=8))))
+        packets.append((_maybe(draw, st.just(i)), _maybe(draw, st.just(release)),
+                        _maybe(draw, st.integers(release, release + 6)),
+                        _maybe(draw, st.fractions(0, 16, max_denominator=8))))
     return _maybe(draw, st.integers(1, 4)), packets
 
 
 @given(packet_lists())
-@example((1, [Packet(True, 1, 2, 1)]))
+@example((1, [(True, 1, 2, 1)]))
+@example((1, [(0, 1, 2, None)]))
+@example((1, [(0, 1, 2, "x")]))
+@example((1, [(0, 1, 2, 0.1)]))
+@example((1, [(0, 1, 2, True)]))
 @settings(max_examples=100, deadline=None)
 def test_validation_gives_an_invalid_trace_error_or_a_certifiable_trace(args):
+    buffer_size, fields = args
     try:
-        trace = validate_trace(*args)
+        trace = validate_trace(buffer_size, [Packet(*f) for f in fields])
     except InvalidTraceError:
         return
+    # accepted: every weight was exact, an int or a Fraction (not a bool or a float)
+    assert all(type(f[3]) in (int, Fraction) for f in fields), fields
     # emission writes packets in id order, so compare them by id
     reloaded = parse_trace(emit_trace(trace))
     assert (reloaded.buffer_size, reloaded.by_id) == (trace.buffer_size, trace.by_id)
@@ -302,7 +316,18 @@ def qtrace_texts(draw):
     return "\n".join(lines)
 
 
+# Python prints no int of more than sys.get_int_max_str_digits() (4,300)
+# digits: a weight spelled with more, a weight whose value has more, and two
+# weights that print alone while their sum does not
+UNPRINTABLE = ("B 1\np 0 1 2 " + "1" * 5000,
+               "B 1\np 0 1 2 1e5000",
+               f"B 2\np 0 1 2 1/{10**2500 + 1}\np 1 1 2 1/{10**2500 + 3}")
+
+
 @given(qtrace_texts())
+@example(UNPRINTABLE[0])
+@example(UNPRINTABLE[1])
+@example(UNPRINTABLE[2])
 @settings(max_examples=150, deadline=None)
 def test_parse_gives_a_syntax_error_an_invalid_trace_or_a_trace(text):
     try:
@@ -311,3 +336,20 @@ def test_parse_gives_a_syntax_error_an_invalid_trace_or_a_trace(text):
         return
     reloaded = parse_trace(emit_trace(trace))
     assert (reloaded.buffer_size, reloaded.by_id) == (trace.buffer_size, trace.by_id)
+
+
+@given(qtrace_texts())
+@example(UNPRINTABLE[0])
+@example(UNPRINTABLE[1])
+@example(UNPRINTABLE[2])
+@settings(max_examples=100, deadline=None)
+def test_cli_exits_0_1_or_2_on_any_trace_text(text):
+    # exit 3 means a fault in slotq, never a finding about the input
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.qtrace")
+        path.write_text(text)
+        for argv in (["run"], ["oracle"], ["charge", "--enumerate", "3"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], "--trace", str(path), *argv[1:]])
+            assert code in (0, 1, 2), (argv, err.getvalue()[:200])

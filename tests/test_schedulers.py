@@ -60,21 +60,21 @@ class TestRebuild:
     def test_tight_deadline_loses_to_heavier(self):
         a, b = P(0, 1, 2, 5), P(1, 1, 1, 3)
         buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert buf.slots == (a, None)
+        assert (buf.prefix, buf.size) == ((a,), 2)
         assert [r.packet_id for r in rej] == [1]
         assert rej[0].cause == ADMISSION_REFUSED
 
     def test_both_fit_when_heavy_is_tight(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
         buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert buf.slots == (a, b)
+        assert (buf.prefix, buf.size) == ((a, b), 2)
         assert rej == ()
 
     def test_burst_placement(self):
         ones = [P(i, 1, 1, 1) for i in range(3)]
         soft = [P(3 + i, 1, 3, Fraction(3, 4)) for i in range(2)]
         buf, rej = rebuild([], ones + soft, t=1, buffer_size=3)
-        assert [p.weight for p in buf.slots] == [1, Fraction(3, 4), Fraction(3, 4)]
+        assert [p.weight for p in buf.prefix] == [1, Fraction(3, 4), Fraction(3, 4)]
         assert sorted(r.packet_id for r in rej) == [1, 2]
 
     def test_buffered_packet_squeezed_out_is_preempted(self):
@@ -123,30 +123,30 @@ class TestRebuild:
 class TestTransmit:
     def test_sends_front(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf = SlotBuffer(1, (a, b))
+        buf = SlotBuffer(1, (a, b), 2)
         sent, remaining = transmit(buf, 1)
         assert sent == a and remaining == (b,)
 
     def test_idle_on_empty(self):
-        sent, remaining = transmit(SlotBuffer(4, (None, None)), 4)
+        sent, remaining = transmit(SlotBuffer(4, (), 2), 4)
         assert sent is None and remaining == ()
 
     def test_front_on_weight_tie(self):
         a, b = P(0, 1, 2, 2), P(1, 1, 3, 2)
-        buf = SlotBuffer(2, (a, b))
+        buf = SlotBuffer(2, (a, b), 2)
         sent, _ = transmit(buf, 2)
         assert sent == a
 
     def test_asserts_front_heaviest(self):
         light, heavy = P(0, 1, 2, 1), P(1, 1, 2, 9)
-        buf = SlotBuffer(1, (light, heavy))
+        buf = SlotBuffer(1, (light, heavy), 2)
         with pytest.raises(AssertionError):
             transmit(buf, 1)
 
     def test_asserts_front_is_first_placed_rank(self):
         # placed must describe the buffer: its first rank is the front packet
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf = SlotBuffer(1, (a, b))
+        buf = SlotBuffer(1, (a, b), 2)
         trace = Trace(1, buf.packets())
         for placed in ([1, 0], [1], []):
             with pytest.raises(AssertionError, match="^front packet 0 is not the first placed rank at t=1$"):
@@ -161,7 +161,7 @@ class TestTransmit:
             # ranks: heavy is 0, light is 1
             for placed in ([1, 0], [0, 1]):
                 try:
-                    grq_transmit(SlotBuffer(1, (light, heavy)), placed, 1, Trace(1, (light, heavy)))
+                    grq_transmit(SlotBuffer(1, (light, heavy), 2), placed, 1, Trace(1, (light, heavy)))
                 except AssertionError as e:
                     print("raised", e)
         """)
@@ -355,10 +355,10 @@ class TestSlotMonotonicity:
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4), P(2, 2, 3, 1)])
         heavy, mid, light = trace.packets
         fake = Transcript(trace, (
-            StepRecord(1, SlotBuffer(1, (heavy, mid)), (), 0),
+            StepRecord(1, SlotBuffer(1, (heavy, mid), 2), (), 0),
             # label 2 held weight 4 at t=1 but only 1 now: a decrease
-            StepRecord(2, SlotBuffer(2, (light, None)), (), 2),
-            StepRecord(3, SlotBuffer(3, (mid, None)), (), 1),
+            StepRecord(2, SlotBuffer(2, (light,), 2), (), 2),
+            StepRecord(3, SlotBuffer(3, (mid,), 2), (), 1),
         ))
         errs = check_slot_monotonicity(fake)
         assert len(errs) == 1 and "label 2" in errs[0]
@@ -367,9 +367,9 @@ class TestSlotMonotonicity:
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4)])
         heavy, mid = trace.packets
         fake = Transcript(trace, (
-            StepRecord(1, SlotBuffer(1, (heavy, mid)), (), 0),
-            StepRecord(2, SlotBuffer(2, (None, None)), (), None),
-            StepRecord(3, SlotBuffer(3, (mid, None)), (), 1),
+            StepRecord(1, SlotBuffer(1, (heavy, mid), 2), (), 0),
+            StepRecord(2, SlotBuffer(2, (), 2), (), None),
+            StepRecord(3, SlotBuffer(3, (mid,), 2), (), 1),
         ))
         assert any("empty" in e for e in check_slot_monotonicity(fake))
 

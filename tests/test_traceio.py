@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import InvalidTraceError, Packet, validate_trace
-from slotq.traceio import (
-    TraceSyntaxError,
-    emit_trace,
-    load_trace,
-    parse_trace,
-    save_trace,
-)
+from slotq.traceio import TraceSyntaxError, emit_trace, load_trace, parse_trace
 
 
 def reference_parse_trace(text):
@@ -127,7 +121,9 @@ class TestParse:
         weight = parse_trace(f"B 1\np 0 1 1 {spelled}\n").packets[0].weight
         assert type(weight) is Fraction and weight == Fraction(spelled)
 
-    @pytest.mark.parametrize("spelled", ["w", "1/0", "²", "٣x", "7.5.1"])
+    # a weight with more digits than Python converts to an int is unparseable too
+    @pytest.mark.parametrize("spelled", ["w", "1/0", "²", "٣x", "7.5.1",
+                                         pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_weights_fail_with_their_spelling(self, spelled):
         with pytest.raises(TraceSyntaxError) as e:
             parse_trace(f"B 1\np 0 1 1 {spelled}\n")
@@ -138,6 +134,12 @@ class TestParse:
         with pytest.raises(InvalidTraceError) as e:
             parse_trace(f"B 1\np 0 1 1 {spelled}\n")
         assert e.value.violations == [f"packet 0: negative weight {Fraction(spelled)}"]
+
+    @pytest.mark.parametrize("spelled", ["1e5000", "1e-100000"])
+    def test_weights_that_would_not_print_fail_validation(self, spelled):
+        # both are exact rationals, but neither would print, so emit_trace could not write them
+        with pytest.raises(InvalidTraceError, match="^weights do not print"):
+            parse_trace(f"B 1\np 0 1 1 {spelled}\n")
 
     def test_comments_and_blanks(self):
         text = "# qtrace v1\n\n# a comment\nB 1   # trailing\np 0 1 1 2 # w=2\n"
@@ -203,6 +205,5 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         t = gen_random(GeneratorParams(n=4, horizon=4, buffer_size=1, seed=3))
         path = tmp_path / "x.qtrace"
-        save_trace(t, path)
+        path.write_text(emit_trace(t))
         assert load_trace(path) == t
-        assert path.read_text().startswith("# qtrace v1\n")
