@@ -207,6 +207,14 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
     ratios = [r.ratio for r in rows if r.ratio is not None]
     max_ratio = max(ratios) if ratios else None
     mean_ratio = sum(ratios, Fraction(0)) / len(ratios) if ratios else None
+    # every reported value prints exactly: a row's values do, as validate_trace
+    # bounds each trace's weight sums, and so max_ratio does; the mean's
+    # denominator grows with the lcm of the rows' ones
+    try:
+        _cell(mean_ratio)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        raise ConfigError(f"the mean_ratio of {len(ratios)} rows has more digits than "
+                          "Python prints; run the traces in smaller configs") from None
     return ExperimentReport(
         rows=tuple(rows),
         max_ratio=max_ratio,

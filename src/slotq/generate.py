@@ -13,6 +13,7 @@ from fractions import Fraction
 from .model import Packet, Trace, validate_trace
 
 _MASK64 = (1 << 64) - 1
+_DRAW_RANGE = 1 << 64  # the values one draw reaches
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -55,7 +56,10 @@ def parse_rational(name: str, value) -> "int | Fraction":
 class SplitMix64:
     """splitmix64 stream: state advances by the golden-gamma constant, output
     is the standard two-round xor-multiply finalizer.  Draws below n use plain
-    modulo — bias is irrelevant here, identical streams are the point."""
+    modulo — bias is irrelevant here, identical streams are the point.  Every
+    draw, below(n) for any n, consumes exactly one 64-bit output, so below(n)
+    reaches all of 0..n-1 only for n <= 2**64 (GeneratorParams keeps its
+    ranges there)."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
@@ -84,6 +88,10 @@ class GeneratorParams:
 
     Integer fields follow require_int and `burst` require_rational (a bool is
     neither, and a float is not exact); a bad type or range is a ParameterError.
+    Each release, span, weight and burst test is one SplitMix64 draw, which
+    consumes one 64-bit output; so that every value in its range can be
+    drawn, `horizon`, `max_weight` and the denominator of `burst` are at
+    most 2**64.
     """
 
     n: int
@@ -102,6 +110,10 @@ class GeneratorParams:
             require_int("max_span", self.max_span, 0)
         if not 0 <= require_rational("burst", self.burst) <= 1:
             raise ParameterError(f"burst must be in [0, 1], got {self.burst}")
+        for name, bound in (("horizon", self.horizon), ("max_weight", self.max_weight),
+                            ("burst denominator", self.burst.denominator)):
+            if bound > _DRAW_RANGE:
+                raise ParameterError(f"{name} must be at most 2**64, got {bound.bit_length()} bits")
 
 
 def gen_random(params: GeneratorParams) -> Trace:

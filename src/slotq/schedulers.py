@@ -28,13 +28,24 @@ stores only the filled prefix and B (SlotBuffer.prefix and size), so a step
 costs what the buffer holds, not B.  A step with nothing carried and nothing
 arriving returns an empty snapshot at once.
 
+A slot-queue step is two stages with one contract.  grq_rebuild(held,
+arrivals, t, trace) returns the snapshot, the rejections, and three columns
+of the placed packets in slot order: their ranks, their deadlines and their
+Trace.rank_weight values.  grq_transmit(buffer, placed, weights, t, trace)
+sends the front and returns the survivors, placed[1:]; run_grq checks the
+survivors on the placed deadlines after the front.  The placement loop
+collects the deadlines as it reads them, and one operator.itemgetter over
+the placed ranks gathers the snapshot's packets and one their weights.
+
 The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
 packets and sends the heaviest each step.  It ignores deadlines when choosing
 what to keep, which is exactly how it loses: a burst of mid-weight
 short-deadline packets can crowd out slightly lighter packets that had time
 to be sent later (see generate.gen_killer).  Its step bisects the arrivals
 in, and the overflow, the send and the packets of expiring_ranks[t] out,
-of the held ranks and their deadlines (by Trace.rank_deadline).
+of the held ranks and their deadlines (by Trace.rank_deadline).  It walks
+the overflow only when the buffer overflows, and expiring_ranks[t] only
+when its smallest held deadline is t: no held deadline is below t then.
 
 Both runners return a Transcript over steps t = 1..horizon with idle steps
 recorded explicitly.  Their self-checks run on every step and raise
@@ -45,22 +56,22 @@ front is the first placed rank and a heaviest packet, survivors' deadlines
 are past t, an empty front means an empty buffer, and nothing is left at
 the end.  Greedy checks that no held packet is past its deadline on the
 smallest of its sorted held deadlines, which come from Trace.rank_deadline,
-not from the expiry index.  The slot-queue checks read each step's columns
-once: grq_rebuild's placement loop tests each candidate's liveness as it
-reads its deadline and collects the placed deadlines, and the label and
-weight-order tests and grq_transmit's heaviest-front test apply all/max to
-lists built from those reads; check_buffer_invariants only words a failure.
-The lists are built by comprehension, not read through
-map(tuple.__getitem__, ranks): with CPython 3.11.7 (timeit, best of 7), max
-over 33 and 85 ranks took 0.68 and 1.64 us from a comprehension against 1.03
-and 2.27 us through map, and the two tie at 2 ranks (0.15 us).
+not from the expiry index, so a wrong index still raises.  The slot-queue
+checks read each step's columns once: grq_rebuild's placement loop tests
+each candidate's liveness as it reads its deadline, and the label and
+weight-order tests, grq_transmit's heaviest-front test and the survivor
+check apply all/max/min to the columns the rebuild returns;
+check_buffer_invariants only words a failure.  The gathers use itemgetter,
+not a comprehension turned into a tuple: with CPython 3.11.7 (timeit) a
+gather of 28 ranks took 0.22 us against 0.36 us, and of 53 ranks 0.36 us
+against 0.59 us.
 check_slot_monotonicity compares Trace.scaled_weight integers over the
 occupied slots of the stored prefixes only.
 """
 
 from bisect import bisect_left, insort
 from itertools import compress
-from operator import ge, le
+from operator import ge, itemgetter, le
 from typing import Sequence
 
 from .model import (
@@ -82,7 +93,7 @@ def grq_rebuild(
     arrivals: Sequence[int],
     t: int,
     trace: Trace,
-) -> tuple[SlotBuffer, tuple[Rejection, ...], list[int]]:
+) -> tuple[SlotBuffer, tuple[Rejection, ...], list[int], list[int], tuple[int, ...]]:
     """Arrival-stage rebuild at step t: place survivors + arrivals, reject the rest.
 
     `buffered` (the packets carried from step t - 1) and `arrivals` (those
@@ -93,17 +104,18 @@ def grq_rebuild(
     arrived.  Both inputs must be live at t (release <= t <= deadline);
     offering an expired or future packet is a programming error.
 
-    Returns the labeled snapshot, the rejections in rank order, and the
-    ranks of the placed packets in slot order.
+    Returns the labeled snapshot, the rejections in rank order, and three
+    columns of the placed packets in slot order: their ranks, their
+    deadlines (Trace.rank_deadline) and their weights (Trace.rank_weight).
     """
     size = trace.buffer_size
     if not buffered and not arrivals:
         # an idle step: every check below would run over an empty set
-        return SlotBuffer(t, (), size), (), []
+        return SlotBuffer(t, (), size), (), [], [], ()
     if len(buffered) > size:
         raise AssertionError("carried packets exceed buffer size")
     candidates = sorted([*buffered, *arrivals])
-    deadline, release, weight = trace.rank_deadline, trace.rank_release, trace.rank_weight
+    deadline, release = trace.rank_deadline, trace.rank_release
     placed: list[int] = []
     placed_dl: list[int] = []
     rejected: list[int] = []
@@ -123,32 +135,41 @@ def grq_rebuild(
         else:
             rejected.append(r)
 
-    fresh, ids, by_rank = set(arrivals), trace.rank_id, trace.by_rank
-    rejections = tuple([
-        Rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED) for r in rejected
-    ])
-    buffer = SlotBuffer(t, tuple([by_rank[r] for r in placed]), size)
+    rejections: tuple[Rejection, ...] = ()
+    if rejected:
+        fresh, ids = set(arrivals), trace.rank_id
+        rejections = tuple([
+            Rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED) for r in rejected
+        ])
+    # the first candidate always takes slot t, so placed is never empty here;
+    # an itemgetter of one rank returns the item itself, not a 1-tuple
+    if len(placed) > 1:
+        gather = itemgetter(*placed)
+        packets, w = gather(trace.by_rank), gather(trace.rank_weight)
+    else:
+        packets, w = (trace.by_rank[placed[0]],), (trace.rank_weight[placed[0]],)
+    buffer = SlotBuffer(t, packets, size)
     # the snapshot is a filled prefix by construction; its labels and weights
     # are checked on the gathered columns, and check_buffer_invariants words a failure
-    w = [weight[r] for r in placed]
     if not (all(map(le, range(t, label), placed_dl))
             and all(map(ge, w, w[1:]))):
         violations = check_buffer_invariants(buffer, trace.scaled_weight)
         raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
-    return buffer, rejections, placed
+    return buffer, rejections, placed, placed_dl, w
 
 
 def grq_transmit(
-    buffer: SlotBuffer, placed: Sequence[int], t: int, trace: Trace
+    buffer: SlotBuffer, placed: list[int], weights: Sequence[int], t: int, trace: Trace
 ) -> tuple["Packet | None", list[int]]:
     """Transmission stage: send the front-slot packet (or idle), return the survivors.
 
-    `placed` holds the Trace.rank values of the buffer's packets in slot
-    order (grq_rebuild's third result); the survivors are returned the same
-    way.  The front packet must be the one at placed[0], and it is always a
+    `placed` and `weights` hold the Trace.rank values of the buffer's packets
+    in slot order and their Trace.rank_weight values (grq_rebuild's third and
+    fifth results); the survivors are returned as ranks the same way.  The
+    front packet must be the one at placed[0], and it is always a
     maximum-weight packet in the buffer; this is a consequence of the rebuild
-    order and is checked, not assumed, on Trace.rank_weight.  An empty front
-    slot is an idle step only if nothing is placed: the rebuild fills a prefix.
+    order and is checked, not assumed, on `weights`.  An empty front slot is
+    an idle step only if nothing is placed: the rebuild fills a prefix.
     """
     if buffer.base_time != t:
         raise AssertionError(f"buffer based at {buffer.base_time} transmitted at t={t}")
@@ -159,22 +180,23 @@ def grq_transmit(
         return None, []
     if not placed or trace.rank_id[placed[0]] != sent.id:
         raise AssertionError(f"front packet {sent.id} is not the first placed rank at t={t}")
-    weight = trace.rank_weight
-    if max([weight[r] for r in placed]) > weight[placed[0]]:
+    if max(weights) > weights[0]:
         raise AssertionError(f"front packet {sent.id} is not heaviest at t={t}")
-    return sent, list(placed[1:])
+    return sent, placed[1:]
 
 
 def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
-    arrival_ranks, deadline = trace.arrival_ranks, trace.rank_deadline
+    arrival_ranks = trace.arrival_ranks
     steps: list[StepRecord] = []
     held: list[int] = []  # ranks of the survivors, in slot order (= rank order)
     for t in range(1, trace.horizon + 1):
-        buffer, rejections, placed = grq_rebuild(held, arrival_ranks.get(t, ()), t, trace)
-        sent, held = grq_transmit(buffer, placed, t, trace)
-        # survivors sat at labels >= t+1, so none can be past deadline at t+1
-        if held and min([deadline[r] for r in held]) <= t:
+        buffer, rejections, placed, placed_dl, weights = grq_rebuild(
+            held, arrival_ranks.get(t, ()), t, trace)
+        sent, held = grq_transmit(buffer, placed, weights, t, trace)
+        # the survivors are the placed packets after the front; they sat at
+        # labels >= t+1, so none can be past deadline at t+1
+        if len(placed_dl) > 1 and min(placed_dl[1:]) <= t:
             raise AssertionError(f"a survivor of t={t} is past its deadline")
         steps.append(StepRecord(t, buffer, rejections, None if sent is None else sent.id))
     if held:
@@ -205,24 +227,29 @@ def run_naive_greedy(trace: Trace) -> Transcript:
         for r in arrived:
             insort(held, r)
             insort(dls, deadline[r])
-        rejections, fresh = [], set(arrived)
-        for r in held[size:]:
-            del dls[bisect_left(dls, deadline[r])]
-            rejections.append(Rejection(rank_id[r], ADMISSION_REFUSED if r in fresh else PREEMPTED))
-        del held[size:]
+        rejections = []
+        if len(held) > size:
+            fresh = set(arrived)
+            for r in held[size:]:
+                del dls[bisect_left(dls, deadline[r])]
+                rejections.append(Rejection(rank_id[r], ADMISSION_REFUSED if r in fresh else PREEMPTED))
+            del held[size:]
 
         sent = None
         if held:
             r = held.pop(0)
             sent = rank_id[r]
             del dls[bisect_left(dls, deadline[r])]
-        # unsent packets whose deadline is t are lost; record while in window
-        for r in expiring.get(t, ()):
-            i = bisect_left(held, r)
-            if i < len(held) and held[i] == r:
-                del held[i]
-                del dls[bisect_left(dls, deadline[r])]
-                rejections.append(Rejection(rank_id[r], EXPIRED))
+        # unsent packets whose deadline is t are lost; record while in window.
+        # No held deadline is below t (checked above), so some held packet
+        # expires at t only if the smallest held deadline is t
+        if dls and dls[0] == t:
+            for r in expiring.get(t, ()):
+                i = bisect_left(held, r)
+                if i < len(held) and held[i] == r:
+                    del held[i]
+                    del dls[bisect_left(dls, deadline[r])]
+                    rejections.append(Rejection(rank_id[r], EXPIRED))
 
         steps.append(StepRecord(t, None, tuple(rejections), sent))
     if held:

@@ -127,8 +127,10 @@ def reference_transcript_invariants(transcript):
 
 
 def transmit(buf, t, trace):
-    """grq_transmit on the ranks of buf's packets, survivors as packets again."""
-    sent, rest = grq_transmit(buf, [trace.rank[p.id] for p in buf.packets()], t, trace)
+    """grq_transmit on the ranks and weight column of buf's packets, survivors as
+    packets again."""
+    placed = [trace.rank[p.id] for p in buf.packets()]
+    sent, rest = grq_transmit(buf, placed, [trace.rank_weight[r] for r in placed], t, trace)
     return sent, tuple(trace.by_rank[r] for r in rest)
 
 

@@ -17,6 +17,7 @@ from slotq.experiment import (
 )
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.charging import ChargeConstructionError
+from slotq.cli import main
 from slotq.model import Packet, Trace, validate_trace
 from slotq.schedulers import run_grq
 from slotq.traceio import parse_trace
@@ -156,6 +157,18 @@ class TestRunExperiment:
     def test_bad_configs(self, config):
         with pytest.raises(ConfigError):
             run_experiment(config)
+
+    def test_a_mean_ratio_that_would_not_print_is_refused(self, tmp_path):
+        # 2,000 rows of 64-bit weights: the exact mean's denominator, the lcm
+        # of about 300 rows' ones, has more digits than Python prints, so
+        # writing the report raised ValueError and the CLI exited 3
+        config = {"traces": [{"kind": "random", "count": 2000, "seed": 1, "n": 8,
+                              "horizon": 3, "buffer_size": 2, "max_weight": 2**64}]}
+        with pytest.raises(ConfigError, match="^the mean_ratio of 2000 rows has more digits"):
+            run_experiment(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
 
     def test_max_span_is_an_integer_field(self):
         # a float span is refused, not truncated: it would give packets

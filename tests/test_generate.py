@@ -119,6 +119,12 @@ class TestGenRandom:
                 assert 1 <= pkt.weight <= 9
                 assert pkt.weight.denominator == 1
 
+    def test_widest_draw_ranges_are_accepted(self):
+        # 2**64 values is what one draw reaches, and the top half of it shows up
+        t = gen_random(GeneratorParams(n=50, horizon=3, buffer_size=1, seed=1,
+                                       max_weight=2**64, burst=Fraction(1, 2**64)))
+        assert 2**63 < max(p.weight for p in t.packets) <= 2**64
+
     def test_zero_packets(self):
         t = gen_random(GeneratorParams(n=0, horizon=3, buffer_size=1, seed=0))
         assert t.packets == ()
@@ -160,6 +166,13 @@ class TestGenRandom:
         dict(n=3, horizon=3, buffer_size=1, seed=0, burst=0.5),
         dict(n=3, horizon=3, buffer_size=1, seed=0, burst=True),
         dict(n=3, horizon=3, buffer_size=1, seed=0, burst="1/2"),
+        # one draw reaches 2**64 values: above that gen_random drew no
+        # weight past 2**64 + 1, though max_weight promised more; a bound too
+        # long to print is refused in the same words
+        dict(n=3, horizon=3, buffer_size=1, seed=0, max_weight=2**64 + 1),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, max_weight=10**5000),
+        dict(n=3, horizon=2**64 + 1, buffer_size=1, seed=0),
+        dict(n=3, horizon=3, buffer_size=1, seed=0, burst=Fraction(1, 2**64 + 1)),
     ])
     def test_invalid_params(self, kwargs):
         with pytest.raises(ParameterError):

@@ -29,7 +29,7 @@ from slotq.model import (
     StepRecord,
     validate_trace,
 )
-from slotq.schedulers import run_grq, run_naive_greedy
+from slotq.schedulers import grq_rebuild, run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
 
 
@@ -164,10 +164,28 @@ def assert_same_steps(transcript, reference):
         assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
 
 
+def rebuilt_columns(trace):
+    """Per step of run_grq's stages, the ranks, deadlines and weights that
+    grq_rebuild returns beside its snapshot, and the same columns read off
+    the snapshot's packets in slot order."""
+    got, want, held = [], [], []
+    for t in range(1, trace.horizon + 1):
+        buffer, _, placed, deadlines, weights = grq_rebuild(
+            held, trace.arrival_ranks.get(t, ()), t, trace)
+        packets = buffer.packets()
+        got.append((list(placed), list(deadlines), list(weights)))
+        want.append(([trace.rank[p.id] for p in packets], [p.deadline for p in packets],
+                     [trace.scaled_weight[p.id] for p in packets]))
+        held = placed[1:]
+    return got, want
+
+
 @given(written_traces())
 @settings(max_examples=200, deadline=None)
 def test_schedulers_match_references(trace):
     assert_same_steps(run_grq(trace), reference_grq(trace))
+    got, want = rebuilt_columns(trace)
+    assert got == want
     assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))
 
 

@@ -39,16 +39,22 @@ def rebuild(buffered, arrivals, t, buffer_size):
     """grq_rebuild on the ranks of these packets within a trace of just them."""
     trace = Trace(buffer_size, (*buffered, *arrivals))
     rank = trace.rank
-    buf, rej, _ = grq_rebuild(
+    buf, rej, *_ = grq_rebuild(
         sorted(rank[p.id] for p in buffered), [rank[p.id] for p in arrivals], t, trace
     )
     return buf, rej
 
 
+def weights_at(trace, placed):
+    """The trace's rank_weight column at the placed ranks, as grq_rebuild returns it."""
+    return [trace.rank_weight[r] for r in placed]
+
+
 def transmit(buf, t):
     """grq_transmit on the ranks of buf's packets within a trace of just them."""
     trace = Trace(1, buf.packets())
-    sent, rest = grq_transmit(buf, [trace.rank[p.id] for p in buf.packets()], t, trace)
+    placed = [trace.rank[p.id] for p in buf.packets()]
+    sent, rest = grq_transmit(buf, placed, weights_at(trace, placed), t, trace)
     return sent, tuple(trace.by_rank[r] for r in rest)
 
 
@@ -150,7 +156,7 @@ class TestTransmit:
         trace = Trace(1, buf.packets())
         for placed in ([1, 0], [1], []):
             with pytest.raises(AssertionError, match="^front packet 0 is not the first placed rank at t=1$"):
-                grq_transmit(buf, placed, 1, trace)
+                grq_transmit(buf, placed, weights_at(trace, placed), 1, trace)
 
     def test_front_check_survives_optimize_flag(self):
         # `python -O` strips assert statements; the front checks must still fire
@@ -158,10 +164,11 @@ class TestTransmit:
             from slotq.model import Packet, SlotBuffer, Trace
             from slotq.schedulers import grq_transmit
             light, heavy = Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)
-            # ranks: heavy is 0, light is 1
+            trace = Trace(1, (light, heavy))  # ranks: heavy is 0, light is 1
             for placed in ([1, 0], [0, 1]):
+                weights = [trace.rank_weight[r] for r in placed]
                 try:
-                    grq_transmit(SlotBuffer(1, (light, heavy), 2), placed, 1, Trace(1, (light, heavy)))
+                    grq_transmit(SlotBuffer(1, (light, heavy), 2), placed, weights, 1, trace)
                 except AssertionError as e:
                     print("raised", e)
         """)
@@ -174,11 +181,14 @@ def test_runner_checks_survive_optimize_flag():
     # greedy's on a trace whose expiry index is emptied, so nothing expires,
     # and on one whose index names each packet a step after its deadline,
     # after an overflow and with a live packet held beside the expired one;
-    # run_grq's with a transmit that keeps the sent packet among the survivors,
-    # and with hand-built trimmed snapshots (stored prefix shorter than B)
-    # that break the rebuild invariants: a lighter packet before a heavier
-    # one, a gap at the front (also on a one-packet trace, where nothing else
-    # would notice), and a rebuild misled by a tampered rank order
+    # run_grq's with a transmit that keeps the sent packet among the survivors
+    # (the next rebuild finds it past its deadline), with a rebuild whose
+    # placed deadlines put a survivor at its deadline, and with hand-built
+    # trimmed snapshots (stored prefix shorter than B) that break the rebuild
+    # invariants: a lighter packet before a heavier one, a gap at the front
+    # (also on a one-packet trace, where nothing else would notice), and a
+    # rebuild misled by a tampered rank order; a hand-built rebuild result
+    # carries the trace's deadline and weight columns at its placed ranks
     code = """
         import slotq.schedulers as s
         from slotq.model import Packet, SlotBuffer, validate_trace
@@ -188,6 +198,10 @@ def test_runner_checks_survive_optimize_flag():
                 run(trace)
             except AssertionError as e:
                 print("raised", e)
+
+        def rebuilt(snapshot, placed, trace):
+            return (snapshot, (), placed, [trace.rank_deadline[r] for r in placed],
+                    [trace.rank_weight[r] for r in placed])
 
         for deadline in (2, 1):
             trace = validate_trace(2, [Packet(0, 1, deadline, 5), Packet(1, 1, 1, 3)])
@@ -209,21 +223,29 @@ def test_runner_checks_survive_optimize_flag():
         trace.__dict__["expiring_ranks"] = {2: (3,), 4: (4,)}
         attempt(s.run_naive_greedy, trace)
         transmit = s.grq_transmit
-        s.grq_transmit = lambda buf, placed, t, trace: (
-            transmit(buf, placed, t, trace)[0], list(placed))
+        s.grq_transmit = lambda buf, placed, weights, t, trace: (
+            transmit(buf, placed, weights, t, trace)[0], list(placed))
         attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
         s.grq_transmit = transmit
+        rebuild = s.grq_rebuild
+
+        def survivor_at_deadline(held, arrivals, t, trace):
+            buf, rejections, placed, deadlines, weights = rebuild(held, arrivals, t, trace)
+            return buf, rejections, placed, [t] * len(deadlines), weights
+
+        s.grq_rebuild = survivor_at_deadline
+        attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
 
         light, heavy = Packet(0, 1, 3, 1), Packet(1, 1, 1, 9)  # ranks: heavy 0, light 1
-        rebuild = s.grq_rebuild
         for snapshot, placed in ((SlotBuffer(1, (light, heavy), 3), [1, 0]),
                                  (SlotBuffer(1, (None, heavy), 3), [0])):
-            s.grq_rebuild = lambda held, arrivals, t, trace, out=(snapshot, (), placed): out
+            s.grq_rebuild = lambda held, arrivals, t, trace, out=(snapshot, placed): (
+                rebuilt(*out, trace))
             attempt(s.run_grq, validate_trace(3, [light, heavy]))
         # only the rebuild at t=1 leaves the gap; the real one runs after it
         lone = Packet(1, 1, 3, 9)
         s.grq_rebuild = lambda held, arrivals, t, trace: (
-            (SlotBuffer(1, (None, lone), 3), (), [0]) if t == 1
+            rebuilt(SlotBuffer(1, (None, lone), 3), [0], trace) if t == 1
             else rebuild(held, arrivals, t, trace))
         attempt(s.run_grq, validate_trace(3, [lone]))
         s.grq_rebuild = rebuild
@@ -236,6 +258,7 @@ def test_runner_checks_survive_optimize_flag():
     assert "raised greedy holds packets after the last deadline" in out
     assert "raised greedy holds an expired packet at t=3" in out
     assert "raised greedy holds an expired packet at t=4" in out
+    assert "raised packet 0 not live at t=2" in out
     assert "raised a survivor of t=1 is past its deadline" in out
     assert "raised front packet 0 is not heaviest at t=1" in out
     assert out.count("raised a survivor of t=1 is past its deadline") == 1
