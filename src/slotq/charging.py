@@ -417,11 +417,12 @@ def _forward_violations(
             )
             continue
         sw = scaled[c.source_id]
-        buf = grq.step(t0).slots
-        if buf is None:
+        slots = grq.step(t0).slots
+        if slots is None:
             raise AssertionError(f"transcript keeps no slot buffer at t0={t0}")
-        for label, p in buf.occupied():
-            if scaled[p.id] < sw:
+        for label, r in enumerate(slots, start=t0):
+            if trace.rank_weight[r] < sw:
+                p = trace.by_rank[r]
                 v5.append(
                     f"F-charge from packet {c.source_id} (w={trace.by_id[c.source_id].weight}): "
                     f"slot {label} at t0={t0} holds packet {p.id} with smaller weight {p.weight}"

@@ -11,7 +11,9 @@ floating point.
 
 The slot-queue scheduler names buffer positions after absolute time steps: a
 buffer of size B at time t exposes the labels t..t+B-1 and transmits from the
-slot labeled t.  SlotBuffer is one such labeled snapshot; Transcript is the
+slot labeled t.  Its filled slots always form a prefix of those labels, so a
+snapshot is the tuple of the placed packets' Trace.rank values, slot i
+labeled t + i, and the window size is Trace.buffer_size.  Transcript is the
 full per-step record an algorithm run leaves behind.
 
 All types here are immutable values; the operations are pure functions, so
@@ -21,9 +23,8 @@ distinct traces can be processed concurrently without coordination.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import le
-from typing import Iterable, Mapping
+from typing import Iterable
 
 # Rejection causes recorded in transcripts.
 ADMISSION_REFUSED = "admission-refused"  # arrival found no usable slot
@@ -256,97 +257,6 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
 
 
 @dataclass(frozen=True, slots=True)
-class SlotBuffer:
-    """Labeled snapshot of a size-B buffer: slot i holds the packet at label base_time + i.
-
-    Only the slots up to the last occupied one are stored, in `prefix`; the
-    labels after it, up to base_time + size - 1, are empty.  A slot-queue
-    buffer holds far fewer packets than B on most steps, so the snapshot
-    costs what its occupancy does.  SlotBuffer(t, prefix, B) is the one
-    spelling: `prefix` is a tuple of at most B slots that ends in a packet
-    (empty slots before it are allowed), as grq_rebuild builds it; anything
-    else is a ValueError, so one content has one value.
-    """
-
-    base_time: int
-    prefix: tuple["Packet | None", ...]
-    size: int
-
-    def __post_init__(self):
-        prefix = self.prefix
-        if type(prefix) is not tuple:
-            raise ValueError(f"prefix must be a tuple, got {prefix!r}")
-        if prefix and prefix[-1] is None:
-            raise ValueError("prefix must end in a packet, not an empty slot")
-        if len(prefix) > self.size:
-            raise ValueError(f"{len(prefix)} stored slots exceed buffer size {self.size}")
-
-    @property
-    def front(self) -> "Packet | None":
-        """Packet at the label-base_time slot, the one due to transmit."""
-        return self.prefix[0] if self.prefix else None
-
-    def occupied(self) -> list[tuple[int, Packet]]:
-        """(label, packet) pairs for the non-empty slots, in label order."""
-        return list(zip(self.labels(), self.packets()))
-
-    # A Packet defines neither __bool__ nor __len__, so it is always truthy
-    # and None never is: filter/compress skip the empty slots without a
-    # Python-level call per slot (an `== None` test would call Packet.__eq__).
-    # Tuples on the scheduler's per-step path are built from lists: a tuple
-    # grown from an iterator of unknown length is resized as it fills, and
-    # that churn alone raised the benchmark's peak RSS by about 0.6 MB.
-
-    def labels(self) -> list[int]:
-        """Labels of the non-empty slots, ascending."""
-        base = self.base_time
-        return list(compress(range(base, base + len(self.prefix)), self.prefix))
-
-    def packets(self) -> tuple[Packet, ...]:
-        """The packets in the non-empty slots, in label order."""
-        return tuple([*filter(None, self.prefix)])
-
-
-def check_buffer_invariants(buffer: SlotBuffer, scaled_weight: Mapping[int, int]) -> list[str]:
-    """Violations of the slot-labeling rules in a snapshot taken right after
-    an arrival-stage rebuild; an empty list means the snapshot is sound.
-
-    No packet may sit at a label past its deadline, and the occupied slots
-    must form a contiguous prefix of the label range with non-increasing
-    weights (ties allowed).  Weights are compared as `scaled_weight` integers
-    (normally Trace.scaled_weight, packet id -> integer weight).  One C-level
-    pass over the stored prefix finds the occupied slots; each test then runs
-    over those only, and messages are built only when it fails.
-    """
-    base, occ = buffer.base_time, buffer.packets()
-    if not occ:
-        return []
-    out: list[str] = []
-    # the stored prefix ends at the last occupied slot, so the occupied
-    # slots form a prefix of the window iff every stored slot is occupied
-    contiguous = len(occ) == len(buffer.prefix)
-    labels = range(base, base + len(occ)) if contiguous else buffer.labels()
-    if not all(map(le, labels, [p.deadline for p in occ])):
-        for label, p in zip(labels, occ):
-            if p.deadline < label:
-                out.append(
-                    f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}"
-                )
-    if not contiguous:
-        j = next(j for j, label in enumerate(labels) if label != base + j)
-        out.append(f"slot {labels[j]}: occupied after empty slot {base + j}")
-    w = [scaled_weight[p.id] for p in occ]
-    if w != sorted(w, reverse=True):  # non-increasing iff already sorted descending
-        for i in range(1, len(occ)):
-            if w[i] > w[i - 1]:
-                out.append(
-                    f"slot {labels[i]}: weight {occ[i].weight} exceeds "
-                    f"weight {occ[i - 1].weight} at slot {labels[i - 1]}"
-                )
-    return out
-
-
-@dataclass(frozen=True, slots=True)
 class Rejection:
     packet_id: int
     cause: str  # ADMISSION_REFUSED, PREEMPTED, or EXPIRED
@@ -356,14 +266,16 @@ class Rejection:
 class StepRecord:
     """What one algorithm did during one time step.
 
-    `slots` is the labeled post-arrival-stage buffer for schedulers that keep
-    one, None otherwise.  `transmitted` is None on idle steps.  The record
-    holds the step's decisions only, its rejections and send; its arrivals
-    are the trace's, and the buffer's contents follow from the events.
+    `slots` is the post-arrival-stage buffer for schedulers that keep a
+    labeled one, None otherwise: the Trace.rank values of its packets, the
+    one in slot i labeled time + i; an idle step's is ().  `transmitted` is
+    None on idle steps.  The record holds the step's decisions only, its
+    rejections and send; its arrivals are the trace's, and the buffer's
+    contents follow from the events.
     """
 
     time: int
-    slots: "SlotBuffer | None"
+    slots: "tuple[int, ...] | None"
     rejections: tuple[Rejection, ...]
     transmitted: "int | None"
 

@@ -9,10 +9,9 @@ A step changes few packets: its arrivals, at most one send, its rejections
 and expiries.  Both runners look these up in per-trace indexes built once:
 Trace.arrival_ranks (per release step), expiring_ranks (per deadline) and
 the rank-indexed tuples rank_id, rank_deadline, rank_release and
-rank_weight.  Each holds its buffer as a sorted list of ranks and records
-only its own decisions (rejections, send): never the step's arrivals, which
-the trace holds, nor a copy of the buffer.  A rank becomes a Packet
-(Trace.by_rank) only in the labeled SlotBuffer.
+rank_weight.  Each holds its buffer as a sorted sequence of ranks and
+records only its own decisions (rejections, send): never the step's
+arrivals, which the trace holds.
 
 The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
@@ -23,19 +22,18 @@ prefix rule: with k slots already filled, the next packet is accepted (into
 slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
 (labeled with the current step) is then transmitted.  Because heavy packets
 grab small labels first, the front packet is always a heaviest one — checked
-on every step.  The rebuild touches every held packet, and the snapshot
-stores only the filled prefix and B (SlotBuffer.prefix and size), so a step
-costs what the buffer holds, not B.  A step with nothing carried and nothing
-arriving returns an empty snapshot at once.
+on every step.  The filled prefix also makes the post-rebuild snapshot the
+tuple of the placed ranks, slot i labeled t + i (StepRecord.slots), so a
+step costs what the buffer holds, not B.  A step with nothing carried and
+nothing arriving returns an empty snapshot at once.
 
-A slot-queue step is two stages with one contract.  grq_rebuild(held,
-arrivals, t, trace) returns the snapshot, the rejections, and three columns
-of the placed packets in slot order: their ranks, their deadlines and their
-Trace.rank_weight values.  grq_transmit(buffer, placed, weights, t, trace)
-sends the front and returns the survivors, placed[1:]; run_grq checks the
-survivors on the placed deadlines after the front.  The placement loop
-collects the deadlines as it reads them, and one operator.itemgetter over
-the placed ranks gathers the snapshot's packets and one their weights.
+grq_rebuild(held, arrivals, t, trace) is the arrival stage.  It returns the
+rejections, the snapshot, and two columns of the placed packets in slot
+order: their deadlines and their Trace.rank_weight values.  run_grq sends
+the front, slots[0], carries slots[1:], and checks the front's weight and
+the survivors' deadlines on those columns.  The placement loop collects the
+deadlines as it reads them, and one operator.itemgetter over the placed
+ranks gathers their weights.
 
 The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
 packets and sends the heaviest each step.  It ignores deadlines when choosing
@@ -51,26 +49,26 @@ Both runners return a Transcript over steps t = 1..horizon with idle steps
 recorded explicitly.  Their self-checks run on every step and raise
 AssertionError explicitly, so they also run under `python -O`: carried
 packets fit in B, every candidate is live at t, the rebuilt snapshot keeps
-deadline >= label and non-increasing weights, the buffer is based at t, its
-front is the first placed rank and a heaviest packet, survivors' deadlines
-are past t, an empty front means an empty buffer, and nothing is left at
-the end.  Greedy checks that no held packet is past its deadline on the
-smallest of its sorted held deadlines, which come from Trace.rank_deadline,
-not from the expiry index, so a wrong index still raises.  The slot-queue
-checks read each step's columns once: grq_rebuild's placement loop tests
-each candidate's liveness as it reads its deadline, and the label and
-weight-order tests, grq_transmit's heaviest-front test and the survivor
-check apply all/max/min to the columns the rebuild returns;
-check_buffer_invariants only words a failure.  The gathers use itemgetter,
-not a comprehension turned into a tuple: with CPython 3.11.7 (timeit) a
-gather of 28 ranks took 0.22 us against 0.36 us, and of 53 ranks 0.36 us
-against 0.59 us.
-check_slot_monotonicity compares Trace.scaled_weight integers over the
-occupied slots of the stored prefixes only.
+deadline >= label and non-increasing weights, its front is a heaviest
+packet, survivors' deadlines are past t, and nothing is left at the end.
+Greedy checks that no held packet is past its deadline on the smallest of
+its sorted held deadlines, which come from Trace.rank_deadline, not from
+the expiry index, so a wrong index still raises.  The slot-queue checks
+read each step's columns once: grq_rebuild's placement loop tests each
+candidate's liveness as it reads its deadline, and the label and
+weight-order tests, the heaviest-front test and the survivor check apply
+all/max/min to the columns the rebuild returns; check_buffer_invariants
+only words a failure.  The weight gather uses itemgetter, not a
+comprehension turned into a tuple: with CPython 3.11.7 (timeit) a gather
+of 28 ranks took 0.22 us against 0.36 us, and of 53 ranks 0.36 us against
+0.59 us.
+check_slot_monotonicity compares consecutive snapshots' ranks over the
+labels both windows hold.  A rank no larger than the earlier one means a
+weight no smaller, so it reads weights only where a rank grew or a label
+emptied.
 """
 
 from bisect import bisect_left, insort
-from itertools import compress
 from operator import ge, itemgetter, le
 from typing import Sequence
 
@@ -78,14 +76,35 @@ from .model import (
     ADMISSION_REFUSED,
     EXPIRED,
     PREEMPTED,
-    Packet,
     Rejection,
-    SlotBuffer,
     StepRecord,
     Trace,
     Transcript,
-    check_buffer_invariants,
 )
+
+
+def check_buffer_invariants(t: int, slots: Sequence[int], trace: Trace) -> list[str]:
+    """Violations of the slot-labeling rules in a snapshot taken right after
+    the arrival-stage rebuild at step t; an empty list means it is sound.
+
+    `slots` holds Trace.rank values, the one in slot i labeled t + i.  No
+    packet may sit at a label past its deadline, and weights must not
+    increase from one slot to the next (ties allowed); they are compared as
+    Trace.rank_weight integers and printed as the packets' weights.
+    """
+    deadline, weight, by_rank = trace.rank_deadline, trace.rank_weight, trace.by_rank
+    out: list[str] = []
+    for label, r in enumerate(slots, start=t):
+        if deadline[r] < label:
+            p = by_rank[r]
+            out.append(f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}")
+    for label, (r0, r1) in enumerate(zip(slots, slots[1:]), start=t + 1):
+        if weight[r1] > weight[r0]:
+            out.append(
+                f"slot {label}: weight {by_rank[r1].weight} exceeds "
+                f"weight {by_rank[r0].weight} at slot {label - 1}"
+            )
+    return out
 
 
 def grq_rebuild(
@@ -93,7 +112,7 @@ def grq_rebuild(
     arrivals: Sequence[int],
     t: int,
     trace: Trace,
-) -> tuple[SlotBuffer, tuple[Rejection, ...], list[int], list[int], tuple[int, ...]]:
+) -> tuple[tuple[Rejection, ...], tuple[int, ...], list[int], tuple[int, ...]]:
     """Arrival-stage rebuild at step t: place survivors + arrivals, reject the rest.
 
     `buffered` (the packets carried from step t - 1) and `arrivals` (those
@@ -104,14 +123,14 @@ def grq_rebuild(
     arrived.  Both inputs must be live at t (release <= t <= deadline);
     offering an expired or future packet is a programming error.
 
-    Returns the labeled snapshot, the rejections in rank order, and three
-    columns of the placed packets in slot order: their ranks, their
-    deadlines (Trace.rank_deadline) and their weights (Trace.rank_weight).
+    Returns the rejections in rank order, the snapshot (the placed ranks in
+    slot order, slot i labeled t + i), and the placed packets' deadlines
+    (Trace.rank_deadline) and weights (Trace.rank_weight) in the same order.
     """
-    size = trace.buffer_size
     if not buffered and not arrivals:
         # an idle step: every check below would run over an empty set
-        return SlotBuffer(t, (), size), (), [], [], ()
+        return (), (), [], ()
+    size = trace.buffer_size
     if len(buffered) > size:
         raise AssertionError("carried packets exceed buffer size")
     candidates = sorted([*buffered, *arrivals])
@@ -135,6 +154,8 @@ def grq_rebuild(
         else:
             rejected.append(r)
 
+    # tuples on this per-step path are built from lists: one grown from an
+    # iterator is resized as it fills, which raised peak RSS by about 0.6 MB
     rejections: tuple[Rejection, ...] = ()
     if rejected:
         fresh, ids = set(arrivals), trace.rank_id
@@ -143,62 +164,38 @@ def grq_rebuild(
         ])
     # the first candidate always takes slot t, so placed is never empty here;
     # an itemgetter of one rank returns the item itself, not a 1-tuple
+    slots = tuple(placed)
     if len(placed) > 1:
-        gather = itemgetter(*placed)
-        packets, w = gather(trace.by_rank), gather(trace.rank_weight)
+        w = itemgetter(*placed)(trace.rank_weight)
     else:
-        packets, w = (trace.by_rank[placed[0]],), (trace.rank_weight[placed[0]],)
-    buffer = SlotBuffer(t, packets, size)
-    # the snapshot is a filled prefix by construction; its labels and weights
-    # are checked on the gathered columns, and check_buffer_invariants words a failure
+        w = (trace.rank_weight[placed[0]],)
+    # labels and weights are checked on the columns; check_buffer_invariants words a failure
     if not (all(map(le, range(t, label), placed_dl))
             and all(map(ge, w, w[1:]))):
-        violations = check_buffer_invariants(buffer, trace.scaled_weight)
+        violations = check_buffer_invariants(t, slots, trace)
         raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
-    return buffer, rejections, placed, placed_dl, w
-
-
-def grq_transmit(
-    buffer: SlotBuffer, placed: list[int], weights: Sequence[int], t: int, trace: Trace
-) -> tuple["Packet | None", list[int]]:
-    """Transmission stage: send the front-slot packet (or idle), return the survivors.
-
-    `placed` and `weights` hold the Trace.rank values of the buffer's packets
-    in slot order and their Trace.rank_weight values (grq_rebuild's third and
-    fifth results); the survivors are returned as ranks the same way.  The
-    front packet must be the one at placed[0], and it is always a
-    maximum-weight packet in the buffer; this is a consequence of the rebuild
-    order and is checked, not assumed, on `weights`.  An empty front slot is
-    an idle step only if nothing is placed: the rebuild fills a prefix.
-    """
-    if buffer.base_time != t:
-        raise AssertionError(f"buffer based at {buffer.base_time} transmitted at t={t}")
-    sent = buffer.front
-    if sent is None:
-        if placed or buffer.prefix:
-            raise AssertionError(f"front slot empty in a non-empty buffer at t={t}")
-        return None, []
-    if not placed or trace.rank_id[placed[0]] != sent.id:
-        raise AssertionError(f"front packet {sent.id} is not the first placed rank at t={t}")
-    if max(weights) > weights[0]:
-        raise AssertionError(f"front packet {sent.id} is not heaviest at t={t}")
-    return sent, placed[1:]
+    return rejections, slots, placed_dl, w
 
 
 def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
-    arrival_ranks = trace.arrival_ranks
+    arrival_ranks, rank_id = trace.arrival_ranks, trace.rank_id
     steps: list[StepRecord] = []
-    held: list[int] = []  # ranks of the survivors, in slot order (= rank order)
+    held: tuple[int, ...] = ()  # ranks of the survivors, in slot order (= rank order)
     for t in range(1, trace.horizon + 1):
-        buffer, rejections, placed, placed_dl, weights = grq_rebuild(
+        rejections, slots, deadlines, weights = grq_rebuild(
             held, arrival_ranks.get(t, ()), t, trace)
-        sent, held = grq_transmit(buffer, placed, weights, t, trace)
-        # the survivors are the placed packets after the front; they sat at
-        # labels >= t+1, so none can be past deadline at t+1
-        if len(placed_dl) > 1 and min(placed_dl[1:]) <= t:
-            raise AssertionError(f"a survivor of t={t} is past its deadline")
-        steps.append(StepRecord(t, buffer, rejections, None if sent is None else sent.id))
+        sent = None
+        if slots:
+            sent = rank_id[slots[0]]
+            if max(weights) > weights[0]:
+                raise AssertionError(f"front packet {sent} is not heaviest at t={t}")
+            # the survivors sat at labels >= t+1, so none can be past
+            # deadline at t+1
+            if len(deadlines) > 1 and min(deadlines[1:]) <= t:
+                raise AssertionError(f"a survivor of t={t} is past its deadline")
+        held = slots[1:]
+        steps.append(StepRecord(t, slots, rejections, sent))
     if held:
         raise AssertionError("packets left in the buffer after the last deadline")
     return Transcript(trace, tuple(steps))
@@ -262,41 +259,36 @@ def check_slot_monotonicity(transcript: Transcript) -> list[str]:
 
     For every slot label, the weight sitting at that label never decreases
     between one post-rebuild snapshot and the next, for as long as the label
-    is in both windows (an empty slot counts as bottom).  Only the labels the
-    earlier snapshot occupies are compared, on Trace.scaled_weight integers,
-    so each pair of steps reads the stored prefixes (SlotBuffer.prefix), never
-    all B slots.  Returns violation strings; empty means the
-    property held at every step.
+    is in both windows (an empty slot counts as bottom).  Only the labels
+    the earlier snapshot occupies are compared.  A rank no larger than the
+    earlier one means a weight no smaller, so Trace.rank_weight is read only
+    when some rank grew or a label emptied.  Returns violation strings;
+    empty means the property held at every step.
     """
-    weight = transcript.trace.scaled_weight
+    trace = transcript.trace
+    weight, by_rank, size = trace.rank_weight, trace.by_rank, trace.buffer_size
     out: list[str] = []
-    prev: SlotBuffer | None = None
+    prev: tuple[int, ...] = ()
+    prev_t = 0
     for rec in transcript.steps:
-        buf = rec.slots
-        if buf is None:
+        slots, t = rec.slots, rec.time
+        if slots is None:
             raise AssertionError("slot monotonicity needs labeled snapshots")
-        if prev is not None and prev.prefix:  # else prev occupies no label
-            lo, base = max(prev.base_time, buf.base_time), prev.base_time
-            # the stored labels lo.. of `prev` that are also in buf's window
-            before = prev.prefix[lo - base : max(buf.base_time + buf.size - base, 0)]
-            start = lo - buf.base_time
-            after = buf.prefix[start : start + len(before)]
-            after += (None,) * (len(before) - len(after))  # empty after buf's prefix
-            # labels in both windows that `before` occupies, with the packets
-            # at those labels in both snapshots (see SlotBuffer.labels)
-            pairs = zip(
-                compress(range(lo, lo + len(before)), before),
-                filter(None, before),
-                compress(after, before),
-            )
-            for label, was, now in pairs:
-                if now is was:
-                    continue
-                if now is None or weight[now.id] < weight[was.id]:
-                    got = "empty" if now is None else str(now.weight)
-                    out.append(
-                        f"label {label}: weight dropped from {was.weight} "
-                        f"at t={prev.base_time} to {got} at t={buf.base_time}"
-                    )
-        prev = buf
+        if prev:  # else prev occupies no label
+            lo = max(prev_t, t)
+            # the labels lo.. that prev occupies and the window t..t+B-1 holds,
+            # and the ranks at those labels now
+            before = prev[lo - prev_t : max(t + size - prev_t, 0)]
+            after = slots[lo - t : lo - t + len(before)]
+            if len(after) < len(before) or not all(map(le, after, before)):
+                for label, was in enumerate(before, start=lo):
+                    i = label - t
+                    now = slots[i] if i < len(slots) else None
+                    if now is None or weight[now] < weight[was]:
+                        got = "empty" if now is None else str(by_rank[now].weight)
+                        out.append(
+                            f"label {label}: weight dropped from {by_rank[was].weight} "
+                            f"at t={prev_t} to {got} at t={t}"
+                        )
+        prev, prev_t = slots, t
     return out

@@ -24,7 +24,6 @@ from slotq.generate import GeneratorParams, SplitMix64, gen_killer, gen_random
 from slotq.model import (
     Trace,
     Transcript,
-    check_buffer_invariants,
     check_transcript_invariants,
     validate_trace,
 )
@@ -37,7 +36,12 @@ from slotq.oracle import (
     relax_capacity,
     verify_schedule,
 )
-from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
+from slotq.schedulers import (
+    check_buffer_invariants,
+    check_slot_monotonicity,
+    run_grq,
+    run_naive_greedy,
+)
 from slotq.search import adversarial_search
 from test_schedulers import run_optimized
 
@@ -186,9 +190,10 @@ def test_criterion_4_forward_charge_rejection_evidence(charging):
                     f"trace {run.index}: packet {charge.source_id} rejected at "
                     f"{t0} but adversary sends at {charge.source_time} < {t0} + {b}"
                 )
+            slots = [run.trace.by_rank[r] for r in run.grq.step(t0).slots]
             light = [
                 (label, p.id)
-                for label, p in run.grq.step(t0).slots.occupied()
+                for label, p in enumerate(slots, start=t0)
                 if p.weight < weight
             ]
             if light:
@@ -289,14 +294,14 @@ def test_criterion_6_oracle_cross_checks(sweep):
 def test_criterion_7_structural_buffer_invariants(sweep):
     violations = []
     for i, run in enumerate(sweep):
-        weight = run.grq.trace.scaled_weight
+        trace = run.grq.trace
         for rec in run.grq.steps:
-            buf = rec.slots
+            buf = [trace.by_rank[r] for r in rec.slots]
             violations += [
                 f"trace {i} step {rec.time}: {v}"
-                for v in check_buffer_invariants(buf, weight)
+                for v in check_buffer_invariants(rec.time, rec.slots, trace)
             ]
-            front = buf.front
+            front = buf[0] if buf else None
             if rec.transmitted is None:
                 if front is not None:
                     violations.append(
@@ -307,7 +312,7 @@ def test_criterion_7_structural_buffer_invariants(sweep):
                     f"trace {i} step {rec.time}: transmitted {rec.transmitted}, "
                     f"front is {front}"
                 )
-            elif any(p.weight > front.weight for p in buf.packets()):
+            elif any(p.weight > front.weight for p in buf):
                 violations.append(
                     f"trace {i} step {rec.time}: front {front.id} is not heaviest"
                 )

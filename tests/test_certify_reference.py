@@ -168,7 +168,8 @@ def reference_verify_charge_map(cmap, grq, adv):
                       f"{recorded}, charge claims t0={t0}")
             continue
         w = trace.by_id[c.source_id].weight
-        for label, p in grq.step(t0).slots.occupied():
+        for label, r in enumerate(grq.step(t0).slots, start=t0):
+            p = trace.by_rank[r]
             if p.weight < w:
                 v5.append(f"F-charge from packet {c.source_id} (w={w}): slot {label} at "
                           f"t0={t0} holds packet {p.id} with smaller weight {p.weight}")

@@ -326,12 +326,21 @@ class TestInternalErrors:
         assert captured.out == ""
 
 
+def checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH and no
+    PYTHONOPTIMIZE, so a child `python -m slotq` runs these sources."""
+    src = str(Path(slotq.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point(tmp_path):
     # One end-to-end check that `python3 -m slotq` wires up to the same CLI.
     proc = subprocess.run(
         [sys.executable, "-m", "slotq", "gen", "killer", "--b", "3",
          "--eps", "1/4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert proc.returncode == 0
     assert parse_trace(proc.stdout) == gen_killer(3, Fraction(1, 4))
@@ -385,9 +394,7 @@ def test_readme_run_examples_identical_under_optimize_flag(tmp_path, example):
     # every README CLI example gives the recorded output; `python -O` strips
     # assert statements, so the checks raise explicitly and nothing changes
     argv, written, digest = README_EXAMPLES[example]
-    src = str(Path(slotq.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = checkout_env()
     (tmp_path / "exp.json").write_text(json.dumps(README_CONFIG, indent=2) + "\n")
 
     def slotq_cli(*flags):

@@ -9,14 +9,13 @@ from slotq.model import (
     InvalidTraceError,
     Packet,
     Rejection,
-    SlotBuffer,
     StepRecord,
     Trace,
     Transcript,
-    check_buffer_invariants,
     check_transcript_invariants,
     validate_trace,
 )
+from slotq.schedulers import check_buffer_invariants
 from slotq.traceio import emit_trace
 
 
@@ -53,8 +52,8 @@ class TestValidateTrace:
 
     @pytest.mark.parametrize("buffer_size", [2.5, True])
     def test_buffer_size_must_be_an_int(self, buffer_size):
-        # a float B made run_grq raise ValueError from SlotBuffer; a bool
-        # is an int to Python but no buffer size
+        # a float B is no slot count, and a bool is an int to Python but
+        # no buffer size
         packets = [P(0, 1, 2, 1), P(1, 1, 2, 1), P(2, 1, 3, 1), Packet(3, 1, 0, 1)]
         with pytest.raises(InvalidTraceError) as e:
             validate_trace(buffer_size, packets)
@@ -154,47 +153,20 @@ class TestTrace:
         assert sorted(t.rank, key=t.rank.__getitem__) == [4, 2, 1, 5, 0, 3]
 
 
-def weights_of(buf):
-    return Trace(1, buf.packets()).scaled_weight
-
-
 class TestBufferInvariants:
     def test_weights_must_not_increase(self):
-        buf = SlotBuffer(1, (P(0, 1, 2, 3), P(1, 1, 3, 5)), 2)
-        errs = check_buffer_invariants(buf, weights_of(buf))
-        assert len(errs) == 1 and "exceeds" in errs[0]
+        trace = Trace(2, (P(0, 1, 2, 3), P(1, 1, 3, 5)))  # packet 1 has rank 0
+        errs = check_buffer_invariants(1, (1, 0), trace)
+        assert errs == ["slot 2: weight 5 exceeds weight 3 at slot 1"]
 
     def test_deadline_below_label(self):
-        buf = SlotBuffer(1, (P(1, 1, 2, 5), P(0, 1, 1, 5)), 2)
-        errs = check_buffer_invariants(buf, weights_of(buf))
+        trace = Trace(2, (P(1, 1, 2, 5), P(0, 1, 1, 5)))  # packet 0 has rank 0
+        errs = check_buffer_invariants(1, (1, 0), trace)
         assert errs == ["slot 2: packet 0 has deadline 1 < label 2"]
 
     def test_prefix_with_empty_tail_ok(self):
-        buf = SlotBuffer(1, (P(0, 1, 3, 5),), 3)
-        assert check_buffer_invariants(buf, weights_of(buf)) == []
-
-    def test_gap_flagged_post_rebuild_only(self):
-        buf = SlotBuffer(1, (None, P(0, 1, 3, 5)), 2)
-        assert check_buffer_invariants(buf, weights_of(buf)) == [
-            "slot 2: occupied after empty slot 1"
-        ]
-        mid = SlotBuffer(1, (P(0, 1, 4, 5), None, P(1, 1, 4, 5), P(2, 1, 4, 5)), 5)
-        assert check_buffer_invariants(mid, weights_of(mid)) == [
-            "slot 3: occupied after empty slot 2"
-        ]
-
-    def test_stored_prefix_fits_the_buffer(self):
-        p = P(0, 1, 9, 1)
-        assert SlotBuffer(4, (p,), 3).prefix == (p,)
-        with pytest.raises(ValueError, match="^2 stored slots exceed buffer size 1$"):
-            SlotBuffer(4, (p, p), 1)
-        # one spelling per content: no list, no stored empty tail, no padded default
-        with pytest.raises(ValueError, match="^prefix must be a tuple"):
-            SlotBuffer(4, [p], 3)
-        with pytest.raises(ValueError, match="^prefix must end in a packet"):
-            SlotBuffer(4, (p, None), 3)
-        with pytest.raises(TypeError):
-            SlotBuffer(4, (p,))
+        trace = Trace(3, (P(0, 1, 3, 5),))
+        assert check_buffer_invariants(1, (0,), trace) == []
 
 
 def _single_step_transcript(trace, *steps):

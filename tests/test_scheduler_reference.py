@@ -25,7 +25,6 @@ from slotq.model import (
     PREEMPTED,
     Packet,
     Rejection,
-    SlotBuffer,
     StepRecord,
     validate_trace,
 )
@@ -85,16 +84,16 @@ def reference_grq(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
                 cause = PREEMPTED if p.id in held_ids else ADMISSION_REFUSED
                 rejections.append(Rejection(p.id, cause))
         end = max((i + 1 for i, p in enumerate(slots) if p is not None), default=0)
-        buffer = SlotBuffer(t, tuple(slots[:end]), size)  # stored up to the last packet
         sent = slots[0]
         held = tuple(p for p in slots[1:] if p is not None)
         steps.append(StepRecord(
             time=t,
-            slots=buffer,
+            # the slots up to the last packet, as ranks (None for an empty slot)
+            slots=tuple(None if p is None else trace.rank[p.id] for p in slots[:end]),
             rejections=tuple(rejections),
             transmitted=None if sent is None else sent.id,
         ))
-        held_ids_at.append(tuple(sorted(p.id for p in buffer.packets())))
+        held_ids_at.append(tuple(sorted(p.id for p in slots if p is not None)))
     return steps, held_ids_at
 
 
@@ -158,25 +157,27 @@ def assert_same_steps(transcript, reference):
     for got, want, want_held in zip(transcript.steps, steps, held_ids_at):
         t = want.time
         assert got.time == t
-        assert got.slots == want.slots, f"slots differ at t={t}"  # base, prefix and size
+        # slot i of both is labeled t + i, and the reference's filled slots
+        # form a prefix only if its snapshot holds no None
+        assert got.slots == want.slots, f"slots differ at t={t}"
         assert held_at(transcript, t) == want_held, f"held differs at t={t}"
         assert got.rejections == want.rejections, f"rejections differ at t={t}"
         assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
 
 
 def rebuilt_columns(trace):
-    """Per step of run_grq's stages, the ranks, deadlines and weights that
+    """Per step of run_grq's rebuilds, the deadlines and weights that
     grq_rebuild returns beside its snapshot, and the same columns read off
     the snapshot's packets in slot order."""
-    got, want, held = [], [], []
+    got, want, held = [], [], ()
     for t in range(1, trace.horizon + 1):
-        buffer, _, placed, deadlines, weights = grq_rebuild(
+        _, slots, deadlines, weights = grq_rebuild(
             held, trace.arrival_ranks.get(t, ()), t, trace)
-        packets = buffer.packets()
-        got.append((list(placed), list(deadlines), list(weights)))
-        want.append(([trace.rank[p.id] for p in packets], [p.deadline for p in packets],
+        packets = [trace.by_rank[r] for r in slots]
+        got.append((list(deadlines), list(weights)))
+        want.append(([p.deadline for p in packets],
                      [trace.scaled_weight[p.id] for p in packets]))
-        held = placed[1:]
+        held = slots[1:]
     return got, want
 
 
@@ -255,11 +256,10 @@ def test_schedulers_match_references_at_bulk_stream_size(params):
 
 
 def test_snapshots_store_only_their_filled_prefix():
-    # two packets in a wide buffer over a long horizon: every snapshot keeps
-    # its size but stores at most the two packets, not B slots per step
+    # two packets in a wide buffer over a long horizon: every snapshot
+    # stores at most the two packets, not B slots per step
     trace = validate_trace(512, [Packet(0, 1, 5_000, 3), Packet(1, 1, 5_000, 2)])
     steps = run_grq(trace).steps
     assert len(steps) == 5_000
-    assert [len(rec.slots.prefix) for rec in steps[:3]] == [2, 1, 0]
-    assert max(len(rec.slots.prefix) for rec in steps) == 2
-    assert {rec.slots.size for rec in steps} == {512}
+    assert [len(rec.slots) for rec in steps[:3]] == [2, 1, 0]
+    assert max(len(rec.slots) for rec in steps) == 2

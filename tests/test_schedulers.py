@@ -14,18 +14,16 @@ from slotq.model import (
     EXPIRED,
     PREEMPTED,
     Packet,
-    SlotBuffer,
     StepRecord,
     Trace,
     Transcript,
-    check_buffer_invariants,
     check_transcript_invariants,
     validate_trace,
 )
 from slotq.schedulers import (
+    check_buffer_invariants,
     check_slot_monotonicity,
     grq_rebuild,
-    grq_transmit,
     run_grq,
     run_naive_greedy,
 )
@@ -36,65 +34,49 @@ def P(pid, r, d, w):
 
 
 def rebuild(buffered, arrivals, t, buffer_size):
-    """grq_rebuild on the ranks of these packets within a trace of just them."""
+    """grq_rebuild on the ranks of these packets within a trace of just them;
+    the snapshot comes back as (label, packet) pairs."""
     trace = Trace(buffer_size, (*buffered, *arrivals))
     rank = trace.rank
-    buf, rej, *_ = grq_rebuild(
+    rej, slots, *_ = grq_rebuild(
         sorted(rank[p.id] for p in buffered), [rank[p.id] for p in arrivals], t, trace
     )
-    return buf, rej
-
-
-def weights_at(trace, placed):
-    """The trace's rank_weight column at the placed ranks, as grq_rebuild returns it."""
-    return [trace.rank_weight[r] for r in placed]
-
-
-def transmit(buf, t):
-    """grq_transmit on the ranks of buf's packets within a trace of just them."""
-    trace = Trace(1, buf.packets())
-    placed = [trace.rank[p.id] for p in buf.packets()]
-    sent, rest = grq_transmit(buf, placed, weights_at(trace, placed), t, trace)
-    return sent, tuple(trace.by_rank[r] for r in rest)
-
-
-def weights_of(buf):
-    return Trace(1, buf.packets()).scaled_weight
+    return [(label, trace.by_rank[r]) for label, r in enumerate(slots, start=t)], rej
 
 
 class TestRebuild:
     def test_tight_deadline_loses_to_heavier(self):
         a, b = P(0, 1, 2, 5), P(1, 1, 1, 3)
-        buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert (buf.prefix, buf.size) == ((a,), 2)
+        occupied, rej = rebuild([], [a, b], t=1, buffer_size=2)
+        assert occupied == [(1, a)]
         assert [r.packet_id for r in rej] == [1]
         assert rej[0].cause == ADMISSION_REFUSED
 
     def test_both_fit_when_heavy_is_tight(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf, rej = rebuild([], [a, b], t=1, buffer_size=2)
-        assert (buf.prefix, buf.size) == ((a, b), 2)
+        occupied, rej = rebuild([], [a, b], t=1, buffer_size=2)
+        assert occupied == [(1, a), (2, b)]
         assert rej == ()
 
     def test_burst_placement(self):
         ones = [P(i, 1, 1, 1) for i in range(3)]
         soft = [P(3 + i, 1, 3, Fraction(3, 4)) for i in range(2)]
-        buf, rej = rebuild([], ones + soft, t=1, buffer_size=3)
-        assert [p.weight for p in buf.prefix] == [1, Fraction(3, 4), Fraction(3, 4)]
+        occupied, rej = rebuild([], ones + soft, t=1, buffer_size=3)
+        assert [p.weight for _, p in occupied] == [1, Fraction(3, 4), Fraction(3, 4)]
         assert sorted(r.packet_id for r in rej) == [1, 2]
 
     def test_buffered_packet_squeezed_out_is_preempted(self):
         held = P(0, 1, 2, 1)
         heavy = P(1, 2, 2, 5)
-        buf, rej = rebuild([held], [heavy], t=2, buffer_size=2)
-        assert buf.occupied() == [(2, heavy)]
+        occupied, rej = rebuild([held], [heavy], t=2, buffer_size=2)
+        assert occupied == [(2, heavy)]
         assert [(r.packet_id, r.cause) for r in rej] == [(0, PREEMPTED)]
 
     def test_tie_break_prefers_earlier_deadline_then_id(self):
         a, b, c = P(5, 1, 3, 2), P(2, 1, 2, 2), P(1, 1, 3, 2)
-        buf, rej = rebuild([], [a, b, c], t=1, buffer_size=3)
+        occupied, rej = rebuild([], [a, b, c], t=1, buffer_size=3)
         # equal weights: deadline 2 first, then ids 1, 5
-        assert [p.id for _, p in buf.occupied()] == [2, 1, 5]
+        assert [p.id for _, p in occupied] == [2, 1, 5]
 
     def test_rejects_expired_input(self):
         p = P(0, 1, 1, 1)
@@ -121,59 +103,52 @@ class TestRebuild:
         assert "raised packet 1 not live at t=3" in out
 
     def test_result_satisfies_rebuild_invariants(self):
-        pkts = [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)]
-        buf, _ = rebuild([], pkts, t=1, buffer_size=4)
-        assert check_buffer_invariants(buf, weights_of(buf)) == []
+        trace = Trace(4, [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)])
+        _, slots, *_ = grq_rebuild([], sorted(trace.rank.values()), 1, trace)
+        assert len(slots) == 3
+        assert check_buffer_invariants(1, slots, trace) == []
 
 
 class TestTransmit:
     def test_sends_front(self):
         a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf = SlotBuffer(1, (a, b), 2)
-        sent, remaining = transmit(buf, 1)
-        assert sent == a and remaining == (b,)
+        ts = run_grq(validate_trace(2, [a, b]))
+        assert ts.step(1).slots == (0, 1) and ts.step(1).transmitted == 0
+        # b survives into label 2 and is sent there
+        assert ts.step(2).slots == (1,) and ts.step(2).transmitted == 1
 
     def test_idle_on_empty(self):
-        sent, remaining = transmit(SlotBuffer(4, (), 2), 4)
-        assert sent is None and remaining == ()
+        ts = run_grq(validate_trace(2, [P(0, 4, 5, 1)]))
+        assert [(rec.slots, rec.transmitted) for rec in ts.steps[:3]] == [((), None)] * 3
+        assert ts.step(4).transmitted == 0
 
     def test_front_on_weight_tie(self):
         a, b = P(0, 1, 2, 2), P(1, 1, 3, 2)
-        buf = SlotBuffer(2, (a, b), 2)
-        sent, _ = transmit(buf, 2)
-        assert sent == a
+        ts = run_grq(validate_trace(2, [a, b]))
+        assert ts.step(1).transmitted == 0
 
-    def test_asserts_front_heaviest(self):
-        light, heavy = P(0, 1, 2, 1), P(1, 1, 2, 9)
-        buf = SlotBuffer(1, (light, heavy), 2)
-        with pytest.raises(AssertionError):
-            transmit(buf, 1)
-
-    def test_asserts_front_is_first_placed_rank(self):
-        # placed must describe the buffer: its first rank is the front packet
-        a, b = P(0, 1, 1, 5), P(1, 1, 2, 3)
-        buf = SlotBuffer(1, (a, b), 2)
-        trace = Trace(1, buf.packets())
-        for placed in ([1, 0], [1], []):
-            with pytest.raises(AssertionError, match="^front packet 0 is not the first placed rank at t=1$"):
-                grq_transmit(buf, placed, weights_at(trace, placed), 1, trace)
+    def test_asserts_front_heaviest(self, monkeypatch):
+        trace = validate_trace(3, [P(0, 1, 3, 1), P(1, 1, 3, 9)])  # ranks: heavy 0, light 1
+        # a rebuild that places the light packet before the heavy one
+        monkeypatch.setattr("slotq.schedulers.grq_rebuild",
+                            lambda held, arrivals, t, trace: ((), (1, 0), [3, 3], (1, 9)))
+        with pytest.raises(AssertionError, match="^front packet 0 is not heaviest at t=1$"):
+            run_grq(trace)
 
     def test_front_check_survives_optimize_flag(self):
-        # `python -O` strips assert statements; the front checks must still fire
+        # `python -O` strips assert statements; the front check must still fire
         out = run_optimized("""
-            from slotq.model import Packet, SlotBuffer, Trace
-            from slotq.schedulers import grq_transmit
-            light, heavy = Packet(0, 1, 2, 1), Packet(1, 1, 2, 9)
-            trace = Trace(1, (light, heavy))  # ranks: heavy is 0, light is 1
-            for placed in ([1, 0], [0, 1]):
-                weights = [trace.rank_weight[r] for r in placed]
-                try:
-                    grq_transmit(SlotBuffer(1, (light, heavy), 2), placed, weights, 1, trace)
-                except AssertionError as e:
-                    print("raised", e)
+            import slotq.schedulers as s
+            from slotq.model import Packet, validate_trace
+            trace = validate_trace(3, [Packet(0, 1, 3, 1), Packet(1, 1, 3, 9)])
+            # ranks: heavy is 0, light is 1; the rebuild puts light first
+            s.grq_rebuild = lambda held, arrivals, t, trace: ((), (1, 0), [3, 3], (1, 9))
+            try:
+                s.run_grq(trace)
+            except AssertionError as e:
+                print("raised", e)
         """)
         assert "raised front packet 0 is not heaviest at t=1" in out
-        assert "raised front packet 0 is not the first placed rank at t=1" in out
 
 
 def test_runner_checks_survive_optimize_flag():
@@ -181,27 +156,22 @@ def test_runner_checks_survive_optimize_flag():
     # greedy's on a trace whose expiry index is emptied, so nothing expires,
     # and on one whose index names each packet a step after its deadline,
     # after an overflow and with a live packet held beside the expired one;
-    # run_grq's with a transmit that keeps the sent packet among the survivors
-    # (the next rebuild finds it past its deadline), with a rebuild whose
-    # placed deadlines put a survivor at its deadline, and with hand-built
-    # trimmed snapshots (stored prefix shorter than B) that break the rebuild
-    # invariants: a lighter packet before a heavier one, a gap at the front
-    # (also on a one-packet trace, where nothing else would notice), and a
-    # rebuild misled by a tampered rank order; a hand-built rebuild result
-    # carries the trace's deadline and weight columns at its placed ranks
+    # run_grq's with a rebuild whose snapshot repeats its front, so the sent
+    # packet is carried (the next rebuild finds it past its deadline), with
+    # a rebuild whose placed deadlines put a survivor at its deadline, with
+    # a hand-built rebuild result that puts a lighter packet before a
+    # heavier one, and with a rebuild misled by a tampered rank order; a
+    # hand-built rebuild result carries the trace's deadline and weight
+    # columns at its placed ranks
     code = """
         import slotq.schedulers as s
-        from slotq.model import Packet, SlotBuffer, validate_trace
+        from slotq.model import Packet, validate_trace
 
         def attempt(run, trace):
             try:
                 run(trace)
             except AssertionError as e:
                 print("raised", e)
-
-        def rebuilt(snapshot, placed, trace):
-            return (snapshot, (), placed, [trace.rank_deadline[r] for r in placed],
-                    [trace.rank_weight[r] for r in placed])
 
         for deadline in (2, 1):
             trace = validate_trace(2, [Packet(0, 1, deadline, 5), Packet(1, 1, 1, 3)])
@@ -222,32 +192,26 @@ def test_runner_checks_survive_optimize_flag():
                                    Packet(3, 1, 5, 2), Packet(4, 1, 3, 1)])
         trace.__dict__["expiring_ranks"] = {2: (3,), 4: (4,)}
         attempt(s.run_naive_greedy, trace)
-        transmit = s.grq_transmit
-        s.grq_transmit = lambda buf, placed, weights, t, trace: (
-            transmit(buf, placed, weights, t, trace)[0], list(placed))
-        attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
-        s.grq_transmit = transmit
         rebuild = s.grq_rebuild
 
-        def survivor_at_deadline(held, arrivals, t, trace):
-            buf, rejections, placed, deadlines, weights = rebuild(held, arrivals, t, trace)
-            return buf, rejections, placed, [t] * len(deadlines), weights
+        def front_kept(held, arrivals, t, trace):
+            rejections, slots, deadlines, weights = rebuild(held, arrivals, t, trace)
+            return rejections, slots[:1] + slots, deadlines, weights
 
-        s.grq_rebuild = survivor_at_deadline
-        attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
+        def survivor_at_deadline(held, arrivals, t, trace):
+            rejections, slots, deadlines, weights = rebuild(held, arrivals, t, trace)
+            return rejections, slots, [t] * len(deadlines), weights
+
+        for patch in (front_kept, survivor_at_deadline):
+            s.grq_rebuild = patch
+            attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
 
         light, heavy = Packet(0, 1, 3, 1), Packet(1, 1, 1, 9)  # ranks: heavy 0, light 1
-        for snapshot, placed in ((SlotBuffer(1, (light, heavy), 3), [1, 0]),
-                                 (SlotBuffer(1, (None, heavy), 3), [0])):
-            s.grq_rebuild = lambda held, arrivals, t, trace, out=(snapshot, placed): (
-                rebuilt(*out, trace))
-            attempt(s.run_grq, validate_trace(3, [light, heavy]))
-        # only the rebuild at t=1 leaves the gap; the real one runs after it
-        lone = Packet(1, 1, 3, 9)
+        trace = validate_trace(3, [light, heavy])
         s.grq_rebuild = lambda held, arrivals, t, trace: (
-            rebuilt(SlotBuffer(1, (None, lone), 3), [0], trace) if t == 1
-            else rebuild(held, arrivals, t, trace))
-        attempt(s.run_grq, validate_trace(3, [lone]))
+            (), (1, 0), [trace.rank_deadline[r] for r in (1, 0)],
+            [trace.rank_weight[r] for r in (1, 0)])
+        attempt(s.run_grq, trace)
         s.grq_rebuild = rebuild
         trace = validate_trace(3, [light, Packet(1, 1, 3, 9)])
         trace.__dict__.update(by_rank=(light, trace.by_id[1]), rank_weight=(1, 9))
@@ -262,7 +226,6 @@ def test_runner_checks_survive_optimize_flag():
     assert "raised a survivor of t=1 is past its deadline" in out
     assert "raised front packet 0 is not heaviest at t=1" in out
     assert out.count("raised a survivor of t=1 is past its deadline") == 1
-    assert out.count("raised front slot empty in a non-empty buffer at t=1") == 2
     assert ("raised rebuild at t=1 broke the buffer invariants: "
             "['slot 2: weight 9 exceeds weight 1 at slot 1']") in out
     plain = run_python(code)
@@ -316,7 +279,7 @@ class TestRunGrq:
             ts = run_grq(trace)
             assert check_transcript_invariants(ts) == []
             for rec in ts.steps:
-                assert check_buffer_invariants(rec.slots, trace.scaled_weight) == []
+                assert check_buffer_invariants(rec.time, rec.slots, trace) == []
 
     def test_preemption_recorded_at_rebuild_time(self):
         t = validate_trace(2, [P(0, 1, 2, 1), P(1, 1, 3, 2), P(2, 2, 2, 5)])
@@ -376,25 +339,31 @@ class TestSlotMonotonicity:
 
     def test_detects_weight_drop(self):
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4), P(2, 2, 3, 1)])
-        heavy, mid, light = trace.packets
+        heavy, mid, light = (trace.rank[p.id] for p in trace.packets)
         fake = Transcript(trace, (
-            StepRecord(1, SlotBuffer(1, (heavy, mid), 2), (), 0),
+            StepRecord(1, (heavy, mid), (), 0),
             # label 2 held weight 4 at t=1 but only 1 now: a decrease
-            StepRecord(2, SlotBuffer(2, (light,), 2), (), 2),
-            StepRecord(3, SlotBuffer(3, (mid,), 2), (), 1),
+            StepRecord(2, (light,), (), 2),
+            StepRecord(3, (mid,), (), 1),
         ))
         errs = check_slot_monotonicity(fake)
         assert len(errs) == 1 and "label 2" in errs[0]
 
     def test_detects_emptied_label(self):
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4)])
-        heavy, mid = trace.packets
+        heavy, mid = (trace.rank[p.id] for p in trace.packets)
         fake = Transcript(trace, (
-            StepRecord(1, SlotBuffer(1, (heavy, mid), 2), (), 0),
-            StepRecord(2, SlotBuffer(2, (), 2), (), None),
-            StepRecord(3, SlotBuffer(3, (mid,), 2), (), 1),
+            StepRecord(1, (heavy, mid), (), 0),
+            StepRecord(2, (), (), None),
+            StepRecord(3, (mid,), (), 1),
         ))
         assert any("empty" in e for e in check_slot_monotonicity(fake))
+
+    def test_greedy_transcript_raises(self):
+        # greedy records no labeled snapshot (StepRecord.slots is None)
+        greedy = run_naive_greedy(validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4)]))
+        with pytest.raises(AssertionError, match="^slot monotonicity needs labeled snapshots$"):
+            check_slot_monotonicity(greedy)
 
 
 class TestGrqNeverExpires:
