@@ -2,7 +2,7 @@
 
 Library layout:
 
-  model       problem instances, slot buffers, transcripts, validity checks
+  model       problem instances, transcripts, validity checks
   schedulers  the slot-queue online algorithm and a naive greedy baseline
   oracle      exact offline optima (capacity-bounded and unbounded),
               schedule verification, feasible-schedule enumeration

@@ -22,14 +22,14 @@ counterexample, and both must surface loudly.
 
 verify_charge_map then re-checks everything from scratch — the seven checks
 below — without trusting how the map was built, so tampered maps fail too.
-Each check first decides pass or fail with one builtin test over the charges:
-coverage compares the sources, keyed by send time, with the adversary's sends
-and counts them; capacity looks for a step three times among the sorted
-targets; domination is one `all`; checks 4-6 run only when there is an
-F-charge, which is rare; the headline bound is one comparison.  Only a check
-that fails walks the charges again to build its violation messages, in the
-order a full scan gives them, so a map that passes costs about one pass over
-its charges.
+Coverage and capacity first decide pass or fail with one builtin test over
+the charges: coverage compares the sources, keyed by send time, with the
+adversary's sends and counts them; capacity looks for a step three times
+among the sorted targets.  Only if that test fails do they walk the charges
+again to word their violations, in the order a full scan gives them.
+Domination is one loop over the charges that words each violation as it
+meets it.  Checks 4-6 run only when there is an F-charge, which is rare, and
+the headline bound is one comparison.
 
 Both sides compare weights as the trace's exact scaled integers
 (Trace.scaled_weight, Transcript.scaled_sent); a Fraction is built only to
@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import eq
 from typing import NamedTuple
 
-from .model import Trace, Transcript, lazy
+from .model import Trace, Transcript
 from .oracle import OfflineSchedule, verify_schedule
 
 S_CHARGE = "S"
@@ -78,15 +78,8 @@ class Charge:
 class ChargeMap:
     charges: tuple["Charge", ...]
 
-    @lazy
-    def _by_kind(self) -> dict[str, tuple["Charge", ...]]:
-        out: dict[str, list[Charge]] = {}
-        for c in self.charges:
-            out.setdefault(c.kind, []).append(c)
-        return {kind: tuple(cs) for kind, cs in out.items()}
-
     def of_kind(self, kind: str) -> tuple["Charge", ...]:
-        return self._by_kind.get(kind, ())
+        return tuple([c for c in self.charges if c.kind == kind])
 
 
 def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...]:
@@ -240,7 +233,9 @@ def verify_charge_map(
     7. headline: adversary value <= 2 x GRQ value.
 
     Nothing is trusted from construction; a tampered map fails the relevant
-    check rather than crashing the verifier.
+    check rather than crashing the verifier.  Checks 1 and 2 word their
+    violations only after a one-builtin pre-test fails; check 3 words them
+    in its single loop, in charge order.
     """
     trace: Trace = grq.trace
     charges = cmap.charges
@@ -263,20 +258,26 @@ def verify_charge_map(
         if any(map(eq, targets, targets[2:])):
             v2 = _capacity_violations(targets)
 
-    # 3: weight domination per charge
-    v3: tuple[str, ...] = ()
-    if not all(
-        c.target is not None and 1 <= c.target <= horizon
-        and c.source_id in scaled and scaled[c.source_id] <= sent[c.target - 1]
-        for c in charges
-    ):
-        v3 = _domination_violations(charges, grq)
+    # 3: weight domination, each violation worded as the loop meets it
+    v3: list[str] = []
+    for c in charges:
+        target, pid = c.target, c.source_id
+        if target is None or not 1 <= target <= horizon:
+            v3.append(f"{c.kind}-charge from packet {pid}: bad target {target}")
+        elif pid not in scaled:
+            v3.append(f"{c.kind}-charge from packet {pid}: no such packet in the trace")
+        elif scaled[pid] > sent[target - 1]:
+            v3.append(
+                f"{c.kind}-charge from packet {pid} (w={trace.by_id[pid].weight}) "
+                f"lands on step {target} which sent only "
+                f"w={Fraction(sent[target - 1], trace.weight_denominator)}"
+            )
 
     # 4-6 judge F-charges only, and most maps have none
     v4: tuple[str, ...] = ()
     v5: tuple[str, ...] = ()
     v6: tuple[str, ...] = ()
-    f_charges = [c for c in charges if c.kind == F_CHARGE]
+    f_charges = cmap.of_kind(F_CHARGE)
     if f_charges:
         v4, v5, v6 = _forward_violations(cmap, f_charges, grq)
 
@@ -289,7 +290,7 @@ def verify_charge_map(
     checks = (
         CheckResult(1, "coverage", v1),
         CheckResult(2, "two-per-target", v2),
-        CheckResult(3, "weight-domination", v3),
+        CheckResult(3, "weight-domination", tuple(v3)),
         CheckResult(4, "forward-window", v4),
         CheckResult(5, "rejection-evidence", v5),
         CheckResult(6, "window-counting", v6),
@@ -327,8 +328,8 @@ def value_ratio(optimum: Fraction, online: Fraction) -> Fraction:
     return Fraction(1)
 
 
-# Each helper below runs only after its check's pre-test failed, and lists
-# the violations in the order a full scan meets them.
+# The coverage and capacity helpers run only after their check's pre-test
+# failed, and list the violations in the order a full scan meets them.
 
 def _coverage_violations(charges: tuple[Charge, ...], by_time: dict[int, int]) -> tuple[str, ...]:
     out: list[str] = []
@@ -352,31 +353,8 @@ def _capacity_violations(targets: list[int]) -> tuple[str, ...]:
     )
 
 
-def _domination_violations(charges: tuple[Charge, ...], grq: Transcript) -> tuple[str, ...]:
-    trace = grq.trace
-    horizon = trace.horizon
-    scaled = trace.scaled_weight
-    sent = grq.scaled_sent
-    out: list[str] = []
-    for c in charges:
-        if c.target is None or not 1 <= c.target <= horizon:
-            out.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
-            continue
-        sw = scaled.get(c.source_id)
-        if sw is None:
-            out.append(f"{c.kind}-charge from packet {c.source_id}: no such packet in the trace")
-            continue
-        if sw > sent[c.target - 1]:
-            out.append(
-                f"{c.kind}-charge from packet {c.source_id} "
-                f"(w={trace.by_id[c.source_id].weight}) lands on step {c.target} "
-                f"which sent only w={grq.transmitted_weight(c.target)}"
-            )
-    return tuple(out)
-
-
 def _forward_violations(
-    cmap: ChargeMap, f_charges: list[Charge], grq: Transcript
+    cmap: ChargeMap, f_charges: tuple[Charge, ...], grq: Transcript
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Violations of checks 4, 5 and 6, which only F-charges can have."""
     trace = grq.trace

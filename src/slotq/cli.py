@@ -28,7 +28,7 @@ from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
 from .oracle import enumerate_feasible, optimal_bounded, optimal_unbounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
-from .traceio import TraceSyntaxError, emit_trace, format_weight, load_trace
+from .traceio import TraceSyntaxError, emit_trace, load_trace
 
 
 def _fraction(text: str) -> Fraction:
@@ -47,7 +47,8 @@ def _emit(text: str, out: "str | None") -> None:
 
 
 def _transcript_rows(transcript: Transcript) -> list[dict]:
-    arriving, ids = transcript.trace.arrival_ranks, transcript.trace.rank_id
+    trace = transcript.trace
+    arriving, ids, by_id = trace.arrival_ranks, trace.rank_id, trace.by_id
     rows = []
     for rec in transcript.steps:
         arrivals = sorted([ids[r] for r in arriving.get(rec.time, ())])
@@ -55,7 +56,7 @@ def _transcript_rows(transcript: Transcript) -> list[dict]:
             "step": rec.time,
             "arrivals": " ".join(map(str, arrivals)),
             "transmitted": "" if rec.transmitted is None else rec.transmitted,
-            "weight": format_weight(transcript.transmitted_weight(rec.time)),
+            "weight": "0" if rec.transmitted is None else str(by_id[rec.transmitted].weight),
             "rejections": " ".join(f"{r.packet_id}:{r.cause}" for r in rec.rejections),
         })
     return rows
@@ -82,9 +83,9 @@ def _cmd_run(args) -> int:
     if args.algo == "grq":
         violations += check_slot_monotonicity(transcript)
     rows = _transcript_rows(transcript)
-    _write_table(args, rows, {"rows": rows, "total": format_weight(transcript.total_weight),
+    _write_table(args, rows, {"rows": rows, "total": str(transcript.total_weight),
                               "violations": violations})
-    print(f"{args.algo} total: {format_weight(transcript.total_weight)}")
+    print(f"{args.algo} total: {transcript.total_weight}")
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
     return 1 if violations else 0
@@ -97,12 +98,12 @@ def _cmd_oracle(args) -> int:
     schedule = oracle(trace)
     rows = [
         {"packet": pid, "step": t,
-         "weight": format_weight(trace.by_id[pid].weight)}
+         "weight": str(trace.by_id[pid].weight)}
         for pid, t in sorted(schedule.assignment.items())
     ]
-    _write_table(args, rows, {"rows": rows, "value": format_weight(schedule.value),
+    _write_table(args, rows, {"rows": rows, "value": str(schedule.value),
                               "violations": []})
-    print(f"{args.algo} optimum: {format_weight(schedule.value)}")
+    print(f"{args.algo} optimum: {schedule.value}")
     return 0
 
 
@@ -116,8 +117,8 @@ def _cmd_charge(args) -> int:
         for c in report.checks:
             print(f"check {c.number} {c.name}: {'pass' if c.passed else 'FAIL'}")
         print(
-            f"adversary value {format_weight(report.adversary_value)}, "
-            f"slot-queue value {format_weight(report.grq_value)}"
+            f"adversary value {report.adversary_value}, "
+            f"slot-queue value {report.grq_value}"
         )
     for f in failures:
         print(f"violation: {f}", file=sys.stderr)
@@ -144,21 +145,23 @@ def _cmd_charge(args) -> int:
                  "violations": list(c.violations)}
                 for c in report.checks
             ],
-            "adversary_value": format_weight(report.adversary_value),
-            "grq_value": format_weight(report.grq_value),
+            "adversary_value": str(report.adversary_value),
+            "grq_value": str(report.grq_value),
         })
     return 1 if failures or enum_failures else 0
+
+
+def _params(args, **extra) -> GeneratorParams:
+    """GeneratorParams from the flags add_box declares, plus `extra`."""
+    return GeneratorParams(n=args.n, horizon=args.horizon, buffer_size=args.b,
+                           seed=args.seed, max_weight=args.max_weight, **extra)
 
 
 def _cmd_gen(args) -> int:
     if args.kind == "killer":
         trace = gen_killer(args.b, args.eps)
     else:
-        params = GeneratorParams(
-            n=args.n, horizon=args.horizon, buffer_size=args.b, seed=args.seed,
-            max_weight=args.max_weight, max_span=args.max_span, burst=args.burst,
-        )
-        trace = gen_random(params)
+        trace = gen_random(_params(args, max_span=args.max_span, burst=args.burst))
     _emit(emit_trace(trace), args.out)
     return 0
 
@@ -167,13 +170,9 @@ def _cmd_search(args) -> int:
     from .experiment import trace_digest  # local imports: keep startup light
     from .search import adversarial_search
 
-    params = GeneratorParams(
-        n=args.n, horizon=args.horizon, buffer_size=args.b, seed=args.seed,
-        max_weight=args.max_weight,
-    )
-    result = adversarial_search(params, args.iters)
+    result = adversarial_search(_params(args), args.iters)
     print(f"iterations: {result.iterations}")
-    print(f"worst ratio: {format_weight(result.ratio)}")
+    print(f"worst ratio: {result.ratio}")
     if result.trace is not None:
         print(f"worst trace digest: {trace_digest(result.trace)}")
         if args.out is not None:
@@ -192,7 +191,7 @@ def _cmd_experiment(args) -> int:
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     _emit(text, args.out)
     if args.out is not None:
-        mr = "" if report.max_ratio is None else format_weight(report.max_ratio)
+        mr = "" if report.max_ratio is None else str(report.max_ratio)
         print(f"traces: {len(report.rows)}, max ratio: {mr}, "
               f"violations: {report.violation_count}")
     return 0 if report.passed else 1
@@ -208,6 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("--out", help="write machine-readable output to this file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def add_box(p):
+        """The random-instance flags that _params reads."""
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--horizon", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-weight", type=int, default=16)
 
     p = sub.add_parser("run", help="run a scheduler over a qtrace file")
     p.add_argument("--trace", required=True)
@@ -236,23 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out")
     k.set_defaults(fn=_cmd_gen)
     r = gsub.add_parser("random", help="seeded random instance")
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--horizon", type=int, required=True)
-    r.add_argument("--b", type=int, required=True)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--max-weight", type=int, default=16)
+    add_box(r)
     r.add_argument("--max-span", type=int, default=None)
     r.add_argument("--burst", type=_fraction, default=Fraction(0))
     r.add_argument("--out")
     r.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("search", help="adversarial search for high ratios")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    add_box(p)
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--max-weight", type=int, default=16)
     p.add_argument("--out", help="write the worst trace found as qtrace")
     p.set_defaults(fn=_cmd_search)
 

@@ -37,7 +37,7 @@ from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
 from .model import Trace, check_transcript_invariants
 from .oracle import optimal_bounded, optimal_unbounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
-from .traceio import emit_trace, format_weight
+from .traceio import emit_trace
 
 
 class ConfigError(ParameterError):
@@ -233,7 +233,7 @@ def _persist_counterexample(directory: Path, trace: Trace, row: ExperimentRow) -
 # --- serialization ---------------------------------------------------------
 
 def _cell(value: "Fraction | None") -> str:
-    return "" if value is None else format_weight(value)
+    return "" if value is None else str(value)
 
 
 _COLUMNS = (

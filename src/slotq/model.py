@@ -31,8 +31,6 @@ ADMISSION_REFUSED = "admission-refused"  # arrival found no usable slot
 PREEMPTED = "preempted"                  # buffered packet squeezed out at a rebuild
 EXPIRED = "expired"                      # buffered packet reached its deadline unsent
 
-ZERO = Fraction(0)
-
 
 class lazy:
     """An attribute computed on first access and then stored on the instance.
@@ -313,11 +311,6 @@ class Transcript:
             for rej in rec.rejections:
                 out.setdefault(rej.packet_id, (rec.time, rej.cause))
         return out
-
-    def transmitted_weight(self, t: int) -> Fraction:
-        """Weight sent at step t; idle steps count as weight 0."""
-        pid = self.step(t).transmitted
-        return self.trace.by_id[pid].weight if pid is not None else ZERO
 
     @lazy
     def scaled_sent(self) -> tuple[int, ...]:

@@ -224,11 +224,10 @@ def _intersection(trace: Trace) -> OfflineSchedule:
     gains nothing.  Integers only, no recursion, vertices in Trace.rank
     order, so the result is deterministic.
     """
-    packets = trace.by_rank
-    n, bsize = len(packets), trace.buffer_size
-    weight = [trace.scaled_weight[p.id] for p in packets]
-    deadline_windows = [(p.release, p.deadline) for p in packets]
-    capacity_windows = [(p.release, p.release + bsize - 1) for p in packets]
+    weight, release, last = trace.rank_weight, trace.rank_release, trace.buffer_size - 1
+    n = len(weight)
+    deadline_windows = list(zip(release, trace.rank_deadline))
+    capacity_windows = [(r, r + last) for r in release]
     member = [False] * n
     while True:
         held = [v for v in range(n) if member[v]]

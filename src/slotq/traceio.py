@@ -32,10 +32,6 @@ class TraceSyntaxError(ValueError):
         self.line = line
 
 
-def format_weight(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
-
 def parse_trace(text: str) -> Trace:
     """Parse qtrace text into a validated Trace.
 
@@ -91,7 +87,7 @@ def parse_trace(text: str) -> Trace:
 def emit_trace(trace: Trace) -> str:
     lines = [HEADER, f"B {trace.buffer_size}"]
     for p in sorted(trace.packets, key=lambda p: p.id):
-        lines.append(f"p {p.id} {p.release} {p.deadline} {format_weight(p.weight)}")
+        lines.append(f"p {p.id} {p.release} {p.deadline} {p.weight}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,10 +34,14 @@ from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded, v
 from slotq.schedulers import run_grq
 from slotq.traceio import parse_trace
 
-ZERO = Fraction(0)
-
-
 # --- references ------------------------------------------------------------
+
+def reference_sent_weight(grq, t):
+    """The weight the slot queue sent at step t, 0 when idle, read from the
+    step record and the packet table rather than Transcript.scaled_sent."""
+    pid = grq.step(t).transmitted
+    return Fraction(0) if pid is None else grq.trace.by_id[pid].weight
+
 
 def reference_verify_schedule(trace, schedule):
     out = []
@@ -54,7 +58,7 @@ def reference_verify_schedule(trace, schedule):
             occupancy[s] += 1
     for s in sorted(s for s, c in occupancy.items() if c > trace.buffer_size):
         out.append(f"step {s}: {occupancy[s]} packets held, buffer size {trace.buffer_size}")
-    total = sum((trace.by_id[pid].weight for pid in schedule.assignment), ZERO)
+    total = sum((trace.by_id[pid].weight for pid in schedule.assignment), Fraction(0))
     if total != schedule.value:
         out.append(f"declared value {schedule.value} != recomputed {total}")
     return out
@@ -71,7 +75,7 @@ def reference_classify(grq, adv):
         sent_at = grq.send_time.get(pid)
         if sent_at is not None and sent_at < t:
             out.append(Charge(S_CHARGE, t, pid, target=sent_at))
-        elif trace.by_id[pid].weight <= grq.transmitted_weight(t):
+        elif trace.by_id[pid].weight <= reference_sent_weight(grq, t):
             out.append(Charge(D_CHARGE, t, pid, target=t))
         else:
             rec = grq.rejected_at.get(pid)
@@ -137,7 +141,7 @@ def reference_verify_charge_map(cmap, grq, adv):
             v3.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
             continue
         sw = trace.by_id[c.source_id].weight
-        tw = grq.transmitted_weight(c.target)
+        tw = reference_sent_weight(grq, c.target)
         if sw > tw:
             v3.append(f"{c.kind}-charge from packet {c.source_id} (w={sw}) "
                       f"lands on step {c.target} which sent only w={tw}")
@@ -301,7 +305,7 @@ def test_verify_schedule_matches_reference(data):
     hi = trace.horizon + 2
     assignment = {pid: data.draw(st.integers(-1, hi)) for pid in chosen}
     schedule = OfflineSchedule.of(trace, assignment)
-    assert schedule.value == sum((trace.by_id[pid].weight for pid in assignment), ZERO)
+    assert schedule.value == sum((trace.by_id[pid].weight for pid in assignment), Fraction(0))
     if data.draw(st.booleans()):
         schedule = OfflineSchedule(assignment, data.draw(st.fractions(0, 40, max_denominator=12)))
     assert verify_schedule(trace, schedule) == reference_verify_schedule(trace, schedule)

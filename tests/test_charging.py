@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-import textwrap
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import slotq
 from slotq.charging import (
     Charge,
     ChargeConstructionError,
@@ -22,6 +16,7 @@ from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import Packet, StepRecord, Transcript, validate_trace
 from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded
 from slotq.schedulers import run_grq
+from test_schedulers import run_optimized
 
 
 def P(pid, r, d, w):
@@ -79,13 +74,11 @@ class TestClassify:
 
     def test_infeasible_adversary_rejected_under_optimize_flag(self):
         # `python -O` strips assert statements; the feasibility check must still fire
-        code = textwrap.dedent("""
-            import sys
+        out = run_optimized("""
             from slotq.charging import build_charge_map
             from slotq.model import Packet, validate_trace
             from slotq.oracle import OfflineSchedule
             from slotq.schedulers import run_grq
-            print("optimize", sys.flags.optimize)
             t = validate_trace(1, [Packet(0, 1, 1, 1), Packet(1, 1, 2, 1)])
             try:
                 cmap = build_charge_map(run_grq(t), OfflineSchedule({0: 1, 1: 1}, 2))
@@ -93,16 +86,8 @@ class TestClassify:
             except AssertionError as e:
                 print("raised", e)
         """)
-        src = str(Path(slotq.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "optimize 1" in proc.stdout
-        assert "raised adversary schedule infeasible" in proc.stdout
-        assert "step 1: 2 packets assigned to one step" in proc.stdout
+        assert "raised adversary schedule infeasible" in out
+        assert "step 1: 2 packets assigned to one step" in out
 
     def test_missing_rejection_is_a_construction_error(self):
         # doctored transcript: GRQ "forgot" to reject the packet it never sent
@@ -335,4 +320,5 @@ class TestEndToEnd:
             for c in cmap.charges:
                 load[c.target] = load.get(c.target, 0) + trace.by_id[c.source_id].weight
             for target, total in load.items():
-                assert total <= 2 * grq.transmitted_weight(target)
+                pid = grq.step(target).transmitted
+                assert total <= 2 * (0 if pid is None else trace.by_id[pid].weight)

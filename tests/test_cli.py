@@ -328,7 +328,8 @@ class TestInternalErrors:
 
 def checkout_env():
     """The environment with this checkout's src first on PYTHONPATH and no
-    PYTHONOPTIMIZE, so a child `python -m slotq` runs these sources."""
+    PYTHONOPTIMIZE, so a child interpreter runs these sources with only the
+    flags its command line gives.  Every test that starts one uses it."""
     src = str(Path(slotq.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

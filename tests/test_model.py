@@ -186,13 +186,7 @@ class TestTranscriptSteps:
 
     def test_in_range(self):
         ts = self._transcript()
-        assert [ts.transmitted_weight(t) for t in (1, 2)] == [5, 3]
         assert [ts.step(t).transmitted for t in (1, 2)] == [0, 1]
-
-    @pytest.mark.parametrize("t", [0, 3, -1])
-    def test_transmitted_weight_outside_horizon(self, t):
-        with pytest.raises(IndexError, match=rf"^step {t} is outside the transcript's steps 1\.\.2$"):
-            self._transcript().transmitted_weight(t)
 
     @pytest.mark.parametrize("t", [0, 3, -1])
     def test_step_outside_horizon(self, t):
@@ -213,8 +207,7 @@ class TestTranscriptInvariants:
         )
         assert check_transcript_invariants(ts) == []
         assert ts.send_time == {0: 1}
-        assert ts.transmitted_weight(1) == 4
-        assert ts.transmitted_weight(2) == 0
+        assert ts.scaled_sent == (4, 0)
         assert ts.total_weight == 4
 
     def test_missing_terminal_event(self):

@@ -1,13 +1,10 @@
-import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import slotq
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import (
     ADMISSION_REFUSED,
@@ -27,6 +24,7 @@ from slotq.schedulers import (
     run_grq,
     run_naive_greedy,
 )
+from test_cli import checkout_env
 
 
 def P(pid, r, d, w):
@@ -236,11 +234,8 @@ def test_runner_checks_survive_optimize_flag():
 def run_python(code, *flags):
     """stdout of `code` run by this interpreter with `flags` on this checkout's slotq."""
     code = "import sys\nprint('optimize', sys.flags.optimize)\n" + textwrap.dedent(code)
-    src = str(Path(slotq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=checkout_env()
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -265,7 +260,7 @@ class TestRunGrq:
     def test_killer_value(self):
         ts = run_grq(gen_killer(3, Fraction(1, 4)))
         assert ts.total_weight == Fraction(5, 2)
-        weights = [ts.transmitted_weight(t) for t in (1, 2, 3)]
+        weights = [ts.trace.by_id[ts.step(t).transmitted].weight for t in (1, 2, 3)]
         assert weights == [1, Fraction(3, 4), Fraction(3, 4)]
 
     def test_empty_trace(self):
