@@ -184,15 +184,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiment import load_config, report_to_csv, report_to_json, run_experiment
+    from .experiment import cell, load_config, report_to_csv, report_to_json, run_experiment
 
     config = load_config(args.config)
     report = run_experiment(config, counterexample_dir=args.counterexamples)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
     _emit(text, args.out)
     if args.out is not None:
-        mr = "" if report.max_ratio is None else str(report.max_ratio)
-        print(f"traces: {len(report.rows)}, max ratio: {mr}, "
+        print(f"traces: {len(report.rows)}, max ratio: {cell(report.max_ratio)}, "
               f"violations: {report.violation_count}")
     return 0 if report.passed else 1
 

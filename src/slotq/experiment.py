@@ -211,7 +211,7 @@ def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None)
     # bounds each trace's weight sums, and so max_ratio does; the mean's
     # denominator grows with the lcm of the rows' ones
     try:
-        _cell(mean_ratio)
+        cell(mean_ratio)
     except ValueError:  # past sys.get_int_max_str_digits() digits
         raise ConfigError(f"the mean_ratio of {len(ratios)} rows has more digits than "
                           "Python prints; run the traces in smaller configs") from None
@@ -232,7 +232,8 @@ def _persist_counterexample(directory: Path, trace: Trace, row: ExperimentRow) -
 
 # --- serialization ---------------------------------------------------------
 
-def _cell(value: "Fraction | None") -> str:
+def cell(value: "Fraction | None") -> str:
+    """How a report prints an exact value: absent prints empty, present as str."""
     return "" if value is None else str(value)
 
 
@@ -246,9 +247,9 @@ def _cells(r: ExperimentRow) -> list:
     """The row's cells in _COLUMNS order; the violations stay a list."""
     return [
         r.index, r.digest, r.n, r.buffer_size,
-        _cell(r.grq_value), _cell(r.greedy_value),
-        _cell(r.bounded_value), _cell(r.unbounded_value),
-        _cell(r.ratio), r.charging, list(r.violations),
+        cell(r.grq_value), cell(r.greedy_value),
+        cell(r.bounded_value), cell(r.unbounded_value),
+        cell(r.ratio), r.charging, list(r.violations),
     ]
 
 
@@ -262,7 +263,7 @@ def report_to_csv(report: ExperimentReport) -> str:
     w.writerow([])
     w.writerow([
         "aggregate", "", len(report.rows), "", "", "", "",
-        "", _cell(report.max_ratio), f"mean={_cell(report.mean_ratio)}",
+        "", cell(report.max_ratio), f"mean={cell(report.mean_ratio)}",
         f"violations={report.violation_count}",
     ])
     return buf.getvalue()
@@ -273,8 +274,8 @@ def report_to_json(report: ExperimentReport) -> str:
         "rows": [dict(zip(_COLUMNS, _cells(r))) for r in report.rows],
         "aggregate": {
             "traces": len(report.rows),
-            "max_ratio": _cell(report.max_ratio),
-            "mean_ratio": _cell(report.mean_ratio),
+            "max_ratio": cell(report.max_ratio),
+            "mean_ratio": cell(report.mean_ratio),
             "violations": report.violation_count,
         },
     }

@@ -140,6 +140,9 @@ def reference_verify_charge_map(cmap, grq, adv):
         if c.target is None or not 1 <= c.target <= horizon:
             v3.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
             continue
+        if c.source_id not in trace.by_id:
+            v3.append(f"{c.kind}-charge from packet {c.source_id}: no such packet in the trace")
+            continue
         sw = trace.by_id[c.source_id].weight
         tw = reference_sent_weight(grq, c.target)
         if sw > tw:
@@ -251,13 +254,12 @@ def verdicts(report):
 def tamper(draw, cmap, trace):
     """A copy of `cmap` with a few shifted, dropped, duplicated or re-kinded charges.
 
-    A "source" edit names another packet of the trace: the reference raises
-    KeyError on a foreign packet, where the production verifier reports it
-    (tests/test_charging.py covers that case).  A "resource" edit copies
-    another charge's source, so the map keeps its length while one send is
-    charged twice and another not at all; a "stack" edit puts a third charge
-    on a target step.  Those two are what a count-and-set pre-test of checks
-    1 and 2 could let through.
+    A "source" edit names another packet of the trace, or the id one past
+    its largest, which check 3 reports as no such packet.  A "resource" edit
+    copies another charge's source, so the map keeps its length while one
+    send is charged twice and another not at all; a "stack" edit puts a
+    third charge on a target step.  Those two are what a count-and-set
+    pre-test of checks 1 and 2 could let through.
     """
     charges = list(cmap.charges)
     ids = sorted(trace.by_id)
@@ -280,7 +282,8 @@ def tamper(draw, cmap, trace):
         elif edit == "rejection":
             charges[i] = replace(c, rejection_time=draw(st.integers(-1, trace.horizon + 2)))
         elif edit == "source":
-            charges[i] = replace(c, source_id=draw(st.sampled_from(ids)))
+            foreign = ids[-1] + 1  # a charge's source is a packet, so ids is not empty
+            charges[i] = replace(c, source_id=draw(st.sampled_from(ids) | st.just(foreign)))
         elif edit == "resource":
             o = charges[draw(st.integers(0, len(charges) - 1))]
             charges[i] = replace(c, source_time=o.source_time, source_id=o.source_id)

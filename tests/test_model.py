@@ -1,11 +1,15 @@
+import inspect
 import sys
+from dataclasses import FrozenInstanceError, fields, is_dataclass, make_dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+from slotq import schedulers
 from slotq.model import (
     ADMISSION_REFUSED,
     EXPIRED,
+    PREEMPTED,
     InvalidTraceError,
     Packet,
     Rejection,
@@ -32,6 +36,68 @@ class TestPacket:
 
     def test_exact_decimal_string(self):
         assert Packet(0, 1, 1, Fraction("1.5")).weight == Fraction(3, 2)
+
+
+# one instance per record type, and the values a replace() swaps in
+RECORDS = {
+    Packet: ((3, 1, 4, Fraction(5, 2)), dict(deadline=6, weight=Fraction(1, 3))),
+    StepRecord: ((2, (0, 1), (Rejection(7, PREEMPTED),), 4), dict(slots=None, transmitted=None)),
+    Rejection: ((7, EXPIRED), dict(cause=ADMISSION_REFUSED)),
+}
+
+
+def twin(cls):
+    """A plain frozen dataclass with cls's name and fields: the generated behaviour."""
+    return make_dataclass(cls.__name__, [(f.name, f.type) for f in fields(cls)], frozen=True)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+class TestRecordContract:
+    """The hand-written constructors behave like the generated ones."""
+
+    def test_signature_is_the_fields(self, cls):
+        sig = inspect.signature(cls)
+        assert list(sig.parameters) == [f.name for f in fields(cls)]
+        assert all(p.default is inspect.Parameter.empty for p in sig.parameters.values())
+        assert sig == inspect.signature(twin(cls))
+
+    def test_values_match_a_plain_dataclass(self, cls):
+        args, changes = RECORDS[cls]
+        plain = twin(cls)
+        a, b = cls(*args), cls(*args)
+        ta = plain(*args)
+        assert is_dataclass(a) and a == b and a is not b and hash(a) == hash(b)
+        assert repr(a) == repr(ta) and hash(a) == hash(ta)
+        changed = replace(a, **changes)
+        assert repr(changed) == repr(replace(ta, **changes))
+        assert changed != a and replace(changed, **{k: getattr(a, k) for k in changes}) == a
+        assert cls(**{f.name: getattr(a, f.name) for f in fields(cls)}) == a
+
+    def test_fields_are_frozen(self, cls):
+        a = cls(*RECORDS[cls][0])
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, f.name, None)
+        assert a == cls(*RECORDS[cls][0])
+
+
+def test_packet_converts_an_int_weight_only():
+    assert type(Packet(0, 1, 1, 2).weight) is Fraction
+    assert replace(Packet(0, 1, 1, Fraction(1)), weight=4).weight == Fraction(4)
+    # a bool is left for validate_trace to report
+    p = Packet(0, 1, 1, True)
+    assert p.weight is True
+    with pytest.raises(InvalidTraceError, match="weight True is not an int or a Fraction"):
+        validate_trace(1, [p])
+
+
+def test_interned_rejections_are_plain_values():
+    cached = schedulers._rejection(5, PREEMPTED)
+    assert cached is schedulers._rejection(5, PREEMPTED)
+    assert cached == Rejection(5, PREEMPTED) and hash(cached) == hash(Rejection(5, PREEMPTED))
+    assert type(cached) is Rejection and cached != schedulers._rejection(5, EXPIRED)
+    maxsize = schedulers._rejection.cache_parameters()["maxsize"]
+    assert maxsize is not None and 0 < maxsize <= 1 << 16
 
 
 class TestValidateTrace:
