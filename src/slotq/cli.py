@@ -26,7 +26,7 @@ from .charging import check_charges
 from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
                        parse_rational, require_int)
 from .model import InvalidTraceError, Transcript, check_transcript_invariants
-from .oracle import enumerate_feasible, optimal_bounded, optimal_unbounded
+from .oracle import enumerate_feasible, optimal_bounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from .traceio import TraceSyntaxError, emit_trace, load_trace
 
@@ -93,9 +93,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     trace = load_trace(args.trace)
-    # both oracles verify their schedule and raise on a violation (exit 3)
-    oracle = optimal_bounded if args.algo == "bounded" else optimal_unbounded
-    schedule = oracle(trace)
+    # the oracle verifies its schedule and raises on a violation (exit 3);
+    # without the capacity constraint the instance is the relaxed view
+    schedule = optimal_bounded(trace if args.algo == "bounded" else trace.relaxed)
     rows = [
         {"packet": pid, "step": t,
          "weight": str(trace.by_id[pid].weight)}

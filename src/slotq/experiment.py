@@ -1,8 +1,9 @@
 """Experiment harness: run the full pipeline over generated traces.
 
 A config (JSON file or equivalent dict) names trace sources; every trace
-goes through both schedulers with their structural checks, both oracles and
-the charge verifier against the bounded optimum.  Example:
+goes through both schedulers with their structural checks, the bounded and
+the unbounded optimum, and the charge verifier against the bounded optimum.
+Example:
 
     {
       "traces": [
@@ -17,10 +18,11 @@ go as they are to GeneratorParams or gen_killer, whose rules decide their type.
 
 Every row is a pure function of the config (seeds included).  Ratios are
 exact rationals end to end; serialization writes them as num/den.  Any
-violation — structural, monotonicity, or charging — marks the row failed,
-and when run_experiment is given a counterexample directory (the CLI's
---counterexamples) the offending trace is persisted there with its violations,
-because a failing instance is the most valuable output this tool can produce.
+violation — a failed self-check, structural, monotonicity, or charging —
+marks the row failed, and when run_experiment is given a counterexample
+directory (the CLI's --counterexamples) the offending trace is persisted
+there with its violations, because a failing instance is the most valuable
+output this tool can produce.
 """
 
 import csv
@@ -35,7 +37,7 @@ from .charging import check_charges, value_ratio
 from .generate import (GeneratorParams, ParameterError, gen_killer, gen_random,
                        parse_rational, require_int)
 from .model import Trace, check_transcript_invariants
-from .oracle import optimal_bounded, optimal_unbounded
+from .oracle import optimal_bounded
 from .schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from .traceio import emit_trace
 
@@ -50,8 +52,8 @@ class ExperimentRow:
     digest: str
     n: int
     buffer_size: int
-    grq_value: Fraction
-    greedy_value: Fraction
+    grq_value: "Fraction | None"
+    greedy_value: "Fraction | None"
     bounded_value: "Fraction | None"
     unbounded_value: "Fraction | None"
     ratio: "Fraction | None"  # bounded optimum / grq
@@ -121,47 +123,44 @@ def trace_digest(trace: Trace) -> str:
 
 
 def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
-    """Run both schedulers with their checks, both oracles, the oracle order,
-    the ratio and the charge verifier on one trace; collect every violation.
-    `charging` is "skipped" only when the bounded oracle failed its self-check."""
+    """Run both schedulers with their checks, the oracle on the trace and on
+    its relaxed view, the oracle order, the ratio and the charge verifier on
+    one trace; collect every violation.
+
+    The runners, the oracle and value_ratio check their own output and
+    raise AssertionError on a fault.  One rule covers every such call: the
+    fault becomes a violation of the row, so the trace is kept for replay,
+    and every stage that needs the missing result is skipped; its cells
+    print empty.  `charging` is "skipped" only when the slot queue or the
+    bounded optimum is missing.
+    """
     violations: list[str] = []
-    bounded_value = unbounded_value = ratio = None
-    charging = "skipped"
 
-    grq = run_grq(trace)
-    violations += [f"transcript: {v}" for v in check_transcript_invariants(grq)]
-    violations += [f"monotonicity: {v}" for v in check_slot_monotonicity(grq)]
-    greedy = run_naive_greedy(trace)
-    violations += [f"greedy transcript: {v}" for v in check_transcript_invariants(greedy)]
-
-    # each oracle verifies its own schedule and raises AssertionError if it is
-    # infeasible; that marks the row failed, so the trace is kept for replay
-    try:
-        bounded = optimal_bounded(trace)
-    except AssertionError as e:
-        bounded = None
-        violations.append(f"bounded oracle: {e}")
-    else:
-        bounded_value = bounded.value
-    try:
-        unbounded = optimal_unbounded(trace)
-    except AssertionError as e:
-        violations.append(f"unbounded oracle: {e}")
-    else:
-        unbounded_value = unbounded.value
-        if bounded is not None and bounded.value > unbounded.value:
-            violations.append(
-                f"oracle order: bounded {bounded.value} > unbounded {unbounded.value}"
-            )
-
-    if bounded is not None:
+    def guarded(what, fn, *args):
         try:
-            ratio = value_ratio(bounded_value, grq.total_weight)
+            return fn(*args)
         except AssertionError as e:
-            violations.append(f"ratio: {e}")
-        if bounded_value > 2 * grq.total_weight:
+            violations.append(f"{what}: {e}")
+            return None
+
+    grq = guarded("slot queue", run_grq, trace)
+    if grq is not None:
+        violations += [f"transcript: {v}" for v in check_transcript_invariants(grq)]
+        violations += [f"monotonicity: {v}" for v in check_slot_monotonicity(grq)]
+    greedy = guarded("greedy", run_naive_greedy, trace)
+    if greedy is not None:
+        violations += [f"greedy transcript: {v}" for v in check_transcript_invariants(greedy)]
+    bounded = guarded("bounded oracle", optimal_bounded, trace)
+    unbounded = guarded("unbounded oracle", optimal_bounded, trace.relaxed)
+    if bounded is not None and unbounded is not None and bounded.value > unbounded.value:
+        violations.append(f"oracle order: bounded {bounded.value} > unbounded {unbounded.value}")
+
+    ratio, charging = None, "skipped"
+    if grq is not None and bounded is not None:
+        ratio = guarded("ratio", value_ratio, bounded.value, grq.total_weight)
+        if bounded.value > 2 * grq.total_weight:
             violations.append(
-                f"ratio: optimum {bounded_value} exceeds twice GRQ value {grq.total_weight}"
+                f"ratio: optimum {bounded.value} exceeds twice GRQ value {grq.total_weight}"
             )
         failures = check_charges(grq, bounded)[1]
         charging = "fail" if failures else "pass"
@@ -172,10 +171,10 @@ def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
         digest=trace_digest(trace),
         n=len(trace.packets),
         buffer_size=trace.buffer_size,
-        grq_value=grq.total_weight,
-        greedy_value=greedy.total_weight,
-        bounded_value=bounded_value,
-        unbounded_value=unbounded_value,
+        grq_value=None if grq is None else grq.total_weight,
+        greedy_value=None if greedy is None else greedy.total_weight,
+        bounded_value=None if bounded is None else bounded.value,
+        unbounded_value=None if unbounded is None else unbounded.value,
         ratio=ratio,
         charging=charging,
         violations=tuple(violations),

@@ -12,9 +12,10 @@ floating point.
 The slot-queue scheduler names buffer positions after absolute time steps: a
 buffer of size B at time t exposes the labels t..t+B-1 and transmits from the
 slot labeled t.  Its filled slots always form a prefix of those labels, so a
-snapshot is the tuple of the placed packets' Trace.rank values, slot i
-labeled t + i, and the window size is Trace.buffer_size.  Transcript is the
-full per-step record an algorithm run leaves behind.
+snapshot is the tuple of the placed packets' ranks (positions in
+Trace.by_rank), slot i labeled t + i, and the window size is
+Trace.buffer_size.  Transcript is the full per-step record an algorithm run
+leaves behind.
 
 All types here are immutable values; the operations are pure functions, so
 distinct traces can be processed concurrently without coordination.
@@ -142,15 +143,14 @@ class Trace:
         """The same instance with a buffer so large that capacity never binds.
 
         Dropping the capacity constraint is the same problem as B = packet
-        count.  The view shares this trace's by_id, scaled_weight and
-        weight_denominator, so checking a schedule against it indexes
-        nothing again.
+        count, so oracle.optimal_bounded on this view is the unbounded
+        optimum.  No other lazy attribute depends on buffer_size, so the view
+        starts with every index this trace has already computed; only the
+        fields, which the view's own __init__ set, are not copied.
         """
         view = Trace(max(self.buffer_size, len(self.packets), 1), self.packets)
-        view.__dict__.update(
-            by_id=self.by_id, scaled_weight=self.scaled_weight,
-            weight_denominator=self.weight_denominator,
-        )
+        own = view.__dict__
+        own.update({k: v for k, v in self.__dict__.items() if k not in own})
         return view
 
     @lazy
@@ -164,11 +164,6 @@ class Trace:
         """
         w = self.scaled_weight
         return tuple(sorted(self.packets, key=lambda p: (-w[p.id], p.deadline, p.id)))
-
-    @lazy
-    def rank(self) -> dict[int, int]:
-        """Packet id -> its position in by_rank."""
-        return {p.id: i for i, p in enumerate(self.by_rank)}
 
     @lazy
     def rank_deadline(self) -> tuple[int, ...]:
@@ -207,8 +202,10 @@ class Trace:
         Returns (kept, steps).  The greedy takes the packets in rank order,
         up to the first of weight 0, and keeps each iff EDF still meets every
         window [release, deadline] with it added; `kept` lists the ranks it
-        keeps, ascending, and steps[i] is EDF's send step of kept[i].  Both
-        oracles read it, so a trace runs it once.
+        keeps, ascending, and steps[i] is EDF's send step of kept[i].  It
+        does not depend on buffer_size, so the oracle reads it for the
+        bounded and the unbounded optimum (Trace.relaxed shares it once
+        computed).
         """
         from .oracle import deadline_greedy  # oracle imports this module
 
@@ -293,11 +290,11 @@ class StepRecord:
     """What one algorithm did during one time step.
 
     `slots` is the post-arrival-stage buffer for schedulers that keep a
-    labeled one, None otherwise: the Trace.rank values of its packets, the
-    one in slot i labeled time + i; an idle step's is ().  `transmitted` is
-    None on idle steps.  The record holds the step's decisions only, its
-    rejections and send; its arrivals are the trace's, and the buffer's
-    contents follow from the events.
+    labeled one, None otherwise: its packets' positions in Trace.by_rank,
+    the one in slot i labeled time + i; an idle step's is ().
+    `transmitted` is None on idle steps.  The record holds the step's
+    decisions only, its rejections and send; its arrivals are the trace's,
+    and the buffer's contents follow from the events.
     """
 
     time: int

@@ -22,17 +22,20 @@ matroid (unit jobs with release times), and _edf is the independence test
 of both.
 
 optimal_bounded is therefore a maximum-weight common independent set of
-the two matroids.  optimal_unbounded needs only the deadline matroid, where
-the greedy in descending weight order is optimal; Trace.deadline_greedy
-runs it once per trace over the positive weights.  The bounded optimum
-can never exceed the unbounded one, so when the greedy set also fits the
-capacity windows it is the bounded optimum too, and optimal_bounded returns
-it.  The intersection never adds a packet that gains nothing, so neither
-oracle sends a zero weight and that set is the intersection's own.  Only
-when it does not fit does optimal_bounded run weighted matroid
-intersection (Edmonds 1970; Frank, J. Algorithms 1981).  Both oracles work
-on the trace's integer-scaled weights (Trace.scaled_weight), so nothing is
-ever rounded, and both return EDF's assignment of the chosen set.
+the two matroids, and it is the one oracle for both capacity regimes:
+dropping the capacity constraint is the same problem as B = packet count,
+so the unbounded optimum is optimal_bounded(trace.relaxed).  The greedy in
+descending weight order is optimal for the deadline matroid alone;
+Trace.deadline_greedy runs it once per trace over the positive weights.
+The bounded optimum can never exceed that set's weight, so when the set
+also fits the capacity windows (always, on the relaxed view) it is the
+bounded optimum, and optimal_bounded returns it.  The intersection never
+adds a packet that gains nothing, so the oracle never sends a zero weight
+and that set is the intersection's own.  Only when it does not fit does
+optimal_bounded run weighted matroid intersection (Edmonds 1970; Frank,
+J. Algorithms 1981).  It works on the trace's integer-scaled weights
+(Trace.scaled_weight), so nothing is ever rounded, and it returns EDF's
+assignment of the chosen set.
 
 enumerate_feasible walks every feasible schedule (up to a cap) in a fixed
 order, including schedules that idle while packets sit available; the charge
@@ -141,7 +144,7 @@ def _edf(windows: list[tuple[int, int]]) -> "list[int] | None":
 
     Returns None iff some job misses its end, which happens iff no schedule
     meets every window (the exchange argument for unit jobs).  Equal ends go
-    to the job listed first, so callers list jobs in Trace.rank order.  EDF
+    to the job listed first, so callers list jobs in Trace.by_rank order.  EDF
     idles only while nothing is released, so the schedule is work-conserving;
     it jumps over idle stretches, so its cost does not grow with the horizon.
     """
@@ -221,7 +224,7 @@ def _intersection(trace: Trace) -> OfflineSchedule:
     free packets to the capacity matroid's that is shortest in (length,
     hops).  Each round leaves I of maximum weight for its size, and those
     maxima are concave in the size, so the loop stops at the first path that
-    gains nothing.  Integers only, no recursion, vertices in Trace.rank
+    gains nothing.  Integers only, no recursion, vertices in Trace.by_rank
     order, so the result is deterministic.
     """
     weight, release, last = trace.rank_weight, trace.rank_release, trace.buffer_size - 1
@@ -291,7 +294,7 @@ def _intersection(trace: Trace) -> OfflineSchedule:
     steps = _edf([deadline_windows[v] for v in chosen])
     if steps is None:
         raise AssertionError("bounded optimum misses a deadline")
-    return _verified(trace, chosen, steps, trace, "bounded optimum")
+    return _verified(trace, chosen, steps)
 
 
 def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -342,60 +345,48 @@ def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(kept), tuple(steps)
 
 
-def _verified(
-    trace: Trace, ranks: "list[int] | tuple[int, ...]", steps: "list[int] | tuple[int, ...]",
-    view: Trace, what: str,
-) -> OfflineSchedule:
+def _verified(trace: Trace, ranks: "list[int] | tuple[int, ...]",
+              steps: "list[int] | tuple[int, ...]") -> OfflineSchedule:
     """The schedule sending the packet of rank ranks[i] at steps[i], checked
-    by verify_schedule against `view` (the trace or its relaxed copy)."""
+    by verify_schedule against `trace`."""
     ids = trace.rank_id
     schedule = OfflineSchedule.of(trace, {ids[r]: t for r, t in zip(ranks, steps)})
-    errs = verify_schedule(view, schedule)
+    errs = verify_schedule(trace, schedule)
     if errs:
-        raise AssertionError(f"{what} infeasible: {errs}")
+        raise AssertionError(f"optimum infeasible: {errs}")
     return schedule
 
 
 def optimal_bounded(trace: Trace) -> OfflineSchedule:
-    """Exact maximum-value schedule under the buffer-capacity constraint.
+    """Exact maximum-value schedule under the trace's buffer capacity.
 
-    First the shortcut: take the deadline matroid's greedy set over the
-    positive weights (Trace.deadline_greedy, the set optimal_unbounded
-    keeps).  If EDF also meets its capacity windows
+    The unbounded optimum is this on trace.relaxed, where B is at least the
+    packet count and capacity never binds.  First the shortcut: take the
+    deadline matroid's greedy set over the positive weights
+    (Trace.deadline_greedy).  If EDF also meets its capacity windows
     [release, release + B - 1], its EDF schedule is returned.  That is
     exact: the greedy set has the maximum weight among all sets that meet
     the deadlines, and every set that fits the buffer meets them.  The
     intersection never adds a zero weight either, so this is its assignment,
-    not just its value.  Otherwise the answer is the weighted matroid
-    intersection (_intersection).
+    not just its value.  On the relaxed view the shortcut always applies:
+    EDF sends each of n packets within n - 1 steps of its release.
+    Otherwise the answer is the weighted matroid intersection
+    (_intersection).
     """
     kept, steps = trace.deadline_greedy
     release, last = trace.rank_release, trace.buffer_size - 1
     if _edf([(release[r], release[r] + last) for r in kept]) is None:
         return _intersection(trace)
-    return _verified(trace, kept, steps, trace, "bounded optimum")
+    return _verified(trace, kept, steps)
 
 
 def optimal_unbounded(trace: Trace) -> OfflineSchedule:
-    """Exact maximum-value schedule ignoring the buffer-capacity constraint.
-
-    The packet sets EDF can send within their windows form a matroid, so the
-    greedy in descending weight order (Trace.rank) is optimal: keep a packet
-    iff EDF still meets every deadline with it added (Trace.deadline_greedy,
-    run once per trace), which leaves out weight 0 as optimal_bounded does.
-    Weights are only summed, never compared approximately.
-    """
-    kept, steps = trace.deadline_greedy
-    return _verified(trace, kept, steps, relax_capacity(trace), "unbounded optimum")
+    """The optimum ignoring the buffer capacity: optimal_bounded(trace.relaxed)."""
+    return optimal_bounded(trace.relaxed)
 
 
 def relax_capacity(trace: Trace) -> Trace:
-    """The same instance with a buffer large enough that capacity never binds.
-
-    Dropping the capacity constraint is the same problem as B = packet count,
-    so unbounded-oracle outputs are checked for feasibility against this view.
-    It is Trace.relaxed, built once per trace and sharing its indexes.
-    """
+    """The instance with a buffer so large that capacity never binds: trace.relaxed."""
     return trace.relaxed
 
 

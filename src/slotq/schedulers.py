@@ -1,9 +1,10 @@
 """Online schedulers: the slot-queue algorithm and a naive greedy baseline.
 
 Both schedulers process packets in one fixed order, computed once per trace
-(Trace.rank): weight descending, then deadline ascending, then id ascending.
-Weights are compared as exact integers scaled by the common denominator, so
-the order is exact and no Fraction is compared while sorting.
+(Trace.by_rank): weight descending, then deadline ascending, then id
+ascending.  Weights are compared as exact integers scaled by the common
+denominator, so the order is exact and no Fraction is compared while
+sorting.
 
 A step changes few packets: its arrivals, at most one send, its rejections
 and expiries.  Both runners look these up in per-trace indexes built once:
@@ -100,10 +101,10 @@ def check_buffer_invariants(t: int, slots: Sequence[int], trace: Trace) -> list[
     """Violations of the slot-labeling rules in a snapshot taken right after
     the arrival-stage rebuild at step t; an empty list means it is sound.
 
-    `slots` holds Trace.rank values, the one in slot i labeled t + i.  No
-    packet may sit at a label past its deadline, and weights must not
-    increase from one slot to the next (ties allowed); they are compared as
-    Trace.rank_weight integers and printed as the packets' weights.
+    `slots` holds positions in Trace.by_rank, the one in slot i labeled
+    t + i.  No packet may sit at a label past its deadline, and weights must
+    not increase from one slot to the next (ties allowed); they are compared
+    as Trace.rank_weight integers and printed as the packets' weights.
     """
     deadline, weight, by_rank = trace.rank_deadline, trace.rank_weight, trace.by_rank
     out: list[str] = []
@@ -129,7 +130,7 @@ def grq_rebuild(
     """Arrival-stage rebuild at step t: place survivors + arrivals, reject the rest.
 
     `buffered` (the packets carried from step t - 1) and `arrivals` (those
-    released at t) are Trace.rank values of `trace`.  Packets are placed in
+    released at t) are positions in `trace`.by_rank.  Packets are placed in
     rank order; each goes to the smallest-labeled empty slot whose label is
     <= its deadline.  A packet with no such slot is rejected — cause
     "preempted" if it was already buffered, "admission-refused" if it just

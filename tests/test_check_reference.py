@@ -161,7 +161,7 @@ def two_step_transcripts(draw):
             slots = slots[:slots.index(None)] if None in slots else slots
         else:
             slots = [p for p in slots if p is not None]
-        second = (t + shift, tuple(trace.rank[p.id] for p in slots))
+        second = (t + shift, tuple(trace.rank_id.index(p.id) for p in slots))
     else:
         second = (draw(st.integers(1, 6)), draw(snapshots(trace)))
     steps = tuple(StepRecord(time, slots, (), None) for time, slots in ((t, first), second))

@@ -312,7 +312,7 @@ class TestInternalErrors:
         assert main(["oracle", "--trace", killer_trace, "--algo", algo]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            f"internal error: AssertionError: {algo} optimum infeasible: ['forced']\n")
+            "internal error: AssertionError: optimum infeasible: ['forced']\n")
         assert captured.out == ""
 
     def test_internal_value_error_is_not_a_usage_error(self, killer_trace, monkeypatch, capsys):

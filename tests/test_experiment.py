@@ -212,8 +212,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("which", ["bounded", "unbounded"])
     def test_oracle_self_check_fails_the_row(self, which, tmp_path, monkeypatch):
-        # the oracles verify their own schedule; a violation there raises
-        # inside the oracle, and the experiment records it as a failed row
+        # the oracle verifies its own schedule, on the trace and on its
+        # relaxed view; a violation there raises inside the oracle, and the
+        # experiment records it as a failed row
         import slotq.oracle as oracle
 
         real = oracle.verify_schedule
@@ -229,12 +230,52 @@ class TestRunExperiment:
         )
         (row,) = report.rows
         assert row.failed and not report.passed
-        assert row.violations == (f"{which} oracle: {which} optimum infeasible: ['forced']",)
+        assert row.violations == (f"{which} oracle: optimum infeasible: ['forced']",)
         # with no bounded optimum there is nothing to charge against
         assert row.charging == ("skipped" if which == "bounded" else "pass")
         assert (row.bounded_value is None) == (which == "bounded")
         assert (row.unbounded_value is None) == (which == "unbounded")
         assert len(list(tmp_path.glob("*.qtrace"))) == 1
+
+    @pytest.mark.parametrize("runner, what", [("run_grq", "slot queue"),
+                                              ("run_naive_greedy", "greedy")])
+    def test_runner_self_check_fails_its_row(self, runner, what, tmp_path, monkeypatch, capsys):
+        # a runner's self-check raises inside the runner; like the oracle's,
+        # it fails only the row it ran on, and the trace is persisted
+        import slotq.experiment as ex
+
+        config = {"traces": [{"kind": "killer", "buffer_size": b, "eps": "1/4"}
+                             for b in (2, 3, 4)]}
+        clean = run_experiment(config).rows
+        real = getattr(ex, runner)
+
+        def broken(trace):
+            if trace.buffer_size == 3:
+                raise AssertionError("forced")
+            return real(trace)
+
+        monkeypatch.setattr(ex, runner, broken)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "report.csv"
+        assert main(["experiment", "--config", str(path), "--out", str(out),
+                     "--counterexamples", str(tmp_path / "cx")]) == 1
+        capsys.readouterr()
+        report = run_experiment(config)
+        first, row, last = report.rows
+        assert (first, last) == (clean[0], clean[2])
+        assert row.violations == (f"{what}: forced",)
+        assert [p.name for p in (tmp_path / "cx").glob("*.qtrace")] == [
+            f"trace-00001-{row.digest}.qtrace"]
+        cells = list(csv.DictReader(io.StringIO(out.read_text())))[1]
+        if what == "slot queue":  # nothing to take a ratio of or to charge
+            assert row.grq_value is None and row.ratio is None and row.charging == "skipped"
+            assert cells["grq"] == cells["ratio"] == ""
+            assert replace(row, grq_value=clean[1].grq_value, ratio=clean[1].ratio,
+                           charging="pass", violations=()) == clean[1]
+        else:
+            assert row.greedy_value is None and cells["greedy"] == ""
+            assert replace(row, greedy_value=clean[1].greedy_value, violations=()) == clean[1]
 
     def test_counterexamples_persisted(self, tmp_path, monkeypatch):
         # Force a failure by breaking the 2x check through a monkeypatched

@@ -216,7 +216,7 @@ class TestTrace:
             P(5, 1, 3, 2), P(2, 1, 2, 2), P(1, 1, 3, 2),
             P(0, 1, 9, Fraction(1, 3)), P(3, 2, 2, Fraction(333, 1000)), P(4, 1, 1, 3),
         ])
-        assert sorted(t.rank, key=t.rank.__getitem__) == [4, 2, 1, 5, 0, 3]
+        assert [p.id for p in t.by_rank] == [4, 2, 1, 5, 0, 3]
 
 
 class TestBufferInvariants:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from slotq import oracle
 from slotq.generate import GeneratorParams, gen_killer, gen_random
-from slotq.model import Packet, Trace, validate_trace
+from slotq.model import Packet, Trace, lazy, validate_trace
 from slotq.oracle import (
     OfflineSchedule,
     _intersection,
@@ -309,17 +309,57 @@ class TestVerifySchedule:
 
     def test_relaxed_view_built_once_sharing_indexes(self):
         t = validate_trace(1, [P(0, 1, 2, Fraction(1, 3)), P(1, 1, 2, 1)])
+        # validate_trace built the weight indexes; two more are built here
+        by_id, greedy = t.by_id, t.deadline_greedy
         relaxed = relax_capacity(t)
         assert relaxed is relax_capacity(t) is t.relaxed
         assert relaxed == Trace(2, t.packets)
-        assert relaxed.by_id is t.by_id and relaxed.scaled_weight is t.scaled_weight
-        assert relaxed.weight_denominator == 3
+        assert relaxed.by_id is by_id and relaxed.deadline_greedy is greedy
+        assert relaxed.scaled_weight is t.scaled_weight and relaxed.weight_denominator == 3
+        # an index built after the view is the view's own
+        assert "horizon" not in vars(relaxed) and relaxed.horizon == t.horizon == 2
 
     def test_oracle_outputs_always_accepted(self):
         for trace in small_traces(60, seed0=1500, n=6):
             assert verify_schedule(trace, optimal_bounded(trace)) == []
             assert verify_schedule(
                 relax_capacity(trace), optimal_unbounded(trace)) == []
+
+
+LAZIES = [name for name, attr in vars(Trace).items() if isinstance(attr, lazy)]
+
+
+@st.composite
+def relaxable(draw):
+    """(B, packets) with B below the packet count, at or above it, or no packets."""
+    packets = draw(bursty_traces()).packets
+    n = len(packets)
+    regime = draw(st.sampled_from(["below", "above", "empty"]))
+    if regime == "empty":
+        return draw(st.integers(1, 3)), ()
+    if regime == "below" and n >= 2:
+        return draw(st.integers(1, n - 1)), packets
+    return draw(st.integers(max(n, 1), n + 2)), packets
+
+
+class TestRelaxedView:
+    @settings(max_examples=300, deadline=None)
+    @given(relaxable(), st.booleans())
+    def test_is_a_fresh_trace_with_the_larger_buffer(self, case, indexed_first):
+        # The view shares the indexes the trace has built, so one that
+        # depended on buffer_size would differ here from a fresh trace's.
+        size, packets = case
+        trace = Trace(size, packets)
+        if indexed_first:
+            for name in LAZIES:
+                if name != "relaxed":
+                    getattr(trace, name)
+        relaxed = trace.relaxed
+        fresh = Trace(max(size, len(packets), 1), packets)
+        assert relaxed.buffer_size == fresh.buffer_size
+        for name in LAZIES:
+            assert getattr(relaxed, name) == getattr(fresh, name), name
+        assert optimal_bounded(relaxed) == optimal_bounded(fresh)
 
 
 class TestEnumerateFeasible:

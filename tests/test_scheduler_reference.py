@@ -68,6 +68,7 @@ def held_at(transcript, t: int) -> tuple[int, ...]:
 def reference_grq(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
     """The slot queue's steps and its buffer's ids after each arrival stage."""
     size = trace.buffer_size
+    rank = {p.id: r for r, p in enumerate(trace.by_rank)}
     steps, held_ids_at = [], []
     held = ()
     for t in range(1, trace.horizon + 1):
@@ -89,7 +90,7 @@ def reference_grq(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
         steps.append(StepRecord(
             time=t,
             # the slots up to the last packet, as ranks (None for an empty slot)
-            slots=tuple(None if p is None else trace.rank[p.id] for p in slots[:end]),
+            slots=tuple(None if p is None else rank[p.id] for p in slots[:end]),
             rejections=tuple(rejections),
             transmitted=None if sent is None else sent.id,
         ))

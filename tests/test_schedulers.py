@@ -35,7 +35,7 @@ def rebuild(buffered, arrivals, t, buffer_size):
     """grq_rebuild on the ranks of these packets within a trace of just them;
     the snapshot comes back as (label, packet) pairs."""
     trace = Trace(buffer_size, (*buffered, *arrivals))
-    rank = trace.rank
+    rank = {p.id: r for r, p in enumerate(trace.by_rank)}
     rej, slots, *_ = grq_rebuild(
         sorted(rank[p.id] for p in buffered), [rank[p.id] for p in arrivals], t, trace
     )
@@ -102,7 +102,7 @@ class TestRebuild:
 
     def test_result_satisfies_rebuild_invariants(self):
         trace = Trace(4, [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)])
-        _, slots, *_ = grq_rebuild([], sorted(trace.rank.values()), 1, trace)
+        _, slots, *_ = grq_rebuild([], list(range(len(trace.packets))), 1, trace)
         assert len(slots) == 3
         assert check_buffer_invariants(1, slots, trace) == []
 
@@ -334,7 +334,7 @@ class TestSlotMonotonicity:
 
     def test_detects_weight_drop(self):
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4), P(2, 2, 3, 1)])
-        heavy, mid, light = (trace.rank[p.id] for p in trace.packets)
+        heavy, mid, light = (trace.rank_id.index(p.id) for p in trace.packets)
         fake = Transcript(trace, (
             StepRecord(1, (heavy, mid), (), 0),
             # label 2 held weight 4 at t=1 but only 1 now: a decrease
@@ -346,7 +346,7 @@ class TestSlotMonotonicity:
 
     def test_detects_emptied_label(self):
         trace = validate_trace(2, [P(0, 1, 3, 5), P(1, 1, 3, 4)])
-        heavy, mid = (trace.rank[p.id] for p in trace.packets)
+        heavy, mid = (trace.rank_id.index(p.id) for p in trace.packets)
         fake = Transcript(trace, (
             StepRecord(1, (heavy, mid), (), 0),
             StepRecord(2, (), (), None),
