@@ -1,20 +1,26 @@
 """Online schedulers: the slot-queue algorithm and a naive greedy baseline.
 
-Both schedulers process packets in one fixed order, computed once per trace
+run_grq is run(grq, trace) and run_naive_greedy run(greedy, trace): one loop,
+two step policies.  A policy(state, arrivals, t, trace) returns the new
+state, the snapshot (None for greedy), the rejections and the sent id; it
+reads only its arguments and raises its own self-checks.  The loop owns a
+StepRecord per step t = 1..horizon, idle ones included, the Transcript and
+the one leftover check.  A state is () when the policy holds no packet, so
+that check reads the final state, not event counts, which miss a packet
+recorded as expired but kept.
+
+Both process packets in one fixed order, computed once per trace
 (Trace.by_rank): weight descending, then deadline ascending, then id
-ascending.  Weights are compared as exact integers scaled by the common
-denominator, so the order is exact and no Fraction is compared while
-sorting.
+ascending; weights are compared as exact integers scaled by the common
+denominator, so no Fraction is compared while sorting.  A step changes few
+packets (arrivals, one send, rejections and expiries), looked up in
+per-trace indexes built once: Trace.arrival_ranks (per release step, read
+by the loop), expiring_ranks (per deadline) and the rank-indexed tuples
+rank_id, rank_deadline, rank_release and rank_weight.  Each policy holds
+its buffer as a sorted sequence of ranks and records only its own
+decisions (rejections, send), never the arrivals, which the trace holds.
 
-A step changes few packets: its arrivals, at most one send, its rejections
-and expiries.  Both runners look these up in per-trace indexes built once:
-Trace.arrival_ranks (per release step), expiring_ranks (per deadline) and
-the rank-indexed tuples rank_id, rank_deadline, rank_release and
-rank_weight.  Each holds its buffer as a sorted sequence of ranks and
-records only its own decisions (rejections, send): never the step's
-arrivals, which the trace holds.
-
-The slot-queue scheduler (run_grq) keeps a buffer of B slots labeled with the
+The slot-queue scheduler (grq) keeps a buffer of B slots labeled with the
 next B time steps.  Each step it rebuilds the buffer from scratch: survivors
 plus fresh arrivals are considered in rank order and each packet goes to the
 smallest-labeled empty slot that does not exceed its deadline, or is
@@ -28,30 +34,32 @@ tuple of the placed ranks, slot i labeled t + i (StepRecord.slots), so a
 step costs what the buffer holds, not B.  A step with nothing carried and
 nothing arriving returns an empty snapshot at once.
 
-grq_rebuild(held, arrivals, t, trace) is the arrival stage.  It returns the
-rejections, the snapshot, and two columns of the placed packets in slot
-order: their deadlines and their Trace.rank_weight values.  run_grq sends
-the front, slots[0], carries slots[1:], and checks the front's weight and
-the survivors' deadlines on those columns.  The placement loop collects the
-deadlines as it reads them, and one operator.itemgetter over the placed
-ranks gathers their weights.
+grq_rebuild, the arrival stage, is a module global that tests patch.  It
+returns the rejections, the snapshot, and the placed packets' deadlines
+and Trace.rank_weight values in slot order, which its placement loop and
+one operator.itemgetter gather.  grq sends the front, slots[0], carries
+slots[1:] as its state, and checks the front and the survivors on them.
 
-The naive greedy baseline (run_naive_greedy) just keeps the B heaviest live
-packets and sends the heaviest each step.  It ignores deadlines when choosing
-what to keep, which is exactly how it loses: a burst of mid-weight
+The naive greedy baseline (greedy) just keeps the B heaviest live packets
+and sends the heaviest each step.  It ignores deadlines when choosing what
+to keep, which is exactly how it loses: a burst of mid-weight
 short-deadline packets can crowd out slightly lighter packets that had time
-to be sent later (see generate.gen_killer).  Its step bisects the arrivals
-in, and the overflow, the send and the packets of expiring_ranks[t] out,
-of the held ranks and their deadlines (by Trace.rank_deadline).  It walks
-the overflow only when the buffer overflows, and expiring_ranks[t] only
-when its smallest held deadline is t: no held deadline is below t then.
+to be sent later (see generate.gen_killer).  On overflow it drops the
+packets last in rank order (the lightest; among equals, larger deadline
+first, then larger id — the drop order most charitable to greedy), and a
+packet that reaches its deadline unsent is recorded as expired at that
+step, right after the send it lost.  Its step bisects the arrivals in, and
+the overflow, the send and the packets of expiring_ranks[t] out, of the
+held ranks and their deadlines (by Trace.rank_deadline), the two lists of
+its state, updated in place.  It walks the overflow only when the buffer
+overflows, and expiring_ranks[t] only when its smallest held deadline is t:
+no held deadline is below t then.
 
-Both runners return a Transcript over steps t = 1..horizon with idle steps
-recorded explicitly.  Their self-checks run on every step and raise
-AssertionError explicitly, so they also run under `python -O`: carried
-packets fit in B, every candidate is live at t, the rebuilt snapshot keeps
-deadline >= label and non-increasing weights, its front is a heaviest
-packet, survivors' deadlines are past t, and nothing is left at the end.
+The self-checks run on every step and raise AssertionError explicitly, so
+they also run under `python -O`: carried packets fit in B, every candidate
+is live at t, the rebuilt snapshot keeps deadline >= label and
+non-increasing weights, its front is a heaviest packet, survivors'
+deadlines are past t, and (the loop's check) nothing is left at the end.
 Greedy checks that no held packet is past its deadline on the smallest of
 its sorted held deadlines, which come from Trace.rank_deadline, not from
 the expiry index, so a wrong index still raises.  The slot-queue checks
@@ -63,7 +71,7 @@ only words a failure.  The weight gather uses itemgetter, not a
 comprehension turned into a tuple: with CPython 3.11.7 (timeit) a gather
 of 28 ranks took 0.22 us against 0.36 us, and of 53 ranks 0.36 us against
 0.59 us.
-Every Rejection the runners record comes from _rejection, a bounded
+Every Rejection the policies record comes from _rejection, a bounded
 functools.lru_cache over the class.  Rejections are immutable values and
 traces number their packets 0..n-1, so later steps, runs and traces meet
 the same (id, cause) pairs, and transcripts share those instances; being
@@ -191,82 +199,74 @@ def grq_rebuild(
     return rejections, slots, placed_dl, w
 
 
+def run(policy, trace: Trace) -> Transcript:
+    """Run a step policy (grq or greedy) over the whole trace; see the module docstring."""
+    arrival_ranks = trace.arrival_ranks
+    steps: list[StepRecord] = []
+    state = ()
+    for t in range(1, trace.horizon + 1):
+        state, slots, rejections, sent = policy(state, arrival_ranks.get(t, ()), t, trace)
+        steps.append(StepRecord(t, slots, rejections, sent))
+    if state:
+        raise AssertionError(f"{policy.__name__} holds packets after the last deadline")
+    return Transcript(trace, tuple(steps))
+
+
+def grq(held: tuple[int, ...], arrivals: Sequence[int], t: int, trace: Trace):
+    """The slot queue's step; its state is the survivors' ranks in slot (= rank) order."""
+    rejections, slots, deadlines, weights = grq_rebuild(held, arrivals, t, trace)
+    if not slots:
+        return (), slots, rejections, None
+    sent = trace.rank_id[slots[0]]
+    if max(weights) > weights[0]:
+        raise AssertionError(f"front packet {sent} is not heaviest at t={t}")
+    # the survivors sat at labels >= t+1, so none can be past deadline at t+1
+    if len(deadlines) > 1 and min(deadlines[1:]) <= t:
+        raise AssertionError(f"a survivor of t={t} is past its deadline")
+    return slots[1:], slots, rejections, sent
+
+
+def greedy(state, arrivals: Sequence[int], t: int, trace: Trace):
+    """The keep-the-heaviest step; its state is (held ranks, their deadlines), both ascending."""
+    held, dls = state or ([], [])
+    if dls and dls[0] < t:
+        raise AssertionError(f"greedy holds an expired packet at t={t}")
+    deadline, rank_id, size = trace.rank_deadline, trace.rank_id, trace.buffer_size
+    for r in arrivals:
+        insort(held, r)
+        insort(dls, deadline[r])
+    rejections = []
+    if len(held) > size:
+        fresh = set(arrivals)
+        for r in held[size:]:
+            del dls[bisect_left(dls, deadline[r])]
+            cause = ADMISSION_REFUSED if r in fresh else PREEMPTED
+            rejections.append(_rejection(rank_id[r], cause))
+        del held[size:]
+    sent = None
+    if held:
+        r = held.pop(0)
+        sent = rank_id[r]
+        del dls[bisect_left(dls, deadline[r])]
+    # unsent packets due at t are lost; none is due before t (checked above)
+    if dls and dls[0] == t:
+        for r in trace.expiring_ranks.get(t, ()):
+            i = bisect_left(held, r)
+            if i < len(held) and held[i] == r:
+                del held[i]
+                del dls[bisect_left(dls, deadline[r])]
+                rejections.append(_rejection(rank_id[r], EXPIRED))
+    return (held, dls) if held else (), None, tuple(rejections), sent
+
+
 def run_grq(trace: Trace) -> Transcript:
     """Run the slot-queue scheduler over the whole trace."""
-    arrival_ranks, rank_id = trace.arrival_ranks, trace.rank_id
-    steps: list[StepRecord] = []
-    held: tuple[int, ...] = ()  # ranks of the survivors, in slot order (= rank order)
-    for t in range(1, trace.horizon + 1):
-        rejections, slots, deadlines, weights = grq_rebuild(
-            held, arrival_ranks.get(t, ()), t, trace)
-        sent = None
-        if slots:
-            sent = rank_id[slots[0]]
-            if max(weights) > weights[0]:
-                raise AssertionError(f"front packet {sent} is not heaviest at t={t}")
-            # the survivors sat at labels >= t+1, so none can be past
-            # deadline at t+1
-            if len(deadlines) > 1 and min(deadlines[1:]) <= t:
-                raise AssertionError(f"a survivor of t={t} is past its deadline")
-        held = slots[1:]
-        steps.append(StepRecord(t, slots, rejections, sent))
-    if held:
-        raise AssertionError("packets left in the buffer after the last deadline")
-    return Transcript(trace, tuple(steps))
+    return run(grq, trace)
 
 
 def run_naive_greedy(trace: Trace) -> Transcript:
-    """Run the keep-the-heaviest baseline over the whole trace.
-
-    Per step: add arrivals, and if the buffer overflows drop the packets last
-    in rank order (the lightest; among equals, larger deadline goes first,
-    then larger id — the drop order most charitable to greedy); transmit the
-    first in rank order, a heaviest packet.  Packets that reach their
-    deadline unsent are recorded as expired at that deadline step, right
-    after the transmission they lost.
-    """
-    arrival_ranks = trace.arrival_ranks
-    expiring, deadline, rank_id = trace.expiring_ranks, trace.rank_deadline, trace.rank_id
-    size = trace.buffer_size
-    steps: list[StepRecord] = []
-    held: list[int] = []  # ranks, ascending
-    dls: list[int] = []  # their deadlines, ascending
-    for t in range(1, trace.horizon + 1):
-        if dls and dls[0] < t:
-            raise AssertionError(f"greedy holds an expired packet at t={t}")
-        arrived = arrival_ranks.get(t, ())
-        for r in arrived:
-            insort(held, r)
-            insort(dls, deadline[r])
-        rejections = []
-        if len(held) > size:
-            fresh = set(arrived)
-            for r in held[size:]:
-                del dls[bisect_left(dls, deadline[r])]
-                cause = ADMISSION_REFUSED if r in fresh else PREEMPTED
-                rejections.append(_rejection(rank_id[r], cause))
-            del held[size:]
-
-        sent = None
-        if held:
-            r = held.pop(0)
-            sent = rank_id[r]
-            del dls[bisect_left(dls, deadline[r])]
-        # unsent packets whose deadline is t are lost; record while in window.
-        # No held deadline is below t (checked above), so some held packet
-        # expires at t only if the smallest held deadline is t
-        if dls and dls[0] == t:
-            for r in expiring.get(t, ()):
-                i = bisect_left(held, r)
-                if i < len(held) and held[i] == r:
-                    del held[i]
-                    del dls[bisect_left(dls, deadline[r])]
-                    rejections.append(_rejection(rank_id[r], EXPIRED))
-
-        steps.append(StepRecord(t, None, tuple(rejections), sent))
-    if held:
-        raise AssertionError("greedy holds packets after the last deadline")
-    return Transcript(trace, tuple(steps))
+    """Run the keep-the-heaviest baseline over the whole trace."""
+    return run(greedy, trace)
 
 
 def check_slot_monotonicity(transcript: Transcript) -> list[str]:

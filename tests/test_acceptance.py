@@ -32,8 +32,6 @@ from slotq.oracle import (
     _intersection,
     enumerate_feasible,
     optimal_bounded,
-    optimal_unbounded,
-    relax_capacity,
     verify_schedule,
 )
 from slotq.schedulers import (
@@ -243,14 +241,14 @@ def test_criterion_6_oracle_cross_checks(sweep):
     violations = []
 
     def cross_check(tag: str, trace: Trace, bounded: OfflineSchedule):
-        unbounded = optimal_unbounded(trace)
+        unbounded = optimal_bounded(trace.relaxed)
         violations.extend(
             f"{tag}: bounded output rejected: {v}"
             for v in verify_schedule(trace, bounded)
         )
         violations.extend(
             f"{tag}: unbounded output rejected: {v}"
-            for v in verify_schedule(relax_capacity(trace), unbounded)
+            for v in verify_schedule(trace.relaxed, unbounded)
         )
         if bounded.value > unbounded.value:
             violations.append(

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from slotq.charging import (
+    D_CHARGE,
+    S_CHARGE,
     Charge,
     ChargeConstructionError,
     ChargeMap,
@@ -16,6 +18,7 @@ from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import Packet, StepRecord, Transcript, validate_trace
 from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded
 from slotq.schedulers import run_grq
+from slotq.traceio import parse_trace
 from test_schedulers import run_optimized
 
 
@@ -275,6 +278,27 @@ class TestEndToEnd:
             opt = optimal_bounded(t)
             report = verify_charge_map(build_charge_map(grq, opt), grq, opt)
             assert report.passed, (b, report.failures())
+
+    def test_bound_two_is_tight(self):
+        # At B=2 the slot queue sends the w at t=1 and refuses the w-1 that
+        # only t=1 could send; the optimum sends both, so the ratio is
+        # (2w-1)/w, which tends to 2.  Four copies with w=16 lie in
+        # criterion 8's box (n=8, horizon 8, B=2, weights <= 16) and reach
+        # 31/16, above the 59/33 its search reports.  S- and D-charges
+        # alone certify each instance.
+        for w, copies in ((16, 4), (1000, 1)):
+            trace = parse_trace("B 2\n" + "".join(
+                f"p {2 * k} {t} {t + 1} {w}\np {2 * k + 1} {t} {t} {w - 1}\n"
+                for k, t in enumerate(range(1, 2 * copies, 2))))
+            grq, opt = run_grq(trace), optimal_bounded(trace)
+            assert (grq.total_weight, opt.value) == (w * copies, (2 * w - 1) * copies)
+            cmap = build_charge_map(grq, opt)
+            report = verify_charge_map(cmap, grq, opt)
+            assert report.passed and len(report.checks) == 7, report.failures()
+            assert {c.kind for c in cmap.charges} == {S_CHARGE, D_CHARGE}
+            if w == 16:
+                assert (len(trace.packets), trace.horizon) == (8, 8)
+                assert opt.value / grq.total_weight == Fraction(31, 16) > Fraction(59, 33)
 
     def test_random_traces_against_optimal_adversary(self):
         for seed in range(150):

@@ -131,38 +131,37 @@ class TestOptimalBounded:
 class TestOptimalUnbounded:
     def test_ignores_capacity(self):
         t = validate_trace(1, [P(0, 1, 1, 3), P(1, 1, 2, 2), P(2, 1, 2, 1)])
-        assert optimal_unbounded(t).value == 5
+        assert optimal_bounded(t.relaxed).value == 5
 
     def test_one_slot_two_contenders(self):
         t = validate_trace(1, [P(0, 1, 1, 4), P(1, 1, 1, 7)])
-        s = optimal_unbounded(t)
+        s = optimal_bounded(t.relaxed)
         assert s.value == 7 and s.assignment == {1: 1}
 
     def test_single_late_packet(self):
         t = validate_trace(1, [P(0, 2, 5, 9)])
-        assert optimal_unbounded(t).value == 9
+        assert optimal_bounded(t.relaxed).value == 9
 
     def test_matches_brute_force_on_relaxed_instance(self):
         for trace in small_traces(80, seed0=700):
-            relaxed = relax_capacity(trace)
-            assert optimal_unbounded(trace).value == brute_force_best(relaxed)
+            assert optimal_bounded(trace.relaxed).value == brute_force_best(trace.relaxed)
 
     def test_dominates_bounded(self):
         for trace in small_traces(80, seed0=900, n=6):
-            assert optimal_bounded(trace).value <= optimal_unbounded(trace).value
+            assert optimal_bounded(trace).value <= optimal_bounded(trace.relaxed).value
 
     def test_one_shared_long_window(self):
         t = validate_trace(1, [P(i, 1, 1200, 1 + i % 3) for i in range(1200)])
-        s = optimal_unbounded(t)
+        s = optimal_bounded(t.relaxed)
         assert len(s.assignment) == 1200 and s.value == 2400
-        assert verify_schedule(relax_capacity(t), s) == []
+        assert verify_schedule(t.relaxed, s) == []
 
     def test_equals_bounded_when_buffer_big_enough(self):
         # the intersection itself: optimal_bounded would return the greedy's set
         for seed in range(40):
             trace = gen_random(GeneratorParams(
                 n=4, horizon=5, buffer_size=4 + seed % 3, seed=4000 + seed))
-            assert _intersection(trace).value == optimal_unbounded(trace).value
+            assert _intersection(trace).value == optimal_bounded(trace.relaxed).value
 
 
 WEIGHT_SPELLINGS = ("0", "1", "2", "5", "1/3", "2/6", "3/4")
@@ -202,9 +201,9 @@ class TestAgainstBruteForce:
     @settings(max_examples=500, deadline=None)
     @given(bursty_traces())
     def test_both_oracles(self, trace):
-        bounded, unbounded = optimal_bounded(trace), optimal_unbounded(trace)
+        relaxed = trace.relaxed
+        bounded, unbounded = optimal_bounded(trace), optimal_bounded(relaxed)
         intersection = _intersection(trace)
-        relaxed = relax_capacity(trace)
         assert verify_schedule(trace, bounded) == []
         assert verify_schedule(trace, intersection) == []
         assert verify_schedule(relaxed, unbounded) == []
@@ -264,14 +263,15 @@ class TestDeadlineGreedy:
     def test_unbounded_leaves_out_zero_weights(self, trace):
         # The greedy over every packet and the greedy over the positive
         # weights reach one value; the unbounded oracle sends no packet of
-        # weight 0, and it is optimal_bounded where the buffer never binds.
-        unbounded = optimal_unbounded(trace)
+        # weight 0.  The alias optimal_unbounded, which slotbench calls,
+        # returns the same schedule, dict order included.
+        unbounded = optimal_bounded(trace.relaxed)
         (every, _), _ = reference_greedy(trace)
         assert unbounded.value == sum(
             (trace.by_rank[r].weight for r in every), Fraction(0))
         assert all(trace.by_id[pid].weight > 0 for pid in unbounded.assignment)
         assert list(unbounded.assignment.items()) == list(
-            optimal_bounded(trace.relaxed).assignment.items())
+            optimal_unbounded(trace).assignment.items())
 
 
 class TestMonotonicityInB:
@@ -311,8 +311,9 @@ class TestVerifySchedule:
         t = validate_trace(1, [P(0, 1, 2, Fraction(1, 3)), P(1, 1, 2, 1)])
         # validate_trace built the weight indexes; two more are built here
         by_id, greedy = t.by_id, t.deadline_greedy
-        relaxed = relax_capacity(t)
-        assert relaxed is relax_capacity(t) is t.relaxed
+        relaxed = t.relaxed
+        # the alias relax_capacity, which slotbench calls, returns the view
+        assert relaxed is t.relaxed is relax_capacity(t)
         assert relaxed == Trace(2, t.packets)
         assert relaxed.by_id is by_id and relaxed.deadline_greedy is greedy
         assert relaxed.scaled_weight is t.scaled_weight and relaxed.weight_denominator == 3
@@ -322,8 +323,7 @@ class TestVerifySchedule:
     def test_oracle_outputs_always_accepted(self):
         for trace in small_traces(60, seed0=1500, n=6):
             assert verify_schedule(trace, optimal_bounded(trace)) == []
-            assert verify_schedule(
-                relax_capacity(trace), optimal_unbounded(trace)) == []
+            assert verify_schedule(trace.relaxed, optimal_bounded(trace.relaxed)) == []
 
 
 LAZIES = [name for name, attr in vars(Trace).items() if isinstance(attr, lazy)]

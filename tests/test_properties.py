@@ -30,8 +30,6 @@ from slotq.model import (
 from slotq.oracle import (
     enumerate_feasible,
     optimal_bounded,
-    optimal_unbounded,
-    relax_capacity,
     verify_schedule,
 )
 from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
@@ -82,17 +80,28 @@ def test_oracle_dominates_both_online_algorithms(trace):
     assert opt >= run_naive_greedy(trace).total_weight
 
 
+@given(st.integers(0, 25), st.integers(1, 12), st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_slot_queue_is_optimal_at_buffer_one(n, horizon, seed):
+    # at B=1 nothing is carried past a step, so the optimum too sends at
+    # most one packet of each step's arrivals, and the queue sends the heaviest
+    trace = gen_random(GeneratorParams(
+        n=n, horizon=horizon, buffer_size=1, seed=seed, burst=Fraction(1, 2)))
+    assert run_grq(trace).total_weight == optimal_bounded(trace).value
+
+
 @given(traces())
 @settings(max_examples=100, deadline=None)
 def test_unbounded_dominates_bounded(trace):
-    assert optimal_bounded(trace).value <= optimal_unbounded(trace).value
+    assert optimal_bounded(trace).value <= optimal_bounded(trace.relaxed).value
 
 
 @given(traces())
 @settings(max_examples=75, deadline=None)
 def test_big_buffer_closes_the_gap(trace):
-    relaxed = relax_capacity(trace)
-    assert optimal_bounded(relaxed).value == optimal_unbounded(trace).value
+    # a buffer as large as the packet count never binds
+    big = validate_trace(max(len(trace.packets), 1), trace.packets)
+    assert optimal_bounded(big).value == optimal_bounded(trace.relaxed).value
 
 
 @given(traces())
@@ -106,7 +115,7 @@ def test_optimum_monotone_in_buffer_size(trace):
 @settings(max_examples=100, deadline=None)
 def test_oracle_outputs_verify_clean(trace):
     assert verify_schedule(trace, optimal_bounded(trace)) == []
-    assert verify_schedule(relax_capacity(trace), optimal_unbounded(trace)) == []
+    assert verify_schedule(trace.relaxed, optimal_bounded(trace.relaxed)) == []
 
 
 @given(traces())
@@ -243,7 +252,7 @@ def test_validation_gives_an_invalid_trace_error_or_a_certifiable_trace(args):
     assert check_transcript_invariants(grq) == [] == check_slot_monotonicity(grq)
     assert check_transcript_invariants(run_naive_greedy(trace)) == []
     adv = optimal_bounded(trace)
-    assert adv.value <= optimal_unbounded(trace).value
+    assert adv.value <= optimal_bounded(trace.relaxed).value
     assert check_charges(grq, adv)[1] == []
 
 

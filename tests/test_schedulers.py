@@ -11,6 +11,7 @@ from slotq.model import (
     EXPIRED,
     PREEMPTED,
     Packet,
+    Rejection,
     StepRecord,
     Trace,
     Transcript,
@@ -21,6 +22,7 @@ from slotq.schedulers import (
     check_buffer_invariants,
     check_slot_monotonicity,
     grq_rebuild,
+    run,
     run_grq,
     run_naive_greedy,
 )
@@ -158,9 +160,10 @@ def test_runner_checks_survive_optimize_flag():
     # packet is carried (the next rebuild finds it past its deadline), with
     # a rebuild whose placed deadlines put a survivor at its deadline, with
     # a hand-built rebuild result that puts a lighter packet before a
-    # heavier one, and with a rebuild misled by a tampered rank order; a
-    # hand-built rebuild result carries the trace's deadline and weight
-    # columns at its placed ranks
+    # heavier one, with one that carries a packet past the horizon on a
+    # made-up deadline (the loop's leftover check), and with a rebuild
+    # misled by a tampered rank order; a hand-built rebuild result carries
+    # the trace's deadline and weight columns at its placed ranks
     code = """
         import slotq.schedulers as s
         from slotq.model import Packet, validate_trace
@@ -210,6 +213,8 @@ def test_runner_checks_survive_optimize_flag():
             (), (1, 0), [trace.rank_deadline[r] for r in (1, 0)],
             [trace.rank_weight[r] for r in (1, 0)])
         attempt(s.run_grq, trace)
+        s.grq_rebuild = lambda held, arrivals, t, trace: ((), (0, 1), [9, 9], (9, 1))
+        attempt(s.run_grq, validate_trace(3, [Packet(0, 1, 1, 9), Packet(1, 1, 1, 1)]))
         s.grq_rebuild = rebuild
         trace = validate_trace(3, [light, Packet(1, 1, 3, 9)])
         trace.__dict__.update(by_rank=(light, trace.by_id[1]), rank_weight=(1, 9))
@@ -218,6 +223,7 @@ def test_runner_checks_survive_optimize_flag():
     out = run_optimized(code)
     assert "raised greedy holds an expired packet at t=2" in out
     assert "raised greedy holds packets after the last deadline" in out
+    assert "raised grq holds packets after the last deadline" in out
     assert "raised greedy holds an expired packet at t=3" in out
     assert "raised greedy holds an expired packet at t=4" in out
     assert "raised packet 0 not live at t=2" in out
@@ -246,6 +252,22 @@ def run_optimized(code):
     out = run_python(code, "-O")
     assert "optimize 1" in out
     return out
+
+
+def test_leftover_check_reads_the_final_state():
+    # a policy that sends one packet and records the other as expired but
+    # keeps it: the events account for each packet once, the state does not
+    trace = validate_trace(2, [P(0, 1, 1, 5), P(1, 1, 1, 3)])
+
+    def expires_but_keeps(state, arrivals, t, trace):
+        kept = arrivals[1]
+        return (kept,), None, (Rejection(trace.rank_id[kept], EXPIRED),), trace.rank_id[arrivals[0]]
+
+    with pytest.raises(AssertionError,
+                       match="^expires_but_keeps holds packets after the last deadline$"):
+        run(expires_but_keeps, trace)
+    events = (StepRecord(1, None, (Rejection(1, EXPIRED),), 0),)
+    assert check_transcript_invariants(Transcript(trace, events)) == []
 
 
 class TestRunGrq:
