@@ -27,18 +27,33 @@ smallest-labeled empty slot that does not exceed its deadline, or is
 rejected.  Filled slots always form a prefix, so that rule reduces to a
 prefix rule: with k slots already filled, the next packet is accepted (into
 slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
-(labeled with the current step) is then transmitted.  Because heavy packets
-grab small labels first, the front packet is always a heaviest one — checked
-on every step.  The filled prefix also makes the post-rebuild snapshot the
-tuple of the placed ranks, slot i labeled t + i (StepRecord.slots), so a
-step costs what the buffer holds, not B.  A step with nothing carried and
-nothing arriving returns an empty snapshot at once.
+(labeled t) is then transmitted.  The snapshot (StepRecord.slots) is the
+tuple of the placed ranks, so a step costs what the buffer holds, not B.
 
-grq_rebuild, the arrival stage, is a module global that tests patch.  It
-returns the rejections, the snapshot, and the placed packets' deadlines
-and Trace.rank_weight values in slot order, which its placement loop and
-one operator.itemgetter gather.  grq sends the front, slots[0], carries
-slots[1:] as its state, and checks the front and the survivors on them.
+grq_rebuild, a module global that tests patch, only places: it returns the
+placed ranks in slot order, their deadlines and the refused ranks.  It
+checks only its inputs: the carried packets fit in B, and every candidate
+is live at t.  grq checks whatever that global returns, in one place:
+  (a) at most B slots are filled;
+  (b) the placed ranks strictly ascend;
+  (c) the packet in slot i has deadline >= its label t + i;
+  (d) every refusal was forced: with k placed ranks below the refused one,
+      k >= B or t + k > its deadline.
+It then builds the Rejection records, sends slots[0] and carries slots[1:].
+
+For a result that splits the candidates into placed and refused, (a)-(d)
+hold iff it is the prefix rule's output.  The rule's output meets them: it
+places in rank order, into slot k exactly when k < B and t + k <= deadline,
+and refuses otherwise.  Conversely, induct over the candidates in rank
+order.  If the rule and the result agree on every candidate before c, both
+have placed the same k of them.  If the result places c, (b) puts it in
+slot k, and (a) and (c) give k < B and t + k <= deadline, so the rule
+places c too.  If the result refuses c, (d) says the rule refuses it too.
+So by (b) the front is a heaviest packet, as long as Trace.rank_weight
+never increases (run_grq checks that once per run), and by (c) no survivor
+is past its deadline at t + 1.  The split itself and the deadline column
+are the rebuild's: one that loses, repeats or invents a packet breaks
+check_transcript_invariants' exactly-once termination.
 
 The naive greedy baseline (greedy) just keeps the B heaviest live packets
 and sends the heaviest each step.  It ignores deadlines when choosing what
@@ -48,37 +63,25 @@ to be sent later (see generate.gen_killer).  On overflow it drops the
 packets last in rank order (the lightest; among equals, larger deadline
 first, then larger id — the drop order most charitable to greedy), and a
 packet that reaches its deadline unsent is recorded as expired at that
-step, right after the send it lost.  Its step bisects the arrivals in, and
-the overflow, the send and the packets of expiring_ranks[t] out, of the
-held ranks and their deadlines (by Trace.rank_deadline), the two lists of
-its state, updated in place.  It walks the overflow only when the buffer
-overflows, and expiring_ranks[t] only when its smallest held deadline is t:
-no held deadline is below t then.
+step, right after the send it lost.  Its state is the held ranks and their
+deadlines, two sorted lists updated in place by bisection.  It walks the
+overflow only when the buffer overflows, and expiring_ranks[t] only when
+its smallest held deadline is t: no held deadline is below t then.
 
 The self-checks run on every step and raise AssertionError explicitly, so
-they also run under `python -O`: carried packets fit in B, every candidate
-is live at t, the rebuilt snapshot keeps deadline >= label and
-non-increasing weights, its front is a heaviest packet, survivors'
-deadlines are past t, and (the loop's check) nothing is left at the end.
-Greedy checks that no held packet is past its deadline on the smallest of
-its sorted held deadlines, which come from Trace.rank_deadline, not from
-the expiry index, so a wrong index still raises.  The slot-queue checks
-read each step's columns once: grq_rebuild's placement loop tests each
-candidate's liveness as it reads its deadline, and the label and
-weight-order tests, the heaviest-front test and the survivor check apply
-all/max/min to the columns the rebuild returns; check_buffer_invariants
-only words a failure.  The weight gather uses itemgetter, not a
-comprehension turned into a tuple: with CPython 3.11.7 (timeit) a gather
-of 28 ranks took 0.22 us against 0.36 us, and of 53 ranks 0.36 us against
-0.59 us.
+they also run under `python -O`; grq's name the slot or packet at
+fault.  Greedy checks that no held packet is past its deadline
+on the smallest of its sorted held deadlines, which come from
+Trace.rank_deadline, not from the expiry index, so a wrong index still
+raises.  The loop checks that no policy holds a packet at the end.
+check_buffer_invariants words a snapshot's slot rules for offline checks.
 Every Rejection the policies record comes from _rejection, a bounded
 functools.lru_cache over the class.  Rejections are immutable values and
 traces number their packets 0..n-1, so later steps, runs and traces meet
 the same (id, cause) pairs, and transcripts share those instances; being
 frozen, no reader can tell.  A hit costs 0.10 us against 0.43 us to build
-a Rejection (CPython 3.11.7, timeit).  One pass over the benchmark's
-bulk-stream pool (32 traces of 400 packets) records 20,484 rejections of
-1,200 distinct pairs: 19,284 hit on a cold cache, and every one after.
+a Rejection (CPython 3.11.7, timeit); a pass over the bulk-stream pool
+records 20,484 rejections of 1,200 distinct pairs.
 check_slot_monotonicity compares consecutive snapshots' ranks over the
 labels both windows hold.  A rank no larger than the earlier one means a
 weight no smaller, so it reads weights only where a rank grew or a label
@@ -87,7 +90,7 @@ emptied.
 
 from bisect import bisect_left, insort
 from functools import lru_cache
-from operator import ge, itemgetter, le
+from operator import ge, le, lt
 from typing import Sequence
 
 from .model import (
@@ -129,43 +132,29 @@ def check_buffer_invariants(t: int, slots: Sequence[int], trace: Trace) -> list[
     return out
 
 
-def grq_rebuild(
-    buffered: Sequence[int],
-    arrivals: Sequence[int],
-    t: int,
-    trace: Trace,
-) -> tuple[tuple[Rejection, ...], tuple[int, ...], list[int], tuple[int, ...]]:
-    """Arrival-stage rebuild at step t: place survivors + arrivals, reject the rest.
+def grq_rebuild(buffered: Sequence[int], arrivals: Sequence[int], t: int, trace: Trace):
+    """Arrival-stage rebuild at step t: place survivors + arrivals, refuse the rest.
 
     `buffered` (the packets carried from step t - 1) and `arrivals` (those
-    released at t) are positions in `trace`.by_rank.  Packets are placed in
-    rank order; each goes to the smallest-labeled empty slot whose label is
-    <= its deadline.  A packet with no such slot is rejected — cause
-    "preempted" if it was already buffered, "admission-refused" if it just
-    arrived.  Both inputs must be live at t (release <= t <= deadline);
-    offering an expired or future packet is a programming error.
-
-    Returns the rejections in rank order, the snapshot (the placed ranks in
-    slot order, slot i labeled t + i), and the placed packets' deadlines
-    (Trace.rank_deadline) and weights (Trace.rank_weight) in the same order.
+    released at t) are positions in `trace`.by_rank, all live at t.  Packets
+    are placed in rank order; each goes to the smallest-labeled empty slot
+    whose label is <= its deadline, or is refused.  Returns the placed ranks
+    in slot order (slot i labeled t + i), their deadlines in the same order,
+    and the refused ranks in rank order; grq checks the result.
     """
     if not buffered and not arrivals:
-        # an idle step: every check below would run over an empty set
-        return (), (), [], ()
+        return (), [], []
     size = trace.buffer_size
     if len(buffered) > size:
         raise AssertionError("carried packets exceed buffer size")
-    candidates = sorted([*buffered, *arrivals])
     deadline, release = trace.rank_deadline, trace.rank_release
-    placed: list[int] = []
-    placed_dl: list[int] = []
-    rejected: list[int] = []
+    placed, placed_dl, refused = [], [], []
     # filled slots are a prefix, so the smallest empty slot is len(placed),
     # labeled t + len(placed); it exists iff that label is below t + size,
     # and the packet may take it iff the label is <= its deadline; every
     # candidate must be live at t, the first one that is not raises
     label, end = t, t + size
-    for r in candidates:
+    for r in sorted([*buffered, *arrivals]):
         d = deadline[r]
         if d < t or release[r] > t:
             raise AssertionError(f"packet {trace.rank_id[r]} not live at t={t}")
@@ -174,29 +163,8 @@ def grq_rebuild(
             placed_dl.append(d)
             label += 1
         else:
-            rejected.append(r)
-
-    # tuples on this per-step path are built from lists: one grown from an
-    # iterator is resized as it fills, which raised peak RSS by about 0.6 MB
-    rejections: tuple[Rejection, ...] = ()
-    if rejected:
-        fresh, ids = set(arrivals), trace.rank_id
-        rejections = tuple([
-            _rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED) for r in rejected
-        ])
-    # the first candidate always takes slot t, so placed is never empty here;
-    # an itemgetter of one rank returns the item itself, not a 1-tuple
-    slots = tuple(placed)
-    if len(placed) > 1:
-        w = itemgetter(*placed)(trace.rank_weight)
-    else:
-        w = (trace.rank_weight[placed[0]],)
-    # labels and weights are checked on the columns; check_buffer_invariants words a failure
-    if not (all(map(le, range(t, label), placed_dl))
-            and all(map(ge, w, w[1:]))):
-        violations = check_buffer_invariants(t, slots, trace)
-        raise AssertionError(f"rebuild at t={t} broke the buffer invariants: {violations}")
-    return rejections, slots, placed_dl, w
+            refused.append(r)
+    return tuple(placed), placed_dl, refused
 
 
 def run(policy, trace: Trace) -> Transcript:
@@ -213,17 +181,38 @@ def run(policy, trace: Trace) -> Transcript:
 
 
 def grq(held: tuple[int, ...], arrivals: Sequence[int], t: int, trace: Trace):
-    """The slot queue's step; its state is the survivors' ranks in slot (= rank) order."""
-    rejections, slots, deadlines, weights = grq_rebuild(held, arrivals, t, trace)
-    if not slots:
-        return (), slots, rejections, None
-    sent = trace.rank_id[slots[0]]
-    if max(weights) > weights[0]:
-        raise AssertionError(f"front packet {sent} is not heaviest at t={t}")
-    # the survivors sat at labels >= t+1, so none can be past deadline at t+1
-    if len(deadlines) > 1 and min(deadlines[1:]) <= t:
-        raise AssertionError(f"a survivor of t={t} is past its deadline")
-    return slots[1:], slots, rejections, sent
+    """The slot queue's step; its state is the survivors' ranks in slot (= rank) order.
+
+    Checks that grq_rebuild's result is the prefix rule's, (a)-(d) of the
+    module docstring, then records its refusals and sends its front.
+    """
+    slots, deadlines, refused = grq_rebuild(held, arrivals, t, trace)
+    if not slots and not refused:
+        return (), slots, (), None
+    size, ids = trace.buffer_size, trace.rank_id
+    if not (len(slots) <= size and len(deadlines) == len(slots)
+            and all(map(lt, slots, slots[1:]))
+            and all(map(le, range(t, t + size), deadlines))):
+        for i, r in enumerate(slots):
+            why = (f"is past the last slot {t + size - 1}" if i >= size
+                   else f"does not rank below packet {ids[slots[i - 1]]}" if i and r <= slots[i - 1]
+                   else "has no deadline" if i >= len(deadlines)
+                   else f"has deadline {deadlines[i]} < its label" if deadlines[i] < t + i else "")
+            if why:
+                raise AssertionError(f"rebuild at t={t}: packet {ids[r]} in slot {t + i} {why}")
+        raise AssertionError(f"rebuild at t={t}: {len(deadlines)} deadlines for {len(slots)} slots")
+    # tuples on this per-step path are built from lists: one grown from an
+    # iterator is resized as it fills, which raised peak RSS by about 0.6 MB
+    rejections: tuple[Rejection, ...] = ()
+    if refused:
+        fresh, deadline, out = set(arrivals), trace.rank_deadline, []
+        for r in refused:
+            k = bisect_left(slots, r)  # the placed ranks below r
+            if k < size and t + k <= deadline[r]:
+                raise AssertionError(f"rebuild at t={t}: packet {ids[r]} refused with slot {t + k} open")
+            out.append(_rejection(ids[r], ADMISSION_REFUSED if r in fresh else PREEMPTED))
+        rejections = tuple(out)
+    return slots[1:], slots, rejections, ids[slots[0]] if slots else None
 
 
 def greedy(state, arrivals: Sequence[int], t: int, trace: Trace):
@@ -260,7 +249,16 @@ def greedy(state, arrivals: Sequence[int], t: int, trace: Trace):
 
 
 def run_grq(trace: Trace) -> Transcript:
-    """Run the slot-queue scheduler over the whole trace."""
+    """Run the slot-queue scheduler over the whole trace.
+
+    grq's checks read rank order as weight order; that holds iff
+    Trace.rank_weight never increases, checked here once per run.
+    """
+    w = trace.rank_weight
+    if not all(map(ge, w, w[1:])):
+        i = next(i for i in range(1, len(w)) if w[i] > w[i - 1])
+        raise AssertionError(f"packet {trace.rank_id[i]} at rank {i} outweighs "
+                             f"packet {trace.rank_id[i - 1]} at rank {i - 1}")
     return run(grq, trace)
 
 

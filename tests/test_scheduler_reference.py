@@ -166,18 +166,17 @@ def assert_same_steps(transcript, reference):
         assert got.transmitted == want.transmitted, f"transmission differs at t={t}"
 
 
-def rebuilt_columns(trace):
-    """Per step of run_grq's rebuilds, the deadlines and weights that
+def rebuilt_columns(trace, reference_steps):
+    """Per step of run_grq's rebuilds, the deadlines and the refused ids that
     grq_rebuild returns beside its snapshot, and the same columns read off
-    the snapshot's packets in slot order."""
+    the snapshot's packets in slot order and off the reference's rejections."""
     got, want, held = [], [], ()
-    for t in range(1, trace.horizon + 1):
-        _, slots, deadlines, weights = grq_rebuild(
-            held, trace.arrival_ranks.get(t, ()), t, trace)
-        packets = [trace.by_rank[r] for r in slots]
-        got.append((list(deadlines), list(weights)))
-        want.append(([p.deadline for p in packets],
-                     [trace.scaled_weight[p.id] for p in packets]))
+    for ref in reference_steps:
+        t = ref.time
+        slots, deadlines, refused = grq_rebuild(held, trace.arrival_ranks.get(t, ()), t, trace)
+        got.append((list(deadlines), [trace.rank_id[r] for r in refused]))
+        want.append(([trace.by_rank[r].deadline for r in slots],
+                     [rej.packet_id for rej in ref.rejections]))
         held = slots[1:]
     return got, want
 
@@ -185,8 +184,9 @@ def rebuilt_columns(trace):
 @given(written_traces())
 @settings(max_examples=200, deadline=None)
 def test_schedulers_match_references(trace):
-    assert_same_steps(run_grq(trace), reference_grq(trace))
-    got, want = rebuilt_columns(trace)
+    reference = reference_grq(trace)
+    assert_same_steps(run_grq(trace), reference)
+    got, want = rebuilt_columns(trace, reference[0])
     assert got == want
     assert_same_steps(run_naive_greedy(trace), reference_greedy(trace))
 

@@ -1,9 +1,14 @@
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import (
@@ -21,12 +26,14 @@ from slotq.model import (
 from slotq.schedulers import (
     check_buffer_invariants,
     check_slot_monotonicity,
+    grq,
     grq_rebuild,
     run,
     run_grq,
     run_naive_greedy,
 )
 from test_cli import checkout_env
+from test_properties import traces
 
 
 def P(pid, r, d, w):
@@ -34,12 +41,13 @@ def P(pid, r, d, w):
 
 
 def rebuild(buffered, arrivals, t, buffer_size):
-    """grq_rebuild on the ranks of these packets within a trace of just them;
-    the snapshot comes back as (label, packet) pairs."""
+    """grq's step (grq_rebuild and its checks) on the ranks of these packets
+    within a trace of just them; the snapshot comes back as (label, packet)
+    pairs, beside the rejections."""
     trace = Trace(buffer_size, (*buffered, *arrivals))
     rank = {p.id: r for r, p in enumerate(trace.by_rank)}
-    rej, slots, *_ = grq_rebuild(
-        sorted(rank[p.id] for p in buffered), [rank[p.id] for p in arrivals], t, trace
+    _, slots, rej, _ = grq(
+        tuple(sorted(rank[p.id] for p in buffered)), [rank[p.id] for p in arrivals], t, trace
     )
     return [(label, trace.by_rank[r]) for label, r in enumerate(slots, start=t)], rej
 
@@ -104,8 +112,8 @@ class TestRebuild:
 
     def test_result_satisfies_rebuild_invariants(self):
         trace = Trace(4, [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)])
-        _, slots, *_ = grq_rebuild([], list(range(len(trace.packets))), 1, trace)
-        assert len(slots) == 3
+        slots, _, refused = grq_rebuild([], list(range(len(trace.packets))), 1, trace)
+        assert slots == (0, 2, 5) and refused == [1, 3, 4]
         assert check_buffer_invariants(1, slots, trace) == []
 
 
@@ -131,8 +139,9 @@ class TestTransmit:
         trace = validate_trace(3, [P(0, 1, 3, 1), P(1, 1, 3, 9)])  # ranks: heavy 0, light 1
         # a rebuild that places the light packet before the heavy one
         monkeypatch.setattr("slotq.schedulers.grq_rebuild",
-                            lambda held, arrivals, t, trace: ((), (1, 0), [3, 3], (1, 9)))
-        with pytest.raises(AssertionError, match="^front packet 0 is not heaviest at t=1$"):
+                            lambda held, arrivals, t, trace: ((1, 0), [3, 3], []))
+        with pytest.raises(AssertionError, match=(
+                "^rebuild at t=1: packet 1 in slot 2 does not rank below packet 0$")):
             run_grq(trace)
 
     def test_front_check_survives_optimize_flag(self):
@@ -142,13 +151,13 @@ class TestTransmit:
             from slotq.model import Packet, validate_trace
             trace = validate_trace(3, [Packet(0, 1, 3, 1), Packet(1, 1, 3, 9)])
             # ranks: heavy is 0, light is 1; the rebuild puts light first
-            s.grq_rebuild = lambda held, arrivals, t, trace: ((), (1, 0), [3, 3], (1, 9))
+            s.grq_rebuild = lambda held, arrivals, t, trace: ((1, 0), [3, 3], [])
             try:
                 s.run_grq(trace)
             except AssertionError as e:
                 print("raised", e)
         """)
-        assert "raised front packet 0 is not heaviest at t=1" in out
+        assert "raised rebuild at t=1: packet 1 in slot 2 does not rank below packet 0" in out
 
 
 def test_runner_checks_survive_optimize_flag():
@@ -156,14 +165,14 @@ def test_runner_checks_survive_optimize_flag():
     # greedy's on a trace whose expiry index is emptied, so nothing expires,
     # and on one whose index names each packet a step after its deadline,
     # after an overflow and with a live packet held beside the expired one;
-    # run_grq's with a rebuild whose snapshot repeats its front, so the sent
-    # packet is carried (the next rebuild finds it past its deadline), with
-    # a rebuild whose placed deadlines put a survivor at its deadline, with
-    # a hand-built rebuild result that puts a lighter packet before a
-    # heavier one, with one that carries a packet past the horizon on a
-    # made-up deadline (the loop's leftover check), and with a rebuild
-    # misled by a tampered rank order; a hand-built rebuild result carries
-    # the trace's deadline and weight columns at its placed ranks
+    # grq's with a rebuild whose snapshot repeats its front, with one whose
+    # placed deadlines put a survivor at its deadline, with one that offers
+    # the sent packet again a step later (the rebuild's liveness check),
+    # with a hand-built result that puts a lighter packet before a heavier
+    # one, with one that fills more slots than B, with one that refuses a
+    # packet while a slot is open to it, with one that carries a packet past
+    # the horizon on made-up deadlines (the loop's leftover check), and on a
+    # tampered rank order (run_grq's per-run check)
     code = """
         import slotq.schedulers as s
         from slotq.model import Packet, validate_trace
@@ -196,24 +205,29 @@ def test_runner_checks_survive_optimize_flag():
         rebuild = s.grq_rebuild
 
         def front_kept(held, arrivals, t, trace):
-            rejections, slots, deadlines, weights = rebuild(held, arrivals, t, trace)
-            return rejections, slots[:1] + slots, deadlines, weights
+            slots, deadlines, refused = rebuild(held, arrivals, t, trace)
+            return slots[:1] + slots, deadlines[:1] + deadlines, refused
 
         def survivor_at_deadline(held, arrivals, t, trace):
-            rejections, slots, deadlines, weights = rebuild(held, arrivals, t, trace)
-            return rejections, slots, [t] * len(deadlines), weights
+            slots, deadlines, refused = rebuild(held, arrivals, t, trace)
+            return slots, [t] * len(deadlines), refused
 
-        for patch in (front_kept, survivor_at_deadline):
+        def sent_offered_again(held, arrivals, t, trace):
+            return rebuild((*held, 0) if t > 1 else held, arrivals, t, trace)
+
+        for patch in (front_kept, survivor_at_deadline, sent_offered_again):
             s.grq_rebuild = patch
             attempt(s.run_grq, validate_trace(2, [Packet(0, 1, 1, 5), Packet(1, 1, 2, 3)]))
 
         light, heavy = Packet(0, 1, 3, 1), Packet(1, 1, 1, 9)  # ranks: heavy 0, light 1
         trace = validate_trace(3, [light, heavy])
         s.grq_rebuild = lambda held, arrivals, t, trace: (
-            (), (1, 0), [trace.rank_deadline[r] for r in (1, 0)],
-            [trace.rank_weight[r] for r in (1, 0)])
+            (1, 0), [trace.rank_deadline[r] for r in (1, 0)], [])
         attempt(s.run_grq, trace)
-        s.grq_rebuild = lambda held, arrivals, t, trace: ((), (0, 1), [9, 9], (9, 1))
+        for size, result in ((1, ((0, 1), [2, 2], [])), (2, ((0,), [2], [1]))):
+            s.grq_rebuild = lambda held, arrivals, t, trace: result
+            attempt(s.run_grq, validate_trace(size, [Packet(0, 1, 2, 9), Packet(1, 1, 2, 1)]))
+        s.grq_rebuild = lambda held, arrivals, t, trace: ((0, 1), [9, 9], [])
         attempt(s.run_grq, validate_trace(3, [Packet(0, 1, 1, 9), Packet(1, 1, 1, 1)]))
         s.grq_rebuild = rebuild
         trace = validate_trace(3, [light, Packet(1, 1, 3, 9)])
@@ -221,20 +235,94 @@ def test_runner_checks_survive_optimize_flag():
         attempt(s.run_grq, trace)
     """
     out = run_optimized(code)
-    assert "raised greedy holds an expired packet at t=2" in out
-    assert "raised greedy holds packets after the last deadline" in out
-    assert "raised grq holds packets after the last deadline" in out
-    assert "raised greedy holds an expired packet at t=3" in out
-    assert "raised greedy holds an expired packet at t=4" in out
-    assert "raised packet 0 not live at t=2" in out
-    assert "raised a survivor of t=1 is past its deadline" in out
-    assert "raised front packet 0 is not heaviest at t=1" in out
-    assert out.count("raised a survivor of t=1 is past its deadline") == 1
-    assert ("raised rebuild at t=1 broke the buffer invariants: "
-            "['slot 2: weight 9 exceeds weight 1 at slot 1']") in out
+    assert out.splitlines()[1:] == [
+        "raised greedy holds an expired packet at t=2",
+        "raised greedy holds packets after the last deadline",
+        "raised greedy holds an expired packet at t=3",
+        "raised greedy holds an expired packet at t=4",
+        "raised rebuild at t=1: packet 0 in slot 2 does not rank below packet 0",
+        "raised rebuild at t=1: packet 1 in slot 2 has deadline 1 < its label",
+        "raised packet 0 not live at t=2",
+        "raised rebuild at t=1: packet 1 in slot 2 does not rank below packet 0",
+        "raised rebuild at t=1: packet 1 in slot 2 is past the last slot 1",
+        "raised rebuild at t=1: packet 1 refused with slot 2 open",
+        "raised grq holds packets after the last deadline",
+        "raised packet 1 at rank 1 outweighs packet 0 at rank 0",
+    ]
     plain = run_python(code)
     assert "optimize 0" in plain
     assert out.splitlines()[1:] == plain.splitlines()[1:]
+
+
+def test_step_checks_catch_a_refusal_with_a_free_slot():
+    # a rebuild mutated to refuse the last of three or more candidates when
+    # it just arrived, even with a slot open to it, changes 805 of the
+    # criterion-1-box sweep transcripts; run_grq must raise the refusal
+    # check on each of them, plain and under `python -O`, and leave every
+    # other run as it was.  Until the mutation first fires, the mutated run
+    # is the true one, so it changes a transcript iff it fires.
+    code = f"""
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        import slotq.schedulers as s
+        from slotq.generate import gen_random
+        from test_acceptance import SWEEP_SIZE, _sweep_params
+        rebuild, fired = s.grq_rebuild, []
+
+        def refuses_last_arrival(held, arrivals, t, trace):
+            slots, deadlines, refused = rebuild(held, arrivals, t, trace)
+            if (len(held) + len(arrivals) >= 3
+                    and slots[-1] == max(arrivals, default=-1) > max(held, default=-1)):
+                fired.append(t)
+                return slots[:-1], deadlines[:-1], [*refused, slots[-1]]
+            return slots, deadlines, refused
+
+        changed = caught = 0
+        for i in range(SWEEP_SIZE):
+            trace = gen_random(_sweep_params(i))
+            want = s.run_grq(trace).steps
+            fired.clear()
+            s.grq_rebuild = refuses_last_arrival
+            try:
+                got = s.run_grq(trace).steps
+            except AssertionError as e:
+                caught += bool(fired) and "refused with slot" in str(e)
+            else:
+                if fired or got != want:
+                    print("escaped", i)
+            s.grq_rebuild = rebuild
+            changed += bool(fired)
+        print("changed", changed, "caught", caught)
+    """
+    for out in (run_python(code), run_optimized(code)):
+        assert out.splitlines()[1:] == ["changed 805 caught 805"]
+
+
+@given(traces(max_n=10, max_release=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_flipping_one_rebuild_decision_fails_the_step_checks(trace, data):
+    # grq's checks hold iff the result is the prefix rule's: move any one
+    # candidate of a true rebuild to the other list, and grq must raise
+    steps, held = [], ()
+    for t in range(1, trace.horizon + 1):
+        arrivals = trace.arrival_ranks.get(t, ())
+        if held or arrivals:
+            steps.append((held, arrivals, t))
+        held = grq(held, arrivals, t, trace)[0]
+    assume(steps)
+    held, arrivals, t = data.draw(st.sampled_from(steps))
+    slots, deadlines, refused = grq_rebuild(held, arrivals, t, trace)
+    r = data.draw(st.sampled_from(sorted([*held, *arrivals])))
+    if r in slots:  # placed: drop it into the refused list
+        i = slots.index(r)
+        flipped = slots[:i] + slots[i + 1:], deadlines[:i] + deadlines[i + 1:], sorted([*refused, r])
+    else:  # refused: place it among the slots, in rank order
+        i = bisect_left(slots, r)
+        flipped = ((*slots[:i], r, *slots[i:]),
+                   [*deadlines[:i], trace.rank_deadline[r], *deadlines[i:]],
+                   [x for x in refused if x != r])
+    with patch("slotq.schedulers.grq_rebuild", lambda *args: flipped):
+        with pytest.raises(AssertionError, match="^rebuild at t="):
+            grq(held, arrivals, t, trace)
 
 
 def run_python(code, *flags):
