@@ -4,9 +4,12 @@ Reproducibility contract: identical parameters + seed produce the identical
 trace, byte-for-byte after emission, on any implementation of this tool.
 That rules out a host language's default PRNG, so draws come from splitmix64
 (the reference constants below) and each generated quantity consumes a fixed,
-documented number of draws.
+documented number of draws.  SplitMix64 computes its outputs in blocks,
+one int operation per step of the mix for the whole block, which gives the
+same stream as computing them one at a time at a fraction of the cost.
 """
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +20,18 @@ _DRAW_RANGE = 1 << 64  # the values one draw reaches
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# SplitMix64's outputs per block.  An output costs about a quarter of a
+# scalar one at any block size from 16 to 64, but a block is computed whole,
+# and a stream that stops short of its end wastes the rest.  An
+# acceptance-box trace draws at most 30 outputs; drawing that pool's
+# streams took 1.11x the scalar time with blocks of 64 and 0.71x with 32,
+# and bulk-stream's 0.41x and 0.42x (CPython 3.11.7, x86-64, best of 20).
+_BLOCK = 32
+_ONES = sum(1 << 128 * k for k in range(_BLOCK))  # 1 in each lane
+_LANES = _MASK64 * _ONES  # the low 64 bits of each lane
+_STEPS = sum(((k + 1) * _GAMMA & _MASK64) << 128 * k for k in range(_BLOCK))
+_BLOCK_BYTES = 16 * _BLOCK
+_unpack_lanes = struct.Struct("<" + "Q8x" * _BLOCK).unpack  # each lane's low 64 bits
 
 
 class ParameterError(ValueError):
@@ -59,10 +74,26 @@ class SplitMix64:
     modulo — bias is irrelevant here, identical streams are the point.  Every
     draw, below(n) for any n, consumes exactly one 64-bit output, so below(n)
     reaches all of 0..n-1 only for n <= 2**64 (GeneratorParams keeps its
-    ranges there)."""
+    ranges there).
+
+    The outputs are computed in blocks of _BLOCK, and each draw takes the
+    next buffered one, so the stream is the one-at-a-time stream, output
+    for output.  A block's states seed + k*gamma sit in 128-bit lanes of
+    one int, each lane holding a value below 2**64.  A lane has room for
+    such a value times a 64-bit constant, so each shift, xor, multiply and
+    mask of the finalizer is one int operation for the whole block;
+    masking with _LANES keeps the low 64 bits of every lane.  The lanes
+    leave the int as little-endian bytes, unpacked as little-endian
+    words, so the outputs do not depend on the host's byte order.
+
+    `state` is the state of the last output computed, which ends the
+    buffered block: up to _BLOCK - 1 outputs past the last one drawn.
+    Before the first draw no block is computed, and it is the seed's.
+    """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
+        self._outputs = iter(())
 
     def next_u64(self) -> int:
         return self.below(1 << 64)  # every output is below 2**64: the modulo keeps it
@@ -70,10 +101,20 @@ class SplitMix64:
     def below(self, n: int) -> int:
         if n < 1:
             raise AssertionError(f"below() needs n >= 1, got {n}")
-        z = self.state = (self.state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) % n
+        for z in self._outputs:  # the next buffered output, if one is left
+            return z % n
+        self._compute_block()
+        return next(self._outputs) % n
+
+    def _compute_block(self) -> None:
+        """Buffer the _BLOCK outputs that follow `state` and advance it past them."""
+        z = (self.state * _ONES + _STEPS) & _LANES  # lane k: state + (k + 1) * gamma
+        self.state = (self.state + _BLOCK * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
+        z = ((z ^ (z >> 27)) & _LANES) * _MIX2 & _LANES
+        # the last shift moves the next lane's low bits into each lane's
+        # high half, which the unpacking skips
+        self._outputs = iter(_unpack_lanes((z ^ (z >> 31)).to_bytes(_BLOCK_BYTES, "little")))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ at some step within [release, deadline]; afterwards it is worthless.
 
 Weights are exact rationals (fractions.Fraction).  The charge-map verifier
 needs exact weight comparisons, so nothing in this package goes through
-floating point.
+floating point.  Trace.weight_denominator and Trace.scaled_weight, the
+integer view of the weights that the hot loops compare, work once per
+distinct weight object (Trace._weights), not once per packet.
 
 The slot-queue scheduler names buffer positions after absolute time steps: a
 buffer of size B at time t exposes the labels t..t+B-1 and transmits from the
@@ -37,7 +39,7 @@ charging layers keep theirs too.
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable
 
 # Rejection causes recorded in transcripts.
@@ -102,6 +104,7 @@ def _slot_setters(cls) -> tuple:
 
 
 _set_id, _set_release, _set_deadline, _set_weight = _slot_setters(Packet)
+_id, _deadline, _weight = attrgetter("id"), attrgetter("deadline"), attrgetter("weight")
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class Trace:
     @lazy
     def weight_denominator(self) -> int:
         """Least common denominator of all weights (1 for an empty trace)."""
-        return math.lcm(*(p.weight.denominator for p in self.packets))
+        return math.lcm(*[w.denominator for w in self._weights.values()])
 
     @lazy
     def scaled_weight(self) -> dict[int, int]:
@@ -136,7 +139,20 @@ class Trace:
         loops can compare ints instead of Fractions without rounding anything.
         """
         d = self.weight_denominator
-        return {p.id: p.weight.numerator * (d // p.weight.denominator) for p in self.packets}
+        scaled = {k: w.numerator * (d // w.denominator) for k, w in self._weights.items()}
+        return {p.id: scaled[id(p.weight)] for p in self.packets}
+
+    @lazy
+    def _weights(self) -> dict[int, Fraction]:
+        """id(weight) -> weight, one entry per distinct weight object.
+
+        Fraction's numerator and denominator are Python-level properties,
+        so the weight indexes read them once per entry; the parser and
+        gen_random give equal weights one shared Fraction, so a 400-packet
+        bulk-stream trace has at most 16 entries.  The packets keep every
+        weight alive, so no id is reused while the trace lives.
+        """
+        return {id(w): w for w in map(_weight, self.packets)}
 
     @lazy
     def relaxed(self) -> "Trace":
@@ -163,7 +179,12 @@ class Trace:
         are compared as Trace.scaled_weight integers.
         """
         w = self.scaled_weight
-        return tuple(sorted(self.packets, key=lambda p: (-w[p.id], p.deadline, p.id)))
+        # stable sorts from the last key to the first; reverse=True keeps
+        # equal weights in their order, and the first two keys are C-level
+        order = sorted(self.packets, key=_id)
+        order.sort(key=_deadline)
+        order.sort(key=lambda p: w[p.id], reverse=True)
+        return tuple(order)
 
     @lazy
     def rank_deadline(self) -> tuple[int, ...]:

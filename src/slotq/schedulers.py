@@ -7,7 +7,8 @@ reads only its arguments and raises its own self-checks.  The loop owns a
 StepRecord per step t = 1..horizon, idle ones included, the Transcript and
 the one leftover check.  A state is () when the policy holds no packet, so
 that check reads the final state, not event counts, which miss a packet
-recorded as expired but kept.
+recorded as expired but kept; policy.held(state) lists the ranks a state
+holds, so the check names the packets left and the last step.
 
 Both process packets in one fixed order, computed once per trace
 (Trace.by_rank): weight descending, then deadline ascending, then id
@@ -90,7 +91,7 @@ emptied.
 
 from bisect import bisect_left, insort
 from functools import lru_cache
-from operator import ge, le, lt
+from operator import ge, itemgetter, le, lt
 from typing import Sequence
 
 from .model import (
@@ -176,7 +177,9 @@ def run(policy, trace: Trace) -> Transcript:
         state, slots, rejections, sent = policy(state, arrival_ranks.get(t, ()), t, trace)
         steps.append(StepRecord(t, slots, rejections, sent))
     if state:
-        raise AssertionError(f"{policy.__name__} holds packets after the last deadline")
+        ids = sorted(map(trace.rank_id.__getitem__, policy.held(state)))
+        held = f"packet {ids[0]}" if len(ids) == 1 else f"packets {', '.join(map(str, ids))}"
+        raise AssertionError(f"{policy.__name__} holds {held} after the last deadline t={trace.horizon}")
     return Transcript(trace, tuple(steps))
 
 
@@ -215,6 +218,9 @@ def grq(held: tuple[int, ...], arrivals: Sequence[int], t: int, trace: Trace):
     return slots[1:], slots, rejections, ids[slots[0]] if slots else None
 
 
+grq.held = tuple  # the held ranks of a state, which run's leftover check names
+
+
 def greedy(state, arrivals: Sequence[int], t: int, trace: Trace):
     """The keep-the-heaviest step; its state is (held ranks, their deadlines), both ascending."""
     held, dls = state or ([], [])
@@ -246,6 +252,9 @@ def greedy(state, arrivals: Sequence[int], t: int, trace: Trace):
                 del dls[bisect_left(dls, deadline[r])]
                 rejections.append(_rejection(rank_id[r], EXPIRED))
     return (held, dls) if held else (), None, tuple(rejections), sent
+
+
+greedy.held = itemgetter(0)  # the state is (held ranks, their deadlines)
 
 
 def run_grq(trace: Trace) -> Transcript:

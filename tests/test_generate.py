@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotq.generate import GeneratorParams, ParameterError, SplitMix64, gen_killer, gen_random
+from slotq.generate import (
+    _BLOCK,
+    GeneratorParams,
+    ParameterError,
+    SplitMix64,
+    gen_killer,
+    gen_random,
+)
 from slotq.model import Packet, validate_trace
 from slotq.oracle import optimal_bounded
 from slotq.schedulers import run_grq, run_naive_greedy
@@ -57,22 +64,35 @@ class TestSplitMix64:
         assert len(set(draws)) == 7  # all residues show up in 200 draws
 
 
+def scalar_splitmix64(seed: int):
+    """splitmix64 one output at a time, as Steele, Lea and Flood (OOPSLA 2014)
+    give it: the stream SplitMix64 must reproduce, which computes it in blocks."""
+    mask = 2**64 - 1
+    state = seed & mask
+    while True:
+        z = state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def reference_gen_random(params: GeneratorParams):
-    """gen_random as first written: one Fraction and four attribute reads per packet."""
-    rng = SplitMix64(params.seed)
+    """gen_random as first written: one Fraction and four attribute reads per
+    packet, each draw one output of the scalar stream modulo its bound."""
+    stream = scalar_splitmix64(params.seed)
     burst = params.burst
     packets = []
     prev_release = 1
     for i in range(params.n):
-        if burst and rng.below(burst.denominator) < burst.numerator and i > 0:
+        if burst and next(stream) % burst.denominator < burst.numerator and i > 0:
             release = prev_release
         else:
-            release = 1 + rng.below(params.horizon)
+            release = 1 + next(stream) % params.horizon
         span_cap = params.horizon - release
         if params.max_span is not None:
             span_cap = min(span_cap, params.max_span)
-        deadline = release + rng.below(span_cap + 1)
-        weight = Fraction(1 + rng.below(params.max_weight))
+        deadline = release + next(stream) % (span_cap + 1)
+        weight = Fraction(1 + next(stream) % params.max_weight)
         packets.append(Packet(i, release, deadline, weight))
         prev_release = release
     return validate_trace(params.buffer_size, packets)
@@ -95,6 +115,32 @@ def test_gen_random_matches_reference(n, horizon, buffer_size, seed, max_weight,
     params = GeneratorParams(n=n, horizon=horizon, buffer_size=buffer_size, seed=seed,
                              max_weight=max_weight, max_span=max_span, burst=burst)
     assert emit_trace(gen_random(params)) == emit_trace(reference_gen_random(params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-2**80, 2**80),
+    # None draws next_u64; the list spans at least three block boundaries
+    bounds=st.lists(st.sampled_from([None, 1, 2, 7, 1000, 2**32 + 1, 2**64, 2**70]),
+                    min_size=3 * _BLOCK + 1, max_size=4 * _BLOCK + 7),
+)
+def test_block_stream_matches_scalar_reference(seed, bounds):
+    rng, stream = SplitMix64(seed), scalar_splitmix64(seed)
+    for n in bounds:
+        if n is None:
+            assert rng.next_u64() == next(stream)
+        else:
+            assert rng.below(n) == next(stream) % n
+
+
+@pytest.mark.parametrize("draws,blocks", [(0, 0), (1, 1), (_BLOCK, 1), (_BLOCK + 1, 2)])
+def test_state_marks_the_end_of_the_computed_block(draws, blocks):
+    # state is the state of the last output computed: a block is computed
+    # at the first draw and at each draw past the buffered ones
+    rng = SplitMix64(-5)
+    for _ in range(draws):
+        rng.next_u64()
+    assert rng.state == (-5 + blocks * _BLOCK * 0x9E3779B97F4A7C15) % 2**64
 
 
 class TestGenRandom:

@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass, make_dataclass, replace
 from fractions import Fraction
@@ -25,6 +26,10 @@ from slotq.traceio import emit_trace
 
 def P(pid, r, d, w):
     return Packet(pid, r, d, Fraction(w))
+
+
+# weight objects that several packets share
+THIRD, FIVE_QUARTERS, ZERO = Fraction(1, 3), Fraction(5, 4), Fraction(0)
 
 
 class TestPacket:
@@ -210,6 +215,35 @@ class TestTrace:
         assert t.weight_denominator == 3000
         assert t.scaled_weight == {0: 1000, 1: 1000, 2: 999, 3: 6000, 4: 0}
         assert validate_trace(1, []).weight_denominator == 1
+
+    @pytest.mark.parametrize("weights,objects", [
+        # equal weights as distinct Fraction objects, mixed denominators
+        ([Fraction(1, 3), Fraction(2, 6), Fraction(5, 4), Fraction(0), Fraction(5, 4),
+          Fraction(1, 3), Fraction(0)], 7),
+        # shared objects, as the parser and gen_random make them, beside an
+        # equal weight that is an object of its own (2/6)
+        ([THIRD, Fraction(2, 6), FIVE_QUARTERS, ZERO, FIVE_QUARTERS, THIRD, ZERO], 4),
+        ([], 0),
+    ])
+    def test_weight_indexes_match_the_per_packet_definition(self, weights, objects):
+        # the indexes work once per distinct weight object; however equal
+        # weights are shared, they must equal the definition packet by packet
+        t = validate_trace(2, [Packet(i, 1, 2, w) for i, w in enumerate(weights)])
+        assert len({id(p.weight) for p in t.packets}) == objects
+        d = math.lcm(*(p.weight.denominator for p in t.packets))
+        assert t.weight_denominator == d
+        assert t.scaled_weight == {p.id: p.weight * d for p in t.packets}
+        assert all(type(s) is int for s in t.scaled_weight.values())
+        view = t.relaxed
+        assert view.weight_denominator is t.weight_denominator
+        assert view.scaled_weight is t.scaled_weight
+
+    def test_relaxed_view_computes_the_same_weight_indexes(self):
+        # a view taken before the indexes exist computes its own, equal ones
+        t = Trace(1, (P(0, 1, 1, Fraction(1, 3)), P(1, 1, 2, Fraction(2, 6)), P(2, 2, 2, 0)))
+        view = t.relaxed
+        assert (view.weight_denominator, view.scaled_weight) == (3, {0: 1, 1: 1, 2: 0})
+        assert (t.weight_denominator, t.scaled_weight) == (3, {0: 1, 1: 1, 2: 0})
 
     def test_rank_is_weight_desc_deadline_asc_id_asc(self):
         t = validate_trace(1, [

@@ -26,6 +26,7 @@ from slotq.model import (
 from slotq.schedulers import (
     check_buffer_invariants,
     check_slot_monotonicity,
+    greedy,
     grq,
     grq_rebuild,
     run,
@@ -237,7 +238,7 @@ def test_runner_checks_survive_optimize_flag():
     out = run_optimized(code)
     assert out.splitlines()[1:] == [
         "raised greedy holds an expired packet at t=2",
-        "raised greedy holds packets after the last deadline",
+        "raised greedy holds packet 1 after the last deadline t=1",
         "raised greedy holds an expired packet at t=3",
         "raised greedy holds an expired packet at t=4",
         "raised rebuild at t=1: packet 0 in slot 2 does not rank below packet 0",
@@ -246,7 +247,7 @@ def test_runner_checks_survive_optimize_flag():
         "raised rebuild at t=1: packet 1 in slot 2 does not rank below packet 0",
         "raised rebuild at t=1: packet 1 in slot 2 is past the last slot 1",
         "raised rebuild at t=1: packet 1 refused with slot 2 open",
-        "raised grq holds packets after the last deadline",
+        "raised grq holds packet 1 after the last deadline t=1",
         "raised packet 1 at rank 1 outweighs packet 0 at rank 0",
     ]
     plain = run_python(code)
@@ -351,11 +352,27 @@ def test_leftover_check_reads_the_final_state():
         kept = arrivals[1]
         return (kept,), None, (Rejection(trace.rank_id[kept], EXPIRED),), trace.rank_id[arrivals[0]]
 
+    expires_but_keeps.held = tuple
     with pytest.raises(AssertionError,
-                       match="^expires_but_keeps holds packets after the last deadline$"):
+                       match="^expires_but_keeps holds packet 1 after the last deadline t=1$"):
         run(expires_but_keeps, trace)
     events = (StepRecord(1, None, (Rejection(1, EXPIRED),), 0),)
     assert check_transcript_invariants(Transcript(trace, events)) == []
+
+
+def test_leftover_check_names_every_packet_held():
+    # a policy that never sends and keeps each arrival in greedy's state
+    # shape: the check names the ids left, ascending, and the last step
+    trace = validate_trace(5, [P(7, 2, 4, 1), P(3, 1, 2, 9), P(5, 3, 3, 4)])
+
+    def hoards(state, arrivals, t, trace):
+        held = sorted([*(state[0] if state else ()), *arrivals])
+        return (held, [trace.rank_deadline[r] for r in held]) if held else (), None, (), None
+
+    hoards.held = greedy.held
+    with pytest.raises(AssertionError,
+                       match="^hoards holds packets 3, 5, 7 after the last deadline t=4$"):
+        run(hoards, trace)
 
 
 class TestRunGrq:
