@@ -112,7 +112,10 @@ def _cmd_charge(args) -> int:
     trace = load_trace(args.trace)
     grq = run_grq(trace)
     adv = optimal_bounded(trace)
-    report, failures = check_charges(grq, adv)
+    failures = [f"transcript: {v}" for v in check_transcript_invariants(grq)]
+    failures += [f"monotonicity: {v}" for v in check_slot_monotonicity(grq)]
+    report, charge_failures = check_charges(grq, adv)
+    failures += charge_failures
     if report is not None:
         for c in report.checks:
             print(f"check {c.number} {c.name}: {'pass' if c.passed else 'FAIL'}")

@@ -5,11 +5,11 @@ whose release time equals t arrive and admission decisions are made, then at
 most one packet is transmitted.  A packet earns its weight only if it is sent
 at some step within [release, deadline]; afterwards it is worthless.
 
-Weights are exact rationals (fractions.Fraction).  The charge-map verifier
-needs exact weight comparisons, so nothing in this package goes through
-floating point.  Trace.weight_denominator and Trace.scaled_weight, the
-integer view of the weights that the hot loops compare, work once per
-distinct weight object (Trace._weights), not once per packet.
+Weights are exact rationals (fractions.Fraction).  The verifiers need exact
+weight comparisons, so nothing in this package goes through floating point.
+Trace.weight_denominator and Trace.scaled_weight, the integer view of the
+weights that the hot loops compare, work once per distinct weight object
+(Trace._weights), not once per packet.
 
 The slot-queue scheduler names buffer positions after absolute time steps: a
 buffer of size B at time t exposes the labels t..t+B-1 and transmits from the
@@ -32,8 +32,8 @@ StepRecord 0.40 us against 0.67 us.  Both stay dataclasses: their
 signature is their fields, and dataclasses.replace, ==, hash, repr and
 FrozenInstanceError behave as the generated ones do.  Rejection keeps the
 generated __init__; the schedulers intern rejections instead.  Trace and
-Transcript, built a few times per trace, and the records of the oracle and
-charging layers keep theirs too.
+Transcript, built a few times per trace, and oracle.OfflineSchedule keep
+theirs too.
 """
 
 import math
@@ -58,9 +58,7 @@ class lazy:
     dataclass allows; since this is a non-data descriptor, later reads
     find it there and never call __get__ again.  Two threads racing on a
     first access may both compute it, as on Python 3.12.  Every value is
-    computed from the immutable instance alone, so either result serves;
-    the memo Transcript.classified may lose entries that way, which are
-    then computed again.
+    computed from the immutable instance alone, so either result serves.
     """
 
     def __init__(self, func):
@@ -384,17 +382,6 @@ class Transcript:
     @lazy
     def total_weight(self) -> Fraction:
         return Fraction(sum(self.scaled_sent), self.trace.weight_denominator)
-
-    @lazy
-    def classified(self) -> dict:
-        """(send step, packet id) -> the Charge an adversary send there gets.
-
-        Filled by charging.classify_charges, so each distinct send is
-        classified once per transcript however many adversaries contain it.
-        It depends only on this transcript, so a copy made with
-        dataclasses.replace starts with an empty one.
-        """
-        return {}
 
 
 def check_transcript_invariants(transcript: Transcript) -> list[str]:

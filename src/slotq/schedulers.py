@@ -75,7 +75,9 @@ fault.  Greedy checks that no held packet is past its deadline
 on the smallest of its sorted held deadlines, which come from
 Trace.rank_deadline, not from the expiry index, so a wrong index still
 raises.  The loop checks that no policy holds a packet at the end.
-check_buffer_invariants words a snapshot's slot rules for offline checks.
+Every snapshot a grq run records has passed (a)-(d): no packet sits at a
+label past its deadline, and with run_grq's rank_weight check no slot
+holds more weight than the one before it.
 Every Rejection the policies record comes from _rejection, a bounded
 functools.lru_cache over the class.  Rejections are immutable values and
 traces number their packets 0..n-1, so later steps, runs and traces meet
@@ -107,30 +109,6 @@ from .model import (
 # Every rejection the runners record (see the module docstring).  A trace
 # with more (id, cause) pairs than the bound evicts and builds them again.
 _rejection = lru_cache(maxsize=4096)(Rejection)
-
-
-def check_buffer_invariants(t: int, slots: Sequence[int], trace: Trace) -> list[str]:
-    """Violations of the slot-labeling rules in a snapshot taken right after
-    the arrival-stage rebuild at step t; an empty list means it is sound.
-
-    `slots` holds positions in Trace.by_rank, the one in slot i labeled
-    t + i.  No packet may sit at a label past its deadline, and weights must
-    not increase from one slot to the next (ties allowed); they are compared
-    as Trace.rank_weight integers and printed as the packets' weights.
-    """
-    deadline, weight, by_rank = trace.rank_deadline, trace.rank_weight, trace.by_rank
-    out: list[str] = []
-    for label, r in enumerate(slots, start=t):
-        if deadline[r] < label:
-            p = by_rank[r]
-            out.append(f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}")
-    for label, (r0, r1) in enumerate(zip(slots, slots[1:]), start=t + 1):
-        if weight[r1] > weight[r0]:
-            out.append(
-                f"slot {label}: weight {by_rank[r1].weight} exceeds "
-                f"weight {by_rank[r0].weight} at slot {label - 1}"
-            )
-    return out
 
 
 def grq_rebuild(buffered: Sequence[int], arrivals: Sequence[int], t: int, trace: Trace):

@@ -26,8 +26,10 @@ from slotq.charging import (
     Charge,
     ChargeConstructionError,
     ChargeMap,
+    _charge,
     assign_f_charges,
     build_charge_map,
+    classify_charges,
     verify_charge_map,
 )
 from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded, verify_schedule
@@ -110,7 +112,7 @@ def reference_assign(grq, classified):
                 f"in [{t0}, {t0 + bsize - 1}]; earliest available: {target}"
             )
         counts[target] += 1
-        placed.append(replace(c, target=target))
+        placed.append(c._replace(target=target))
     return ChargeMap(tuple(fixed) + tuple(placed))
 
 
@@ -137,6 +139,9 @@ def reference_verify_charge_map(cmap, grq, adv):
 
     v3 = []
     for c in cmap.charges:
+        if c.kind not in (S_CHARGE, D_CHARGE, F_CHARGE):
+            v3.append(f"charge from packet {c.source_id}: unknown kind {c.kind!r}")
+            continue
         if c.target is None or not 1 <= c.target <= horizon:
             v3.append(f"{c.kind}-charge from packet {c.source_id}: bad target {c.target}")
             continue
@@ -254,8 +259,9 @@ def verdicts(report):
 def tamper(draw, cmap, trace):
     """A copy of `cmap` with a few shifted, dropped, duplicated or re-kinded charges.
 
-    A "source" edit names another packet of the trace, or the id one past
-    its largest, which check 3 reports as no such packet.  A "resource" edit
+    A "kind" edit may name a kind other than S, D or F, which check 3
+    reports.  A "source" edit names another packet of the trace, or the id
+    one past its largest, which check 3 reports as no such packet.  A "resource" edit
     copies another charge's source, so the map keeps its length while one
     send is charged twice and another not at all; a "stack" edit puts a
     third charge on a target step.  Those two are what a count-and-set
@@ -272,26 +278,26 @@ def tamper(draw, cmap, trace):
             ("target", "drop", "dup", "kind", "rejection", "source", "resource", "stack")))
         if edit == "target":
             shift = draw(st.sampled_from((-2, -1, 1, 2, 9)))
-            charges[i] = replace(c, target=None if c.target is None else c.target + shift)
+            charges[i] = c._replace(target=None if c.target is None else c.target + shift)
         elif edit == "drop":
             del charges[i]
         elif edit == "dup":
             charges.insert(draw(st.integers(0, len(charges))), c)
         elif edit == "kind":
-            charges[i] = replace(c, kind=draw(st.sampled_from((S_CHARGE, D_CHARGE, F_CHARGE))))
+            charges[i] = c._replace(kind=draw(st.sampled_from((S_CHARGE, D_CHARGE, F_CHARGE, "X", ""))))
         elif edit == "rejection":
-            charges[i] = replace(c, rejection_time=draw(st.integers(-1, trace.horizon + 2)))
+            charges[i] = c._replace(rejection_time=draw(st.integers(-1, trace.horizon + 2)))
         elif edit == "source":
             foreign = ids[-1] + 1  # a charge's source is a packet, so ids is not empty
-            charges[i] = replace(c, source_id=draw(st.sampled_from(ids) | st.just(foreign)))
+            charges[i] = c._replace(source_id=draw(st.sampled_from(ids) | st.just(foreign)))
         elif edit == "resource":
             o = charges[draw(st.integers(0, len(charges) - 1))]
-            charges[i] = replace(c, source_time=o.source_time, source_id=o.source_id)
+            charges[i] = c._replace(source_time=o.source_time, source_id=o.source_id)
         else:
             on_target = [o for o in charges if o.target == c.target]
             for _ in range(max(1, 3 - len(on_target))):
                 o = charges[draw(st.integers(0, len(charges) - 1))]
-                charges.insert(draw(st.integers(0, len(charges))), replace(o, target=c.target))
+                charges.insert(draw(st.integers(0, len(charges))), o._replace(target=c.target))
     return ChargeMap(tuple(charges))
 
 
@@ -356,12 +362,13 @@ def without_rejections(grq):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_classification_shared_per_transcript_matches_reference(data):
-    # Sends are classified once per transcript and the charges shared by
-    # every later adversary of it.  Interleave calls on one transcript, a
-    # plain copy and a copy without rejections, over every enumerated
-    # adversary, the optimum and an infeasible one: each call must still
-    # give the reference's map, or its exception and message, also after
-    # an earlier call on the same transcript raised.
+    # Classified charges are interned: equal charges, from any adversary,
+    # transcript or trace, are one instance from charging._charge.
+    # Interleave calls on one transcript, a plain copy and a copy without
+    # rejections, over every enumerated adversary, the optimum and an
+    # infeasible one: each call must still give the reference's map, or
+    # its exception and message, also after an earlier call raised, and
+    # every charge it classifies must be the cache's instance.
     trace = data.draw(st.one_of(
         st.sampled_from(FORWARD_TRACES).map(parse_trace),
         written_traces(min_packets=1, max_packets=6),
@@ -375,6 +382,8 @@ def test_classification_shared_per_transcript_matches_reference(data):
     for g, adv in data.draw(st.permutations(calls)):
         want = outcome(lambda g, a: reference_assign(g, reference_classify(g, a)), g, adv)
         assert outcome(build_charge_map, g, adv) == want
+        if want[0] == "ok":
+            assert all(c is _charge(*c) for c in classify_charges(g, adv))
 
 
 def test_forward_traces_reach_every_outcome():
@@ -424,7 +433,7 @@ def test_many_forward_charges_match_reference(data):
 
     # verify maps whose F-charges carry arbitrary targets, placed or not
     targets = st.one_of(st.none(), st.integers(0, horizon + 1))
-    charges = [c if c.kind != F_CHARGE else replace(c, target=data.draw(targets))
+    charges = [c if c.kind != F_CHARGE else c._replace(target=data.draw(targets))
                for c in classified]
     maps = [ChargeMap(tuple(charges))] + ([got[1]] if got[0] == "ok" else [])
     adv = OfflineSchedule.of(trace, {})

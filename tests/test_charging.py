@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,14 +212,14 @@ class TestVerifierChecks:
     def test_charge_on_idle_step_fails_domination(self):
         _, grq, adv, cmap = self._setup()
         (c,) = cmap.charges
-        bad = ChargeMap((replace(c, target=2),))  # GRQ idles at step 2
+        bad = ChargeMap((c._replace(target=2),))  # GRQ idles at step 2
         report = verify_charge_map(bad, grq, adv)
         assert not check_passed(report, 3)
 
     def test_window_arithmetic_fails_on_shifted_rejection(self):
         _, grq, adv, cmap = self._setup()
         (c,) = cmap.charges
-        bad = ChargeMap((replace(c, rejection_time=2),))
+        bad = ChargeMap((c._replace(rejection_time=2),))
         report = verify_charge_map(bad, grq, adv)
         assert not check_passed(report, 4)  # t0 + B = 3 > source time 2
         assert not check_passed(report, 5)  # no rejection recorded at t0=2
@@ -237,7 +236,7 @@ class TestVerifierChecks:
         others = tuple(c for c in cmap.charges if c.kind != "F")
         # t0=2 keeps the window arithmetic valid (2 + B = 4 <= 5, and GRQ
         # transmits at step 2) but lies about where the rejection happened
-        bad = ChargeMap(others + (replace(f, rejection_time=2, target=2),))
+        bad = ChargeMap(others + (f._replace(rejection_time=2, target=2),))
         report = verify_charge_map(bad, grq, adv)
         assert check_passed(report, 4)
         assert not check_passed(report, 5)
@@ -246,9 +245,17 @@ class TestVerifierChecks:
         _, grq, adv, cmap = self._setup()
         (c,) = cmap.charges
         for target in (0, -3, 99, None):
-            bad = ChargeMap((replace(c, target=target),))
+            bad = ChargeMap((c._replace(target=target),))
             report = verify_charge_map(bad, grq, adv)
             assert not report.passed
+
+    def test_unknown_kind_fails_domination(self):
+        # the kind is checked by the verifier, not when a charge is made
+        _, grq, adv, cmap = self._setup()
+        (c,) = cmap.charges
+        report = verify_charge_map(ChargeMap((Charge("X", *c[1:]),)), grq, adv)
+        assert [n for n in range(1, 8) if not check_passed(report, n)] == [3]
+        assert report.checks[2].violations == ("charge from packet 2: unknown kind 'X'",)
 
     def test_unknown_source_reported_not_crash(self):
         _, grq, adv, cmap = self._setup()

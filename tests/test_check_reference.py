@@ -1,10 +1,10 @@
 """Differential check of the slot-queue self-checks against Fraction-keyed references.
 
-The references below are the earlier, direct versions of
-check_buffer_invariants and check_slot_monotonicity: every slot of the
-B-slot window is visited and weights are compared as Fractions.  The
-production checks (Trace.rank_weight integers, the filled prefix only, rank
-order before weights) must return the same violation lists.  The same holds
+The reference below is the earlier, direct version of
+check_slot_monotonicity: every slot of the B-slot window is visited and
+weights are compared as Fractions.  The production check (Trace.rank_weight
+integers, the filled prefix only, rank order before weights) must return
+the same violation lists.  The same holds
 for check_transcript_invariants against its earlier per-packet loop, on real
 transcripts with dropped, duplicated, moved, foreign and misrecorded events.
 
@@ -30,30 +30,13 @@ from slotq.model import (
     Transcript,
     check_transcript_invariants,
 )
-from slotq.schedulers import (
-    check_buffer_invariants,
-    check_slot_monotonicity,
-    run_grq,
-    run_naive_greedy,
-)
+from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
 
 
 def padded(slots, trace):
     """All B slots of a snapshot: its packets, then None for each empty slot."""
     return [trace.by_rank[r] for r in slots] + [None] * (trace.buffer_size - len(slots))
-
-
-def reference_buffer_invariants(t, slots, trace):
-    out = []
-    occ = [(t + i, p) for i, p in enumerate(padded(slots, trace)) if p is not None]
-    for label, p in occ:
-        if p.deadline < label:
-            out.append(f"slot {label}: packet {p.id} has deadline {p.deadline} < label {label}")
-    for (la, pa), (lb, pb) in zip(occ, occ[1:]):
-        if pb.weight > pa.weight:
-            out.append(f"slot {lb}: weight {pb.weight} exceeds weight {pa.weight} at slot {la}")
-    return out
 
 
 def reference_monotonicity(transcript):
@@ -134,12 +117,6 @@ def snapshots(draw, trace):
 
 
 @st.composite
-def buffer_cases(draw):
-    trace = draw(packet_pools())
-    return trace, draw(st.integers(1, 6)), draw(snapshots(trace))
-
-
-@st.composite
 def two_step_transcripts(draw):
     trace = draw(packet_pools())
     t, first = draw(st.integers(1, 6)), draw(snapshots(trace))
@@ -166,14 +143,6 @@ def two_step_transcripts(draw):
         second = (draw(st.integers(1, 6)), draw(snapshots(trace)))
     steps = tuple(StepRecord(time, slots, (), None) for time, slots in ((t, first), second))
     return Transcript(trace, steps)
-
-
-@given(buffer_cases())
-@settings(max_examples=300, deadline=None)
-def test_buffer_invariants_match_reference(case):
-    trace, t, slots = case
-    assert (check_buffer_invariants(t, slots, trace)
-            == reference_buffer_invariants(t, slots, trace))
 
 
 @given(two_step_transcripts())

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import slotq
+from slotq import schedulers
 from slotq.charging import ChargeConstructionError
 from slotq.cli import main
 from slotq.generate import gen_killer, gen_random, GeneratorParams
@@ -142,6 +143,27 @@ class TestCharge:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "violation: construction: forced\n")
         assert not out.exists()  # no report was built, so none is written
+
+    def test_lossy_rebuild_is_a_violation(self, tmp_path, monkeypatch, capsys):
+        # a rebuild that drops its last refusal leaves packet 2 neither placed
+        # nor refused; grq's step checks and all seven charge checks pass, so
+        # only the transcript check finds it, in charge as in run
+        real = schedulers.grq_rebuild
+
+        def lossy(*args):
+            slots, deadlines, refused = real(*args)
+            return slots, deadlines, refused[:-1]
+
+        monkeypatch.setattr(schedulers, "grq_rebuild", lossy)
+        path = tmp_path / "lossy.qtrace"
+        path.write_text("B 2\np 0 1 2 5\np 1 1 2 5\np 2 1 2 1\n")
+        lost = "packet 2: expected exactly one terminal event, got []"
+        assert main(["charge", "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count(": pass") == 7
+        assert captured.err == f"violation: transcript: {lost}\n"
+        assert main(["run", "--trace", str(path)]) == 1
+        assert capsys.readouterr().err == f"violation: {lost}\n"
 
 
 class TestGen:

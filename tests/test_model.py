@@ -20,7 +20,6 @@ from slotq.model import (
     check_transcript_invariants,
     validate_trace,
 )
-from slotq.schedulers import check_buffer_invariants
 from slotq.traceio import emit_trace
 
 
@@ -251,22 +250,6 @@ class TestTrace:
             P(0, 1, 9, Fraction(1, 3)), P(3, 2, 2, Fraction(333, 1000)), P(4, 1, 1, 3),
         ])
         assert [p.id for p in t.by_rank] == [4, 2, 1, 5, 0, 3]
-
-
-class TestBufferInvariants:
-    def test_weights_must_not_increase(self):
-        trace = Trace(2, (P(0, 1, 2, 3), P(1, 1, 3, 5)))  # packet 1 has rank 0
-        errs = check_buffer_invariants(1, (1, 0), trace)
-        assert errs == ["slot 2: weight 5 exceeds weight 3 at slot 1"]
-
-    def test_deadline_below_label(self):
-        trace = Trace(2, (P(1, 1, 2, 5), P(0, 1, 1, 5)))  # packet 0 has rank 0
-        errs = check_buffer_invariants(1, (1, 0), trace)
-        assert errs == ["slot 2: packet 0 has deadline 1 < label 2"]
-
-    def test_prefix_with_empty_tail_ok(self):
-        trace = Trace(3, (P(0, 1, 3, 5),))
-        assert check_buffer_invariants(1, (0,), trace) == []
 
 
 def _single_step_transcript(trace, *steps):

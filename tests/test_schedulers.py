@@ -24,7 +24,6 @@ from slotq.model import (
     validate_trace,
 )
 from slotq.schedulers import (
-    check_buffer_invariants,
     check_slot_monotonicity,
     greedy,
     grq,
@@ -113,9 +112,13 @@ class TestRebuild:
 
     def test_result_satisfies_rebuild_invariants(self):
         trace = Trace(4, [P(i, 1, 1 + i % 3, 1 + i % 5) for i in range(6)])
-        slots, _, refused = grq_rebuild([], list(range(len(trace.packets))), 1, trace)
+        arrivals = list(range(len(trace.packets)))
+        slots, _, refused = grq_rebuild([], arrivals, 1, trace)
         assert slots == (0, 2, 5) and refused == [1, 3, 4]
-        assert check_buffer_invariants(1, slots, trace) == []
+        # grq's step checks (a)-(d) accept it and send its front
+        held, snapshot, rejections, sent = grq((), arrivals, 1, trace)
+        assert (held, snapshot, sent) == (slots[1:], slots, trace.rank_id[0])
+        assert [r.packet_id for r in rejections] == [trace.rank_id[r] for r in refused]
 
 
 class TestTransmit:
@@ -400,8 +403,12 @@ class TestRunGrq:
                 n=7, horizon=6, buffer_size=1 + seed % 4, seed=seed))
             ts = run_grq(trace)
             assert check_transcript_invariants(ts) == []
+            # each recorded snapshot is what grq's checked step makes of
+            # the carried ranks and the step's arrivals
+            held = ()
             for rec in ts.steps:
-                assert check_buffer_invariants(rec.time, rec.slots, trace) == []
+                held, slots, _, _ = grq(held, trace.arrival_ranks.get(rec.time, ()), rec.time, trace)
+                assert slots == rec.slots
 
     def test_preemption_recorded_at_rebuild_time(self):
         t = validate_trace(2, [P(0, 1, 2, 1), P(1, 1, 3, 2), P(2, 2, 2, 5)])
