@@ -62,16 +62,16 @@ def _transcript_rows(transcript: Transcript) -> list[dict]:
     return rows
 
 
-def _write_table(args, rows: list[dict], payload: dict) -> None:
-    """Write to --out (stdout without it): `rows` as CSV, or `payload` as JSON."""
+def _write_table(args, columns: tuple[str, ...], rows: list[dict], payload: dict) -> None:
+    """Write to --out (stdout without it): `rows` as CSV under the header
+    `columns`, written even when there are no rows, or `payload` as JSON."""
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return
     buf = io.StringIO()
-    if rows:
-        w = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-        w.writeheader()
-        w.writerows(rows)
+    w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
     _emit(buf.getvalue(), args.out)
 
 
@@ -83,8 +83,9 @@ def _cmd_run(args) -> int:
     if args.algo == "grq":
         violations += check_slot_monotonicity(transcript)
     rows = _transcript_rows(transcript)
-    _write_table(args, rows, {"rows": rows, "total": str(transcript.total_weight),
-                              "violations": violations})
+    columns = ("step", "arrivals", "transmitted", "weight", "rejections")
+    _write_table(args, columns, rows, {"rows": rows, "total": str(transcript.total_weight),
+                                       "violations": violations})
     print(f"{args.algo} total: {transcript.total_weight}")
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
@@ -101,8 +102,8 @@ def _cmd_oracle(args) -> int:
          "weight": str(trace.by_id[pid].weight)}
         for pid, t in sorted(schedule.assignment.items())
     ]
-    _write_table(args, rows, {"rows": rows, "value": str(schedule.value),
-                              "violations": []})
+    _write_table(args, ("packet", "step", "weight"), rows,
+                 {"rows": rows, "value": str(schedule.value), "violations": []})
     print(f"{args.algo} optimum: {schedule.value}")
     return 0
 
@@ -142,7 +143,7 @@ def _cmd_charge(args) -> int:
              "violations": " | ".join(c.violations)}
             for c in report.checks
         ]
-        _write_table(args, rows, {
+        _write_table(args, ("check", "name", "result", "violations"), rows, {
             "checks": [
                 {"number": c.number, "name": c.name, "passed": c.passed,
                  "violations": list(c.violations)}

@@ -37,9 +37,14 @@ J. Algorithms 1981).  It works on the trace's integer-scaled weights
 (Trace.scaled_weight), so nothing is ever rounded, and it returns EDF's
 assignment of the chosen set.
 
-enumerate_feasible walks every feasible schedule (up to a cap) in a fixed
-order, including schedules that idle while packets sit available; the charge
-verifier must hold against all of them, not just the optimum.
+enumerate_feasible walks every feasible schedule (up to a cap), including
+schedules that idle while packets sit available; the charge verifier must
+hold against all of them, not just the optimum.  Its order is that of a
+depth-first search over the steps that tries each packet that fits by id and
+then idles: under a partial schedule come the schedules whose next send is
+(t, p), in ascending (t, id), then the one with no further send.  So it
+walks the sends themselves, at most one frame per send; nothing is sized
+by the horizon, and only a send's occupancy walk grows with its window.
 
 Certification compares scaled integers: schedule values and verify_schedule's
 value check are sums of Trace.scaled_weight, and a Fraction is built only for
@@ -47,9 +52,9 @@ a declared value or a message.
 """
 
 import heapq
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -395,87 +400,78 @@ def relax_capacity(trace: Trace) -> Trace:
 def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
     """Up to `limit` distinct feasible schedules, exhaustive when fewer exist.
 
-    Depth-first over the steps some window holds (any other step can only
-    idle): at each step try sending each live, still-unsent packet
-    (ascending id), then idling.  A send is kept only if the buffer
-    occupancy it implies over [release, send] stays within capacity;
-    occupancy only ever grows as packets are added, so pruning an overfull
-    prefix is safe.  The all-idle schedule is always included (last,
-    when the limit permits).  The search keeps its own stack of steps, so
-    long horizons need no recursion.
+    In the order the module docstring gives, so the all-idle schedule is
+    last.  A frame is one send (plus the root).  Its candidates, the packets
+    still unsent, due after its step and still fitting, are fixed when it is
+    made, since `full` only grows below it and is restored on backtrack.  Its
+    children are the next sends (_next_sends), which jump over the steps no
+    candidate's window holds, and its own schedule is its last leaf.  A send
+    with no candidate has that leaf alone, so it gets no frame.  The stack
+    is explicit, so nothing recurses.
 
-    Occupancy is a list indexed by step, and `full` is the last step that
-    holds B packets.  Every send so far is before t, so every full step is
-    too, and sending a packet released at r at step t fits iff full < r:
-    one comparison, whatever the window's length.  A send still walks its
-    window to update occupancy.  The schedule's value is a running total of
-    Trace.scaled_weight, and each distinct total becomes one Fraction per
-    call.
+    Occupancy is a dict over the steps that a tried send walks, and `full`
+    is the last step holding B packets.  Every send so far precedes the next
+    one, so every full step does too, and a packet released at r fits iff
+    full < r: one comparison, whatever the window's length.  The schedule's
+    value is a running total of Trace.scaled_weight, and each distinct total
+    becomes one Fraction per call.
     """
     if limit < 0:
         raise AssertionError(f"enumerate_feasible needs limit >= 0, got {limit}")
     bsize = trace.buffer_size
     scaled, denominator = trace.scaled_weight, trace.weight_denominator
-    packs = sorted(trace.packets, key=lambda p: p.id)
-    # the live packets change only at a release or just after a deadline
-    cuts = sorted({p.release for p in packs} | {p.deadline + 1 for p in packs})
-    steps = array("q")  # the steps some window holds, ascending; 8 bytes a step
-    live: list[list[Packet]] = []  # the packets whose window holds each, ascending id
-    for a, b in zip(cuts, cuts[1:]):
-        held = [p for p in packs if p.release <= a <= p.deadline]
-        if held:
-            steps.extend(range(a, b))
-            live.extend([held] * (b - a))
-    depth = len(steps)
-    occ = [0] * (trace.horizon + 1)
+    occ: dict[int, int] = {}  # step -> packets the sends so far hold there
     full = 0  # the last step holding B packets; 0 while there is none
-    fulls: list[int] = []  # `full` before each send still held, in send order
     total = 0
     values: dict[int, Fraction] = {}
     assignment: dict[int, int] = {}
     found: list[OfflineSchedule] = []
 
-    # one frame per step steps[0..i]: [next choice to try, packet sent by the current one]
-    stack: list[list] = [[0, None]] if limit else []
+    # one frame per send so far that has candidates, plus the root:
+    # (its candidates, its next sends, the send, `full` before the send)
+    packs = sorted(trace.packets, key=lambda p: p.id)
+    stack = [(packs, _next_sends(packs, 0), None, 0)] if limit else []
     while stack and len(found) < limit:
-        frame = stack[-1]
-        i = len(stack) - 1
-        if i == depth:
-            value = values.get(total)
-            if value is None:
-                value = values[total] = Fraction(total, denominator)
-            found.append(OfflineSchedule(dict(assignment), value))
+        cands, sends, sent, before = stack[-1]
+        send = next(sends, None)
+        if send is None:  # no further send: the frame's own schedule is its last leaf
             stack.pop()
-            continue
-        t = steps[i]
-        choice, sent = frame
-        if sent is not None:  # back from the subtree that sends `sent` at t
-            for s in range(sent.release, t + 1):
-                occ[s] -= 1
-            full = fulls.pop()
-            total -= scaled[sent.id]
-            del assignment[sent.id]
-            frame[1] = None
-        choices = live[i]
-        idle = len(choices)  # the last choice at every step
-        while choice < idle:
-            p = choices[choice]
-            choice += 1
-            if p.id not in assignment and full < p.release:
-                fulls.append(full)
-                for s in range(p.release, t + 1):
-                    occ[s] += 1
-                    if occ[s] == bsize:
-                        full = s
-                total += scaled[p.id]
-                assignment[p.id] = t
-                frame[1] = p
-                break
         else:
-            if choice > idle:  # idled too: this step is exhausted
-                stack.pop()
+            sent, before = send, full
+            t, p = send
+            for s in range(p.release, t + 1):
+                held = occ[s] = occ.get(s, 0) + 1
+                if held == bsize:
+                    full = s
+            total += scaled[p.id]
+            assignment[p.id] = t
+            later = [q for q in cands if q is not p and q.deadline > t and full < q.release]
+            if later:
+                stack.append((later, _next_sends(later, t), send, before))
                 continue
-            choice += 1
-        frame[0] = choice
-        stack.append([0, None])
+        value = values.get(total)
+        if value is None:
+            value = values[total] = Fraction(total, denominator)
+        found.append(OfflineSchedule(dict(assignment), value))
+        if sent is not None:
+            t, p = sent
+            for s in range(p.release, t + 1):
+                occ[s] -= 1
+            full = before
+            total -= scaled[p.id]
+            del assignment[p.id]
     return found
+
+
+def _next_sends(packets: list[Packet], t: int) -> Iterator[tuple[int, Packet]]:
+    """Every send (u, p) with u > t and p in `packets` (ascending id) whose
+    window holds u, in ascending (u, id), jumping over the steps that no
+    window holds."""
+    while True:
+        later = [p.release for p in packets if p.deadline > t]
+        if not later:
+            return
+        t = max(t + 1, min(later))
+        for p in packets:
+            if p.release <= t <= p.deadline:
+                yield t, p

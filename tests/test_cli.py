@@ -85,6 +85,24 @@ class TestOracle:
         assert len(payload["rows"]) == 3
 
 
+class TestEmptyTable:
+    """A CSV table with no rows still has its header row."""
+
+    @pytest.mark.parametrize("text, argv, out", [
+        ("B 2\n", ("run",), "step,arrivals,transmitted,weight,rejections\ngrq total: 0\n"),
+        ("B 2\n", ("run", "--algo", "greedy"),
+         "step,arrivals,transmitted,weight,rejections\ngreedy total: 0\n"),
+        ("B 1\n", ("oracle",), "packet,step,weight\nbounded optimum: 0\n"),
+        ("B 1\np 0 1 1 0\n", ("oracle", "--algo", "unbounded"),
+         "packet,step,weight\nunbounded optimum: 0\n"),
+    ], ids=["grq", "greedy", "bounded", "unbounded"])
+    def test_header_without_rows(self, text, argv, out, tmp_path, capsys):
+        path = tmp_path / "t.qtrace"
+        path.write_text(text)
+        assert main([*argv, "--trace", str(path)]) == 0
+        assert capsys.readouterr().out == out
+
+
 class TestLongHorizon:
     """Two packets whose windows span 1,500 steps; B = 1 holds only one."""
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -404,6 +405,20 @@ class TestEnumerateFeasible:
 
     def test_zero_limit(self):
         assert enumerate_feasible(validate_trace(1, [P(0, 1, 1, 1)]), 0) == []
+
+    def test_long_windows_cost_what_the_sends_do(self):
+        # two windows of 200,000 steps: five schedules, found without
+        # anything sized by the steps (a list of one int per step alone
+        # takes 1.6 MB)
+        t = validate_trace(2, [P(0, 1, 200_000, 1), P(1, 1, 200_000, 2)])
+        tracemalloc.start()
+        try:
+            got = enumerate_feasible(t, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.assignment for s in got] == [{0: 1, 1: u} for u in range(2, 7)]
+        assert peak < 100_000
 
     @settings(max_examples=300, deadline=None)
     @given(long_window_traces(), st.sampled_from((0, 1, 7, 50)))
