@@ -12,39 +12,26 @@ send (t, x) is classified:
                 rejection-window property, and its absence is a verifier
                 failure, not a recoverable condition.
 
-S and D targets are forced.  F-charges are placed afterwards: groups in
-ascending rejection time t0, within a group in ascending adversary send time,
-each onto the earliest GRQ transmission step >= t0 that holds fewer than two
-charges so far.  Placements are never revised, and a placement falling outside
-[t0, t0 + B - 1] raises immediately — the induction behind the proof says it
-cannot happen, so an escape would be either an implementation bug or a genuine
-counterexample, and both must surface loudly.
+A D-charge onto an idle step sends weight 0 (0 <= 2*0), and at most one
+adversary send exists per step, so idle targets never absorb real weight.
+An F-classified x outweighs GRQ's send at t, so GRQ did not hold x at t
+(its front packet is a heaviest one it holds, see slotq.schedulers) and
+never sends it later; an earlier send would make the charge S.  So GRQ
+rejected x.
+
+F-charges are placed after the forced S and D targets, all of which count
+from the start, since the two-per-step cap must hold against the finished
+map.  Groups go in ascending rejection time t0, within a group in ascending
+adversary send time, each onto the earliest GRQ transmission step >= t0
+that holds fewer than two charges so far.  Placements are never revised,
+and a placement falling outside [t0, t0 + B - 1] raises immediately — the
+induction behind the proof says it cannot happen, so an escape would be an
+implementation bug or a genuine counterexample, and both must surface loudly.
 
 A send's charge depends only on the transcript and the (step, packet) pair,
-and charges are immutable values, so every Charge classify_charges returns
-comes from _charge, a bounded functools.lru_cache over the class: the
-adversaries of one transcript, and of other small traces, meet the same
-values and share those instances.  One pass over the acceptance-box pool
-of the benchmark builds 10,492 charges of 217 distinct values, so 10,275
-calls hit; a hit costs 0.11 us against 0.31 us to build a Charge (CPython
-3.11.7, timeit).  Placement makes a new F-charge with _replace.
-
-verify_charge_map then re-checks everything from scratch — the seven checks
-below — without trusting how the map was built, so tampered maps fail too;
-a charge of a kind other than S, D or F is a check-3 violation.
-Coverage and capacity first decide pass or fail with one builtin test over
-the charges: coverage compares the sources, keyed by send time, with the
-adversary's sends and counts them; capacity looks for a step three times
-among the sorted targets.  Only if that test fails do they walk the charges
-again to word their violations, in the order a full scan gives them.
-Domination is one loop over the charges that words each violation as it
-meets it.  Checks 4-6 run only when there is an F-charge, which is rare, and
-the headline bound is one comparison.
-
-Both sides compare weights as the trace's exact scaled integers
-(Trace.scaled_weight, Transcript.scaled_sent); a Fraction is built only to
-print a weight in a message.  Weight order is unchanged by the scaling, so
-every decision equals the rational one.
+and charges are immutable, so every Charge classify_charges returns comes
+from _charge, a bounded lru_cache over the class, and equal charges share
+one instance.
 """
 
 from collections import Counter
@@ -68,11 +55,8 @@ class ChargeConstructionError(RuntimeError):
 
 class Charge(NamedTuple):
     """One adversary send (source_time, source_id) mapped onto GRQ step `target`.
-
-    F-charges carry the GRQ rejection step of the packet; classification
-    leaves their target None until placement assigns it.  The kind is
-    S_CHARGE, D_CHARGE or F_CHARGE; verify_charge_map reports any other.
-    """
+    An F-charge carries the packet's GRQ rejection step, and its target is None
+    until placement.  verify_charge_map reports a kind other than S, D or F."""
 
     kind: str
     source_time: int
@@ -95,17 +79,11 @@ _charge = lru_cache(maxsize=4096)(Charge)
 
 
 def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...]:
-    """Assign a charge kind to every adversary send, in send-time order.
-
-    S and D charges come back with their (forced) targets; F charges carry
-    their rejection time and an unassigned target.  Raises
-    ChargeConstructionError if an F-classified packet has no recorded GRQ
-    rejection — the rejection-window property says it must have one.
-
-    A zero-weight adversary send at a GRQ-idle step classifies as D targeting
-    the idle step; the charge is vacuous (0 <= 2*0) and at most one adversary
-    send exists per step, so idle targets never absorb real weight.
-    """
+    """The charge of every adversary send, in send-time order, by the S/D/F
+    rules (module docstring); F-charges come with their rejection time and no
+    target.  Raises AssertionError if `adv` fails verify_schedule or GRQ sent
+    an F-classified packet later, and ChargeConstructionError if an
+    F-classified packet has no recorded GRQ rejection."""
     errs = verify_schedule(grq.trace, adv)
     if errs:
         raise AssertionError(f"adversary schedule infeasible: {errs}")
@@ -120,9 +98,7 @@ def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...
             out.append(_charge(S_CHARGE, t, pid, sent_at, None))
         elif scaled[pid] <= sent[t - 1]:
             out.append(_charge(D_CHARGE, t, pid, t, None))
-        # x outweighs GRQ's send at t, so GRQ cannot still hold x (the front
-        # packet is heaviest) and never sent it: it was rejected.
-        elif sent_at is not None:
+        elif sent_at is not None:  # impossible: module docstring
             raise AssertionError(
                 f"packet {pid} outweighs GRQ's send at t={t} but GRQ sent it at {sent_at}"
             )
@@ -138,17 +114,10 @@ def classify_charges(grq: Transcript, adv: OfflineSchedule) -> tuple[Charge, ...
 
 
 def assign_f_charges(grq: Transcript, classified: tuple[Charge, ...]) -> ChargeMap:
-    """Place every F-charge; S/D targets are installed first and never move.
-
-    All fixed S/D charges count toward slot availability from the start, even
-    ones whose adversary time lies beyond the group being processed — the
-    two-per-step cap must hold against the finished map, so placement has to
-    see them.  Groups go in ascending rejection time; within a group,
-    ascending adversary send time.  Each F-charge takes the earliest GRQ
-    transmission step >= its rejection time with fewer than two charges;
-    landing after rejection_time + B - 1 (or nowhere) is a construction
-    failure.
-    """
+    """Place every F-charge by the placement rule (module docstring).  Raises
+    AssertionError for an F-charge without a rejection time or an S or D charge
+    without a target, and ChargeConstructionError when an F-charge lands
+    nowhere or after rejection_time + B - 1."""
     fixed: list[Charge] = []
     pending: list[Charge] = []
     for c in classified:
@@ -235,9 +204,7 @@ def verify_charge_map(
     7. headline: adversary value <= 2 x GRQ value.
 
     Nothing is trusted from construction; a tampered map fails the relevant
-    check rather than crashing the verifier.  Checks 1 and 2 word their
-    violations only after a one-builtin pre-test fails; check 3 words them
-    in its single loop, in charge order.
+    check rather than crashing the verifier.
     """
     trace: Trace = grq.trace
     charges = cmap.charges
@@ -307,11 +274,9 @@ def verify_charge_map(
 def check_charges(
     grq: Transcript, adv: OfflineSchedule
 ) -> tuple["ChargeReport | None", list[str]]:
-    """Build the charge map of `adv` against `grq` and verify it.
-
-    Returns the report and its failures.  A map that cannot be built gives
-    no report and the one failure "construction: <reason>".
-    """
+    """Build the charge map of `adv` against `grq` and verify it: the report and
+    its failures, or no report and the one failure "construction: <reason>"
+    when the map cannot be built."""
     try:
         report = verify_charge_map(build_charge_map(grq, adv), grq, adv)
     except ChargeConstructionError as e:

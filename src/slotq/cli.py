@@ -1,12 +1,5 @@
-"""Command-line workbench.
-
-    slotq run        --trace f.qtrace --algo grq|greedy [--out F --format csv|json]
-    slotq oracle     --trace f.qtrace --algo bounded|unbounded
-    slotq charge     --trace f.qtrace [--enumerate K]
-    slotq gen        killer --b 10 --eps 1/10 [--out F]
-    slotq gen        random --n 8 --horizon 6 --b 2 --seed 1 [--max-weight 16]
-    slotq search     --n 8 --b 3 --horizon 8 --seed 1 --iters 1000
-    slotq experiment --config exp.json [--out F --format csv|json]
+"""Command-line workbench: the `slotq` command (`slotq --help` lists the
+subcommands and their flags; README's CLI section shows them at work).
 
 Exit codes: 0 every check passed, 1 a property violation was found (that is
 the interesting outcome — the trace involved is printed or persisted),

@@ -1,20 +1,11 @@
 """Experiment harness: run the full pipeline over generated traces.
 
-A config (JSON file or equivalent dict) names trace sources; every trace
-goes through both schedulers with their structural checks, the bounded and
-the unbounded optimum, and the charge verifier against the bounded optimum.
-Example:
-
-    {
-      "traces": [
-        {"kind": "random", "count": 100, "seed": 7,
-         "n": 8, "horizon": 6, "buffer_size": 3, "max_weight": 16},
-        {"kind": "killer", "buffer_size": 10, "eps": "1/10"}
-      ]
-    }
-
-The keys are closed, and `traces` is the only top-level one; a source's fields
-go as they are to GeneratorParams or gen_killer, whose rules decide their type.
+A config (a JSON file or the equivalent dict; README's "Experiment config"
+gives its closed set of keys) names trace sources; every trace goes through
+both schedulers with their structural checks, the bounded and the unbounded
+optimum, and the charge verifier against the bounded optimum.  A source's
+fields go as they are to GeneratorParams or gen_killer, whose rules decide
+their type.
 
 Every row is a pure function of the config (seeds included).  Ratios are
 exact rationals end to end; serialization writes them as num/den.  Any
@@ -127,12 +118,11 @@ def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
     its relaxed view, the oracle order, the ratio and the charge verifier on
     one trace; collect every violation.
 
-    The runners, the oracle and value_ratio check their own output and
-    raise AssertionError on a fault.  One rule covers every such call: the
-    fault becomes a violation of the row, so the trace is kept for replay,
-    and every stage that needs the missing result is skipped; its cells
-    print empty.  `charging` is "skipped" only when the slot queue or the
-    bounded optimum is missing.
+    A fault that the runners, the oracle or value_ratio raise as
+    AssertionError becomes a violation of the row, so the trace is kept for
+    replay, and every stage that needs the missing result is skipped; its
+    cells print empty, and `charging` is "skipped" only when the slot queue
+    or the bounded optimum is missing.
     """
     violations: list[str] = []
 
@@ -183,7 +173,8 @@ def evaluate_trace(trace: Trace, index: int = 0) -> ExperimentRow:
 
 def run_experiment(config: dict, counterexample_dir: "str | Path | None" = None) -> ExperimentReport:
     """Evaluate every configured trace; deterministic for a fixed config.
-    A failing trace is persisted in `counterexample_dir` unless it is None or ""."""
+    A failing trace is persisted in `counterexample_dir` unless it is None or "".
+    Raises ConfigError for a malformed config."""
     for key, value in config.items():
         if key != "traces":
             raise ConfigError(f"unknown config key {key!r}")

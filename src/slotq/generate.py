@@ -4,9 +4,17 @@ Reproducibility contract: identical parameters + seed produce the identical
 trace, byte-for-byte after emission, on any implementation of this tool.
 That rules out a host language's default PRNG, so draws come from splitmix64
 (the reference constants below) and each generated quantity consumes a fixed,
-documented number of draws.  SplitMix64 computes its outputs in blocks,
-one int operation per step of the mix for the whole block, which gives the
-same stream as computing them one at a time at a fraction of the cost.
+documented number of draws.
+
+Block lanes.  SplitMix64 computes its outputs in blocks of _BLOCK, and each
+draw takes the next buffered one, so the stream is the one-at-a-time stream,
+output for output.  A block's states seed + k*gamma sit in 128-bit lanes of
+one int, each lane holding a value below 2**64.  A lane has room for such a
+value times a 64-bit constant, so each shift, xor, multiply and mask of the
+finalizer is one int operation for the whole block; masking with _LANES
+keeps the low 64 bits of every lane.  The lanes leave the int as
+little-endian bytes, unpacked as little-endian words, so the outputs do not
+depend on the host's byte order.
 """
 
 import struct
@@ -20,12 +28,9 @@ _DRAW_RANGE = 1 << 64  # the values one draw reaches
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# SplitMix64's outputs per block.  An output costs about a quarter of a
-# scalar one at any block size from 16 to 64, but a block is computed whole,
-# and a stream that stops short of its end wastes the rest.  An
-# acceptance-box trace draws at most 30 outputs; drawing that pool's
-# streams took 1.11x the scalar time with blocks of 64 and 0.71x with 32,
-# and bulk-stream's 0.41x and 0.42x (CPython 3.11.7, x86-64, best of 20).
+# SplitMix64's outputs per block.  A block is computed whole, so a stream
+# that stops short of its end wastes the rest: short streams want small
+# blocks and long ones large blocks.
 _BLOCK = 32
 _ONES = sum(1 << 128 * k for k in range(_BLOCK))  # 1 in each lane
 _LANES = _MASK64 * _ONES  # the low 64 bits of each lane
@@ -70,21 +75,11 @@ def parse_rational(name: str, value) -> "int | Fraction":
 
 class SplitMix64:
     """splitmix64 stream: state advances by the golden-gamma constant, output
-    is the standard two-round xor-multiply finalizer.  Draws below n use plain
-    modulo — bias is irrelevant here, identical streams are the point.  Every
-    draw, below(n) for any n, consumes exactly one 64-bit output, so below(n)
-    reaches all of 0..n-1 only for n <= 2**64 (GeneratorParams keeps its
-    ranges there).
-
-    The outputs are computed in blocks of _BLOCK, and each draw takes the
-    next buffered one, so the stream is the one-at-a-time stream, output
-    for output.  A block's states seed + k*gamma sit in 128-bit lanes of
-    one int, each lane holding a value below 2**64.  A lane has room for
-    such a value times a 64-bit constant, so each shift, xor, multiply and
-    mask of the finalizer is one int operation for the whole block;
-    masking with _LANES keeps the low 64 bits of every lane.  The lanes
-    leave the int as little-endian bytes, unpacked as little-endian
-    words, so the outputs do not depend on the host's byte order.
+    is the standard two-round xor-multiply finalizer, computed in blocks
+    (module docstring).  Draws below n use plain modulo — bias is irrelevant
+    here, identical streams are the point.  Every draw, below(n) for any n,
+    consumes exactly one 64-bit output, so below(n) reaches all of 0..n-1
+    only for n <= 2**64.  below raises AssertionError for n < 1.
 
     `state` is the state of the last output computed, which ends the
     buffered block: up to _BLOCK - 1 outputs past the last one drawn.
@@ -127,12 +122,11 @@ class GeneratorParams:
     [0, 1]) that a packet reuses the previous packet's release step, which
     clumps arrivals the way overload instances need.
 
-    Integer fields follow require_int and `burst` require_rational (a bool is
-    neither, and a float is not exact); a bad type or range is a ParameterError.
-    Each release, span, weight and burst test is one SplitMix64 draw, which
-    consumes one 64-bit output; so that every value in its range can be
-    drawn, `horizon`, `max_weight` and the denominator of `burst` are at
-    most 2**64.
+    Integer fields follow require_int and `burst` require_rational; a bad
+    type or range is a ParameterError.  Each release, span, weight and burst
+    test is one SplitMix64 draw of one 64-bit output; so that every value in
+    its range can be drawn, `horizon`, `max_weight` and the denominator of
+    `burst` are at most 2**64.
     """
 
     n: int
@@ -193,12 +187,10 @@ def gen_killer(buffer_size: int, eps: Fraction) -> Trace:
     B packets (release 1, deadline 1, weight 1) arrive together with B-1
     packets (release 1, deadline B, weight 1-eps).  Keep-the-heaviest fills
     the buffer with the weight-1 packets, sends one, and lets the other B-1
-    expire: total 1.  The optimum sends one weight-1 packet and then drains
-    all B-1 of the (1-eps)-weight packets: total 1 + (B-1)(1-eps), so the
-    ratio grows linearly in B as eps shrinks.  The slot-queue scheduler keeps
-    exactly one weight-1 packet (label 1) plus all the long-deadline packets
-    and matches the optimum.  `buffer_size` (>= 2) follows require_int and
-    `eps` require_rational.
+    expire: total 1.  The optimum, and the slot queue, send one weight-1
+    packet and then all B-1 others: total 1 + (B-1)(1-eps), so greedy's
+    ratio grows linearly in B as eps shrinks.  `buffer_size` (>= 2) follows
+    require_int and `eps` require_rational; either raises ParameterError.
     """
     require_int("buffer_size", buffer_size, 2)
     if not 0 < require_rational("eps", eps) < 1:

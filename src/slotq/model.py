@@ -5,35 +5,33 @@ whose release time equals t arrive and admission decisions are made, then at
 most one packet is transmitted.  A packet earns its weight only if it is sent
 at some step within [release, deadline]; afterwards it is worthless.
 
-Weights are exact rationals (fractions.Fraction).  The verifiers need exact
-weight comparisons, so nothing in this package goes through floating point.
-Trace.weight_denominator and Trace.scaled_weight, the integer view of the
-weights that the hot loops compare, work once per distinct weight object
-(Trace._weights), not once per packet.
+Weights are exact rationals (fractions.Fraction), and nothing in this
+package goes through floating point.  The hot loops compare
+Trace.scaled_weight instead: each weight times the common denominator, an
+integer that orders and sums exactly as the rational weight does, so no
+decision rounds; a Fraction is built only for a value or a message.
 
-The slot-queue scheduler names buffer positions after absolute time steps: a
-buffer of size B at time t exposes the labels t..t+B-1 and transmits from the
-slot labeled t.  Its filled slots always form a prefix of those labels, so a
-snapshot is the tuple of the placed packets' ranks (positions in
-Trace.by_rank), slot i labeled t + i, and the window size is
-Trace.buffer_size.  Transcript is the full per-step record an algorithm run
-leaves behind.
+Rank order.  The online schedulers process packets in Trace.by_rank order:
+weight descending, then deadline ascending, then id ascending.  Ids are
+unique, so the order is strict and total, and among equal weights the
+tighter deadline goes first, which never hurts placement.
 
-All types here are immutable values; the operations are pure functions, so
-distinct traces can be processed concurrently without coordination.
+Immutability.  All types here are immutable values and the operations pure
+functions, so distinct traces can be processed concurrently.  A `lazy`
+attribute is computed from its immutable instance alone, so two threads
+racing on a first access compute equal values, and either result serves.
+Trace.relaxed differs from its trace only in buffer_size, which no other
+lazy attribute reads, so the view may share every index the trace has.
 
-Packet and StepRecord, built once per packet and once per step, are slotted
-frozen dataclasses with their own __init__, which stores each field through
-its slot descriptor's __set__ (_slot_setters).  The generated __init__ of a
-frozen dataclass calls object.__setattr__ once per field, and Packet's int
-conversion needed a __post_init__ on top.  With CPython 3.11.7 (timeit,
-best of 7) a Packet costs 0.42 us against the generated 0.74 us, and a
-StepRecord 0.40 us against 0.67 us.  Both stay dataclasses: their
-signature is their fields, and dataclasses.replace, ==, hash, repr and
-FrozenInstanceError behave as the generated ones do.  Rejection keeps the
-generated __init__; the schedulers intern rejections instead.  Trace and
-Transcript, built a few times per trace, and oracle.OfflineSchedule keep
-theirs too.
+Printability.  Python prints no int of more than
+sys.get_int_max_str_digits() digits.  Each weight or sum of weights is s / D
+with 0 <= s <= the total scaled weight and D the common denominator, so if D
+and that total print, every value does; validate_trace checks those two.
+
+Packet and StepRecord, built once per packet and once per step, have their
+own __init__ (_slot_setters), since the generated frozen __init__ calls
+object.__setattr__ per field.  Both stay dataclasses, so replace, ==, hash,
+repr and FrozenInstanceError behave as the generated ones do.
 """
 
 import math
@@ -49,17 +47,10 @@ EXPIRED = "expired"                      # buffered packet reached its deadline 
 
 
 class lazy:
-    """An attribute computed on first access and then stored on the instance.
-
-    functools.cached_property does the same, but on Python 3.10 and 3.11
-    it takes an RLock on every first access, about 0.4 µs more per
-    attribute, and a trace and its transcripts fill about twenty of them.
-    The value goes straight into the instance __dict__, which a frozen
-    dataclass allows; since this is a non-data descriptor, later reads
-    find it there and never call __get__ again.  Two threads racing on a
-    first access may both compute it, as on Python 3.12.  Every value is
-    computed from the immutable instance alone, so either result serves.
-    """
+    """An attribute computed on first access and stored in the instance
+    __dict__, where later reads find it (a non-data descriptor).  Thread
+    safety: module docstring.  functools.cached_property takes a lock on every
+    first access on Python 3.10 and 3.11."""
 
     def __init__(self, func):
         self.func = func
@@ -93,11 +84,8 @@ class Packet:
 
 
 def _slot_setters(cls) -> tuple:
-    """The __set__ of each field's slot descriptor, in field order.
-
-    Calling one stores a field without the frozen class's __setattr__,
-    which is how the record types' own __init__ fill a new instance.
-    """
+    """The __set__ of each field's slot descriptor, in field order: each
+    stores a field without the frozen class's __setattr__."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
@@ -131,37 +119,22 @@ class Trace:
 
     @lazy
     def scaled_weight(self) -> dict[int, int]:
-        """Packet id -> weight * weight_denominator, an exact integer.
-
-        Scaled weights order and sum exactly like the rational weights, so hot
-        loops can compare ints instead of Fractions without rounding anything.
-        """
+        """Packet id -> weight * weight_denominator, an exact integer."""
         d = self.weight_denominator
         scaled = {k: w.numerator * (d // w.denominator) for k, w in self._weights.items()}
         return {p.id: scaled[id(p.weight)] for p in self.packets}
 
     @lazy
     def _weights(self) -> dict[int, Fraction]:
-        """id(weight) -> weight, one entry per distinct weight object.
-
-        Fraction's numerator and denominator are Python-level properties,
-        so the weight indexes read them once per entry; the parser and
-        gen_random give equal weights one shared Fraction, so a 400-packet
-        bulk-stream trace has at most 16 entries.  The packets keep every
-        weight alive, so no id is reused while the trace lives.
-        """
+        """id(weight) -> weight, one entry per distinct weight object, so the
+        weight indexes read Fraction's Python-level numerator and denominator
+        once each.  The packets keep every weight alive, so no id is reused."""
         return {id(w): w for w in map(_weight, self.packets)}
 
     @lazy
     def relaxed(self) -> "Trace":
-        """The same instance with a buffer so large that capacity never binds.
-
-        Dropping the capacity constraint is the same problem as B = packet
-        count, so oracle.optimal_bounded on this view is the unbounded
-        optimum.  No other lazy attribute depends on buffer_size, so the view
-        starts with every index this trace has already computed; only the
-        fields, which the view's own __init__ set, are not copied.
-        """
+        """The same instance with a buffer so large that capacity never binds;
+        it starts with every index this trace has (module docstring)."""
         view = Trace(max(self.buffer_size, len(self.packets), 1), self.packets)
         own = view.__dict__
         own.update({k: v for k, v in self.__dict__.items() if k not in own})
@@ -169,13 +142,8 @@ class Trace:
 
     @lazy
     def by_rank(self) -> tuple[Packet, ...]:
-        """The packets in the processing order of the online schedulers.
-
-        The order is weight descending, then deadline ascending, then id
-        ascending: a strict total order (ids are unique) that favors tight
-        deadlines among equal weights, which never hurts placement.  Weights
-        are compared as Trace.scaled_weight integers.
-        """
+        """The packets in rank order (module docstring), weights compared as
+        Trace.scaled_weight integers."""
         w = self.scaled_weight
         # stable sorts from the last key to the first; reverse=True keeps
         # equal weights in their order, and the first two keys are C-level
@@ -216,16 +184,8 @@ class Trace:
 
     @lazy
     def deadline_greedy(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The greedy set of the deadline matroid, with EDF's schedule of it.
-
-        Returns (kept, steps).  The greedy takes the packets in rank order,
-        up to the first of weight 0, and keeps each iff EDF still meets every
-        window [release, deadline] with it added; `kept` lists the ranks it
-        keeps, ascending, and steps[i] is EDF's send step of kept[i].  It
-        does not depend on buffer_size, so the oracle reads it for the
-        bounded and the unbounded optimum (Trace.relaxed shares it once
-        computed).
-        """
+        """oracle.deadline_greedy of this trace, which Trace.relaxed shares, so
+        the bounded and the unbounded optimum compute it once between them."""
         from .oracle import deadline_greedy  # oracle imports this module
 
         return deadline_greedy(self)
@@ -255,7 +215,8 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     Fraction once Packet has converted an int; a duplicate id, deadline
     < release, negative weight, release < 1, buffer_size < 1) before raising
     InvalidTraceError, so callers can report a malformed instance in one pass.
-    A sound trace whose values would not print is refused too.
+    A sound trace whose values would not print is refused too (module
+    docstring, "Printability").
     """
     packets = tuple(packets)
     violations: list[str] = []
@@ -288,9 +249,6 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     if violations:
         raise InvalidTraceError(violations)
     trace = Trace(buffer_size, packets)
-    # Python prints no int of more than sys.get_int_max_str_digits() digits; each
-    # weight or sum of weights is s / D with 0 <= s <= the total scaled weight and
-    # D the common denominator, so if D and the total print, every value does
     try:
         str(trace.weight_denominator), str(sum(trace.scaled_weight.values()))
     except ValueError as e:
@@ -306,13 +264,12 @@ class Rejection:
 
 @dataclass(frozen=True, slots=True)
 class StepRecord:
-    """What one algorithm did during one time step.
+    """What one algorithm decided during one time step: rejections and send.
 
-    `slots` is the post-arrival-stage buffer for schedulers that keep a
-    labeled one, None otherwise: its packets' positions in Trace.by_rank,
-    the one in slot i labeled time + i; an idle step's is ().
-    `transmitted` is None on idle steps.  The record holds the step's
-    decisions only, its rejections and send; its arrivals are the trace's,
+    `slots` is the slot queue's snapshot after the arrival stage: the placed
+    ranks, slot i labeled time + i (slotq.schedulers), () on an idle step,
+    and None for other schedulers.
+    `transmitted` is None on idle steps.  A step's arrivals are the trace's,
     and the buffer's contents follow from the events.
     """
 
@@ -390,14 +347,8 @@ def check_transcript_invariants(transcript: Transcript) -> list[str]:
     Every packet of the trace must terminate exactly once, as a transmission
     or a rejection, at a step within its [release, deadline] window; each step
     transmits at most one packet (structural, one field per step) and never a
-    packet foreign to the trace.
-
-    One pass over the steps collects the terminal events into one
-    id -> step dict.  Builtins then decide the rest in rank order against
-    Trace.rank_release and rank_deadline.  Only a transcript that fails goes
-    through _transcript_violations, which words every violation.  (Builtin
-    passes over the steps were tried and lost: one attribute read per step
-    costs as much as this loop's whole step.)
+    packet foreign to the trace.  Only a transcript that fails goes through
+    _transcript_violations, which words every violation.
     """
     trace = transcript.trace
     ended: dict[int, int] = {}

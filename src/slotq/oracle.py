@@ -7,48 +7,53 @@ the arrival stage — number at most B.  A packet not in the assignment is
 treated as dropped on arrival; holding a packet one will never send is never
 useful, so this loses no generality.
 
-Which packet sets can be sent is decided by windows alone.  A set S is
-feasible under capacity B iff EDF sends all of S inside the windows
-[release, deadline] and also inside the windows [release, release + B - 1].
-The reason: the number of held packets at a step depends only on how many
-of S were released and how many were sent before it, so every
-work-conserving schedule of S holds the same number at every step, and no
-schedule of S holds fewer.  FIFO is work-conserving, and FIFO keeps a packet past
-release + B - 1 exactly when B + 1 packets are held at once; FIFO is EDF on
-the second windows.  So the capacity holds iff EDF meets the second windows,
-and then EDF on the first windows, work-conserving too, sends S within both
-deadlines and capacity.  Each window family makes the feasible sets a
-matroid (unit jobs with release times), and _edf is the independence test
-of both.
+Capacity windows.  A set S is feasible under capacity B iff EDF sends all
+of S inside the windows [release, deadline] and also inside the windows
+[release, release + B - 1].  The number of held packets at a step depends
+only on how many of S were released and how many were sent before it, so
+every work-conserving schedule of S holds the same number at every step,
+and no schedule of S holds fewer.  FIFO is work-conserving, and it keeps a
+packet past release + B - 1 exactly when B + 1 packets are held at once;
+FIFO is EDF on the second windows.  So the capacity holds iff EDF meets the
+second windows, and then EDF on the first windows, work-conserving too,
+meets both.  Each window family makes the feasible sets a matroid (unit
+jobs with release times), and _edf is the independence test of both.
 
-optimal_bounded is therefore a maximum-weight common independent set of
-the two matroids, and it is the one oracle for both capacity regimes:
-dropping the capacity constraint is the same problem as B = packet count,
-so the unbounded optimum is optimal_bounded(trace.relaxed).  The greedy in
-descending weight order is optimal for the deadline matroid alone;
-Trace.deadline_greedy runs it once per trace over the positive weights.
-The bounded optimum can never exceed that set's weight, so when the set
-also fits the capacity windows (always, on the relaxed view) it is the
-bounded optimum, and optimal_bounded returns it.  The intersection never
-adds a packet that gains nothing, so the oracle never sends a zero weight
-and that set is the intersection's own.  Only when it does not fit does
-optimal_bounded run weighted matroid intersection (Edmonds 1970; Frank,
-J. Algorithms 1981).  It works on the trace's integer-scaled weights
-(Trace.scaled_weight), so nothing is ever rounded, and it returns EDF's
-assignment of the chosen set.
+The shortcut.  optimal_bounded is a maximum-weight common independent set
+of the two matroids, and the one oracle for both capacity regimes: dropping
+the capacity constraint is the same problem as B = packet count, so the
+unbounded optimum is optimal_bounded(trace.relaxed).  The greedy in rank
+order, up to the first weight 0, is optimal for the deadline matroid alone
+(Trace.deadline_greedy).  Every set that fits the buffer meets the
+deadlines, so when the greedy set also fits the capacity windows it is the
+bounded optimum.  The intersection never adds a packet that gains nothing,
+so the greedy set is the intersection's own assignment, not just its value.
+On the relaxed view the shortcut always applies: EDF sends each of n
+packets within n - 1 steps of its release.  Either way optimal_bounded
+returns EDF's assignment of the chosen set.
 
-enumerate_feasible walks every feasible schedule (up to a cap), including
-schedules that idle while packets sit available; the charge verifier must
-hold against all of them, not just the optimum.  Its order is that of a
-depth-first search over the steps that tries each packet that fits by id and
-then idles: under a partial schedule come the schedules whose next send is
-(t, p), in ascending (t, id), then the one with no further send.  So it
-walks the sends themselves, at most one frame per send; nothing is sized
-by the horizon, and only a send's occupancy walk grows with its window.
+The intersection (_intersection; Edmonds 1970; Frank, J. Algorithms 1981)
+runs shortest augmenting paths.  From the empty set, each round builds the
+exchange graph of the current set I, whose vertex lengths are the scaled
+weight for members and its negation for the rest, and flips the path from
+the deadline matroid's free packets to the capacity matroid's that is
+shortest in (length, hops).  Each round leaves I of maximum weight for its
+size, and those maxima are concave in the size, so the loop stops at the
+first path that gains nothing.  The arcs come from one closure test
+(_closure): fix I's EDF schedule; the steps reachable from a job x by
+alternating paths are the closure of x's window under adding the window of
+every job sent inside it.  x fits iff that interval has a free step, and
+otherwise removing y frees x iff y is sent inside it.
 
-Certification compares scaled integers: schedule values and verify_schedule's
-value check are sums of Trace.scaled_weight, and a Fraction is built only for
-a declared value or a message.
+Enumeration.  enumerate_feasible walks every feasible schedule (up to a
+cap), idle steps included; the charge verifier must hold against all of
+them, not just the optimum.  Its order is that of a depth-first search over
+the steps that tries each packet that fits by id and then idles: under a
+partial schedule come the schedules whose next send is (t, p), in ascending
+(t, id), then the one with no further send.  So it walks the sends
+themselves, and nothing is sized by the horizon.  Every send so far
+precedes the next one, so every step holding B packets does too, and a
+packet released at r fits iff the last such step, `full`, is before r.
 """
 
 import heapq
@@ -88,13 +93,11 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
     Checks step-injectivity, the [release, deadline] window of every send, the
     capacity bound (a sent packet occupies the buffer from its release step
     through its send step, inclusive), and that the declared value equals the
-    recomputed total.  An assignment naming a packet the trace does not
-    contain is a caller bug and raises instead.
-
-    Occupancy comes from a difference array over the [release, send] end
-    points, and the value check compares Trace.scaled_weight sums, so the cost
-    grows with the number of sends, not with the steps they span.  With B or
-    fewer sends no step can hold more than B, so occupancy is not counted.
+    recomputed total.  Each maximal run of consecutive steps that hold the
+    same count above B gives one message, "steps a..b: n packets held,
+    buffer size B" ("step a: ..." for one step), so the cost and the output
+    grow with the number of sends, not with the steps they span.  Raises
+    ValueError for an assignment naming a packet the trace does not contain.
     """
     assignment = schedule.assignment
     by_id = trace.by_id
@@ -128,13 +131,17 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
         )
     held = 0
     points = sorted(delta)
+    over: list[list[int]] = []  # [first step, last step, count] of each overfull run
     for s, nxt in zip(points, points[1:]):
         held += delta[s]
         if held > bsize:
-            out.extend(
-                f"step {u}: {held} packets held, buffer size {bsize}"
-                for u in range(s, nxt)
-            )
+            if over and over[-1][1] == s - 1 and over[-1][2] == held:
+                over[-1][1] = nxt - 1  # a delta that nets to 0 continues the run
+            else:
+                over.append([s, nxt - 1, held])
+    for first, last, count in over:
+        steps = f"step {first}" if first == last else f"steps {first}..{last}"
+        out.append(f"{steps}: {count} packets held, buffer size {bsize}")
 
     value, denominator = schedule.value, trace.weight_denominator
     if total * value.denominator != value.numerator * denominator:
@@ -145,14 +152,12 @@ def verify_schedule(trace: Trace, schedule: OfflineSchedule) -> list[str]:
 # --- exact optima ---------------------------------------------------------
 
 def _edf(windows: list[tuple[int, int]]) -> "list[int] | None":
-    """Send step of each (release, end) unit job under earliest-deadline-first.
-
-    Returns None iff some job misses its end, which happens iff no schedule
-    meets every window (the exchange argument for unit jobs).  Equal ends go
-    to the job listed first, so callers list jobs in Trace.by_rank order.  EDF
-    idles only while nothing is released, so the schedule is work-conserving;
-    it jumps over idle stretches, so its cost does not grow with the horizon.
-    """
+    """Send step of each (release, end) unit job under earliest-deadline-first,
+    or None iff some job misses its end, which happens iff no schedule meets
+    every window (the exchange argument for unit jobs).  Equal ends go to the
+    job listed first, so callers list jobs in rank order.  EDF idles only
+    while nothing is released, so its schedule is work-conserving, and it
+    jumps over idle stretches."""
     order = sorted(range(len(windows)), key=lambda i: windows[i][0])
     steps = [0] * len(windows)
     heap: list[tuple[int, int]] = []
@@ -175,12 +180,9 @@ def _circuits(
     held: list[tuple[int, int]], extra: list[tuple[int, int]]
 ) -> "list[list[int] | None]":
     """For each window x in `extra`: None if held + x is independent, else
-    the positions in `held` of the jobs y such that held - y + x is.
-
-    `held` must be independent.  Fix its EDF schedule: the steps reachable
-    from x by alternating paths are the closure of x's window under adding
-    the window of every job sent inside it.  x fits iff that interval has a
-    free step, and otherwise removing y frees x iff y is sent inside it.
+    the positions in `held` of the jobs y such that held - y + x is, by the
+    closure test (module docstring).  Raises AssertionError if `held` is
+    dependent.
     """
     steps = _edf(held)
     if steps is None:
@@ -200,10 +202,7 @@ def _closure(
     `sent` (ascending; the one sent at sent[k] has window
     [release[k], end[k]]), else the slice of positions sent inside the
     closure of [lo, hi] under adding the window of every job sent inside it.
-
-    The one closure test of _circuits and deadline_greedy.  A call per job
-    costs less than run-to-run noise on a 72 ms acceptance-box pass and 2-5%
-    of optimal_bounded at n=400, B=8 (CPython 3.11, a shared 2-vCPU host).
+    The one closure test of _circuits and deadline_greedy.
     """
     i = j = bisect_left(sent, lo)  # positions sent in [lo, hi] scanned so far
     while True:
@@ -218,20 +217,9 @@ def _closure(
 
 
 def _intersection(trace: Trace) -> OfflineSchedule:
-    """optimal_bounded without the shortcut; the tests also call it directly.
-
-    Weighted matroid intersection of the deadline matroid (windows
-    [release, deadline]) and the capacity matroid (windows
-    [release, release + B - 1]) by shortest augmenting paths: starting from
-    the empty set, each round builds the exchange graph of the current set
-    I, whose vertex lengths are Trace.scaled_weight for members and its
-    negation for the rest, and flips the path from the deadline matroid's
-    free packets to the capacity matroid's that is shortest in (length,
-    hops).  Each round leaves I of maximum weight for its size, and those
-    maxima are concave in the size, so the loop stops at the first path that
-    gains nothing.  Integers only, no recursion, vertices in Trace.by_rank
-    order, so the result is deterministic.
-    """
+    """optimal_bounded without the shortcut (module docstring); the tests also
+    call it directly.  Integers only, no recursion, vertices in rank order, so
+    the result is deterministic."""
     weight, release, last = trace.rank_weight, trace.rank_release, trace.buffer_size - 1
     n = len(weight)
     deadline_windows = list(zip(release, trace.rank_deadline))
@@ -305,13 +293,9 @@ def _intersection(trace: Trace) -> OfflineSchedule:
 def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The greedy set of the deadline matroid; read it as Trace.deadline_greedy.
 
-    Takes the packets in rank order, up to the first of weight 0, and keeps
-    each iff the kept set plus it still meets every window
-    [release, deadline].  The kept set carries one schedule, any that meets
-    the windows.  A packet whose window has a free step takes the first one;
-    otherwise _closure decides, and a packet that fits only by moving others
-    has EDF reschedule the whole set.  EDF's own schedule of the kept set is
-    computed at the end.
+    Returns (kept, steps): the ranks kept, ascending, taking packets in rank
+    order up to the first of weight 0 and keeping each iff the kept set still
+    meets every window [release, deadline], and EDF's send step of each.
     """
     release, deadline, weight = trace.rank_release, trace.rank_deadline, trace.rank_weight
     kept: list[int] = []
@@ -363,21 +347,9 @@ def _verified(trace: Trace, ranks: "list[int] | tuple[int, ...]",
 
 
 def optimal_bounded(trace: Trace) -> OfflineSchedule:
-    """Exact maximum-value schedule under the trace's buffer capacity.
-
-    The unbounded optimum is this on trace.relaxed, where B is at least the
-    packet count and capacity never binds.  First the shortcut: take the
-    deadline matroid's greedy set over the positive weights
-    (Trace.deadline_greedy).  If EDF also meets its capacity windows
-    [release, release + B - 1], its EDF schedule is returned.  That is
-    exact: the greedy set has the maximum weight among all sets that meet
-    the deadlines, and every set that fits the buffer meets them.  The
-    intersection never adds a zero weight either, so this is its assignment,
-    not just its value.  On the relaxed view the shortcut always applies:
-    EDF sends each of n packets within n - 1 steps of its release.
-    Otherwise the answer is the weighted matroid intersection
-    (_intersection).
-    """
+    """Exact maximum-value schedule under the trace's buffer capacity, by the
+    shortcut or the intersection (module docstring); the unbounded optimum is
+    this on trace.relaxed.  Raises AssertionError if it fails verify_schedule."""
     kept, steps = trace.deadline_greedy
     release, last = trace.rank_release, trace.buffer_size - 1
     if _edf([(release[r], release[r] + last) for r in kept]) is None:
@@ -398,23 +370,14 @@ def relax_capacity(trace: Trace) -> Trace:
 # --- feasible-schedule enumeration ----------------------------------------
 
 def enumerate_feasible(trace: Trace, limit: int) -> list[OfflineSchedule]:
-    """Up to `limit` distinct feasible schedules, exhaustive when fewer exist.
+    """Up to `limit` distinct feasible schedules, exhaustive when fewer exist,
+    in the order the module docstring gives, so the all-idle schedule is last.
+    Raises AssertionError for a negative limit.
 
-    In the order the module docstring gives, so the all-idle schedule is
-    last.  A frame is one send (plus the root).  Its candidates, the packets
-    still unsent, due after its step and still fitting, are fixed when it is
-    made, since `full` only grows below it and is restored on backtrack.  Its
-    children are the next sends (_next_sends), which jump over the steps no
-    candidate's window holds, and its own schedule is its last leaf.  A send
-    with no candidate has that leaf alone, so it gets no frame.  The stack
-    is explicit, so nothing recurses.
-
-    Occupancy is a dict over the steps that a tried send walks, and `full`
-    is the last step holding B packets.  Every send so far precedes the next
-    one, so every full step does too, and a packet released at r fits iff
-    full < r: one comparison, whatever the window's length.  The schedule's
-    value is a running total of Trace.scaled_weight, and each distinct total
-    becomes one Fraction per call.
+    A frame's candidates, the packets still unsent, due after its send and
+    still fitting, are fixed when it is made, since `full` only grows below
+    it and is restored on backtrack.  A send with no candidate is a leaf and
+    gets no frame.
     """
     if limit < 0:
         raise AssertionError(f"enumerate_feasible needs limit >= 0, got {limit}")

@@ -2,45 +2,29 @@
 
 run_grq is run(grq, trace) and run_naive_greedy run(greedy, trace): one loop,
 two step policies.  A policy(state, arrivals, t, trace) returns the new
-state, the snapshot (None for greedy), the rejections and the sent id; it
-reads only its arguments and raises its own self-checks.  The loop owns a
-StepRecord per step t = 1..horizon, idle ones included, the Transcript and
-the one leftover check.  A state is () when the policy holds no packet, so
-that check reads the final state, not event counts, which miss a packet
-recorded as expired but kept; policy.held(state) lists the ranks a state
-holds, so the check names the packets left and the last step.
+state, the snapshot (None for greedy), the rejections and the sent id, and
+raises its own self-checks.  Both policies take packets in rank order
+(Trace.by_rank; see slotq.model) and record only their own decisions.
 
-Both process packets in one fixed order, computed once per trace
-(Trace.by_rank): weight descending, then deadline ascending, then id
-ascending; weights are compared as exact integers scaled by the common
-denominator, so no Fraction is compared while sorting.  A step changes few
-packets (arrivals, one send, rejections and expiries), looked up in
-per-trace indexes built once: Trace.arrival_ranks (per release step, read
-by the loop), expiring_ranks (per deadline) and the rank-indexed tuples
-rank_id, rank_deadline, rank_release and rank_weight.  Each policy holds
-its buffer as a sorted sequence of ranks and records only its own
-decisions (rejections, send), never the arrivals, which the trace holds.
+The leftover check.  A state is () exactly when its policy holds no packet,
+so the loop's check after the last deadline reads the final state, not
+event counts, which miss a packet recorded as expired but kept.
 
-The slot-queue scheduler (grq) keeps a buffer of B slots labeled with the
-next B time steps.  Each step it rebuilds the buffer from scratch: survivors
-plus fresh arrivals are considered in rank order and each packet goes to the
-smallest-labeled empty slot that does not exceed its deadline, or is
-rejected.  Filled slots always form a prefix, so that rule reduces to a
-prefix rule: with k slots already filled, the next packet is accepted (into
-slot k, label t + k) iff k < min(B, deadline - t + 1).  The front slot
-(labeled t) is then transmitted.  The snapshot (StepRecord.slots) is the
-tuple of the placed ranks, so a step costs what the buffer holds, not B.
+The prefix rule.  The slot queue (grq) keeps B slots labeled with the next
+B steps.  Each step it rebuilds them from scratch: survivors plus arrivals,
+in rank order, each into the smallest-labeled empty slot whose label is at
+most its deadline, or refused.  Filled slots always form a prefix, so with
+k slots filled the next packet is accepted (into slot k, label t + k) iff
+k < min(B, deadline - t + 1).  The front slot (label t) is then sent, and a
+step costs what the buffer holds, not B.
 
-grq_rebuild, a module global that tests patch, only places: it returns the
-placed ranks in slot order, their deadlines and the refused ranks.  It
-checks only its inputs: the carried packets fit in B, and every candidate
-is live at t.  grq checks whatever that global returns, in one place:
+grq_rebuild, a module global that tests patch, only places.  grq checks
+whatever it returns, in one place:
   (a) at most B slots are filled;
   (b) the placed ranks strictly ascend;
   (c) the packet in slot i has deadline >= its label t + i;
   (d) every refusal was forced: with k placed ranks below the refused one,
       k >= B or t + k > its deadline.
-It then builds the Rejection records, sends slots[0] and carries slots[1:].
 
 For a result that splits the candidates into placed and refused, (a)-(d)
 hold iff it is the prefix rule's output.  The rule's output meets them: it
@@ -50,45 +34,28 @@ order.  If the rule and the result agree on every candidate before c, both
 have placed the same k of them.  If the result places c, (b) puts it in
 slot k, and (a) and (c) give k < B and t + k <= deadline, so the rule
 places c too.  If the result refuses c, (d) says the rule refuses it too.
-So by (b) the front is a heaviest packet, as long as Trace.rank_weight
-never increases (run_grq checks that once per run), and by (c) no survivor
-is past its deadline at t + 1.  The split itself and the deadline column
-are the rebuild's: one that loses, repeats or invents a packet breaks
+So by (b) no slot of a recorded snapshot outweighs the one before it, and
+the front is a heaviest packet, as long as Trace.rank_weight never
+increases (run_grq checks that once per run); by (c) no packet sits at a
+label past its deadline.  The split itself and the deadline column are the
+rebuild's: one that loses, repeats or invents a packet breaks
 check_transcript_invariants' exactly-once termination.
 
-The naive greedy baseline (greedy) just keeps the B heaviest live packets
-and sends the heaviest each step.  It ignores deadlines when choosing what
-to keep, which is exactly how it loses: a burst of mid-weight
-short-deadline packets can crowd out slightly lighter packets that had time
-to be sent later (see generate.gen_killer).  On overflow it drops the
-packets last in rank order (the lightest; among equals, larger deadline
-first, then larger id — the drop order most charitable to greedy), and a
-packet that reaches its deadline unsent is recorded as expired at that
-step, right after the send it lost.  Its state is the held ranks and their
-deadlines, two sorted lists updated in place by bisection.  It walks the
-overflow only when the buffer overflows, and expiring_ranks[t] only when
-its smallest held deadline is t: no held deadline is below t then.
+Greedy keeps the B heaviest live packets and sends the heaviest each step,
+blind to deadlines (generate.gen_killer shows the cost).  On overflow it
+drops the packets last in rank order (the lightest; among equals, larger
+deadline first, then larger id — the drop order most charitable to
+greedy), and a packet that reaches its deadline unsent is recorded as
+expired at that step, right after the send it lost.  It reads
+expiring_ranks[t] only when its smallest held deadline is t.  No held
+deadline is below t then: each step checks the smallest, which comes from
+Trace.rank_deadline, not from the expiry index, so a wrong index raises.
 
-The self-checks run on every step and raise AssertionError explicitly, so
-they also run under `python -O`; grq's name the slot or packet at
-fault.  Greedy checks that no held packet is past its deadline
-on the smallest of its sorted held deadlines, which come from
-Trace.rank_deadline, not from the expiry index, so a wrong index still
-raises.  The loop checks that no policy holds a packet at the end.
-Every snapshot a grq run records has passed (a)-(d): no packet sits at a
-label past its deadline, and with run_grq's rank_weight check no slot
-holds more weight than the one before it.
-Every Rejection the policies record comes from _rejection, a bounded
-functools.lru_cache over the class.  Rejections are immutable values and
-traces number their packets 0..n-1, so later steps, runs and traces meet
-the same (id, cause) pairs, and transcripts share those instances; being
-frozen, no reader can tell.  A hit costs 0.10 us against 0.43 us to build
-a Rejection (CPython 3.11.7, timeit); a pass over the bulk-stream pool
-records 20,484 rejections of 1,200 distinct pairs.
-check_slot_monotonicity compares consecutive snapshots' ranks over the
-labels both windows hold.  A rank no larger than the earlier one means a
-weight no smaller, so it reads weights only where a rank grew or a label
-emptied.
+Every self-check raises AssertionError explicitly, so it also runs under
+`python -O`.  Rejections are immutable, and traces number their packets
+0..n-1, so later steps, runs and traces meet the same (id, cause) pairs.
+The policies take them from _rejection, a bounded lru_cache over the class,
+so transcripts share those instances; being frozen, no reader can tell.
 """
 
 from bisect import bisect_left, insort
@@ -106,21 +73,16 @@ from .model import (
     Transcript,
 )
 
-# Every rejection the runners record (see the module docstring).  A trace
-# with more (id, cause) pairs than the bound evicts and builds them again.
+# A trace with more (id, cause) pairs than the bound evicts and builds them again.
 _rejection = lru_cache(maxsize=4096)(Rejection)
 
 
 def grq_rebuild(buffered: Sequence[int], arrivals: Sequence[int], t: int, trace: Trace):
-    """Arrival-stage rebuild at step t: place survivors + arrivals, refuse the rest.
-
-    `buffered` (the packets carried from step t - 1) and `arrivals` (those
-    released at t) are positions in `trace`.by_rank, all live at t.  Packets
-    are placed in rank order; each goes to the smallest-labeled empty slot
-    whose label is <= its deadline, or is refused.  Returns the placed ranks
-    in slot order (slot i labeled t + i), their deadlines in the same order,
-    and the refused ranks in rank order; grq checks the result.
-    """
+    """Arrival-stage rebuild at step t by the prefix rule (module docstring):
+    `buffered` (carried from t - 1) and `arrivals` (released at t) are ranks.
+    Returns the placed ranks in slot order, their deadlines, and the refused
+    ranks in rank order; grq checks them.  Raises AssertionError if the
+    carried packets exceed B or a candidate is not live at t."""
     if not buffered and not arrivals:
         return (), [], []
     size = trace.buffer_size
@@ -128,10 +90,7 @@ def grq_rebuild(buffered: Sequence[int], arrivals: Sequence[int], t: int, trace:
         raise AssertionError("carried packets exceed buffer size")
     deadline, release = trace.rank_deadline, trace.rank_release
     placed, placed_dl, refused = [], [], []
-    # filled slots are a prefix, so the smallest empty slot is len(placed),
-    # labeled t + len(placed); it exists iff that label is below t + size,
-    # and the packet may take it iff the label is <= its deadline; every
-    # candidate must be live at t, the first one that is not raises
+    # `label` is the smallest empty slot's: filled slots are a prefix
     label, end = t, t + size
     for r in sorted([*buffered, *arrivals]):
         d = deadline[r]
@@ -147,7 +106,8 @@ def grq_rebuild(buffered: Sequence[int], arrivals: Sequence[int], t: int, trace:
 
 
 def run(policy, trace: Trace) -> Transcript:
-    """Run a step policy (grq or greedy) over the whole trace; see the module docstring."""
+    """Run a step policy (grq or greedy) over the whole trace; raises AssertionError
+    if the policy holds a packet after the last deadline (module docstring)."""
     arrival_ranks = trace.arrival_ranks
     steps: list[StepRecord] = []
     state = ()
@@ -162,11 +122,8 @@ def run(policy, trace: Trace) -> Transcript:
 
 
 def grq(held: tuple[int, ...], arrivals: Sequence[int], t: int, trace: Trace):
-    """The slot queue's step; its state is the survivors' ranks in slot (= rank) order.
-
-    Checks that grq_rebuild's result is the prefix rule's, (a)-(d) of the
-    module docstring, then records its refusals and sends its front.
-    """
+    """The slot queue's step; its state is the survivors' ranks in slot (= rank)
+    order.  Raises AssertionError unless grq_rebuild's result meets (a)-(d)."""
     slots, deadlines, refused = grq_rebuild(held, arrivals, t, trace)
     if not slots and not refused:
         return (), slots, (), None
@@ -183,7 +140,7 @@ def grq(held: tuple[int, ...], arrivals: Sequence[int], t: int, trace: Trace):
                 raise AssertionError(f"rebuild at t={t}: packet {ids[r]} in slot {t + i} {why}")
         raise AssertionError(f"rebuild at t={t}: {len(deadlines)} deadlines for {len(slots)} slots")
     # tuples on this per-step path are built from lists: one grown from an
-    # iterator is resized as it fills, which raised peak RSS by about 0.6 MB
+    # iterator is resized as it fills, which raised peak RSS
     rejections: tuple[Rejection, ...] = ()
     if refused:
         fresh, deadline, out = set(arrivals), trace.rank_deadline, []
@@ -236,11 +193,8 @@ greedy.held = itemgetter(0)  # the state is (held ranks, their deadlines)
 
 
 def run_grq(trace: Trace) -> Transcript:
-    """Run the slot-queue scheduler over the whole trace.
-
-    grq's checks read rank order as weight order; that holds iff
-    Trace.rank_weight never increases, checked here once per run.
-    """
+    """Run the slot-queue scheduler over the whole trace.  grq's checks read rank
+    order as weight order, so this raises AssertionError if rank_weight increases."""
     w = trace.rank_weight
     if not all(map(ge, w, w[1:])):
         i = next(i for i in range(1, len(w)) if w[i] > w[i - 1])
@@ -257,13 +211,12 @@ def run_naive_greedy(trace: Trace) -> Transcript:
 def check_slot_monotonicity(transcript: Transcript) -> list[str]:
     """Per-label weight monotonicity across consecutive rebuilt buffers.
 
-    For every slot label, the weight sitting at that label never decreases
-    between one post-rebuild snapshot and the next, for as long as the label
-    is in both windows (an empty slot counts as bottom).  Only the labels
-    the earlier snapshot occupies are compared.  A rank no larger than the
-    earlier one means a weight no smaller, so Trace.rank_weight is read only
-    when some rank grew or a label emptied.  Returns violation strings;
-    empty means the property held at every step.
+    At every label the earlier snapshot occupies and both windows hold, the
+    weight never decreases from one snapshot to the next (an empty slot
+    counts as bottom).  A rank no larger than the earlier one means a weight
+    no smaller, so Trace.rank_weight is read only where some rank grew or a
+    label emptied.  Returns violation strings, empty when the property held;
+    raises AssertionError on a transcript without snapshots.
     """
     trace = transcript.trace
     weight, by_rank, size = trace.rank_weight, trace.by_rank, trace.buffer_size

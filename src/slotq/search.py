@@ -3,7 +3,9 @@
 Seeded random restarts mixed with small mutations of the best instance found
 so far (nudge one packet's weight, deadline, or release).  The score of a
 candidate is bounded-optimum value over slot-queue value, computed exactly
-by charging.value_ratio.
+by charging.value_ratio, and only for a slot-queue run that passed
+check_transcript_invariants and check_slot_monotonicity: a run that fails
+them is a fault in slotq, raised as AssertionError, not a score.
 The search never clips or hides a score: if an instance ever scored above 2
 it would be returned as found — that would be a counterexample to the
 competitiveness bound, which is precisely what the search exists to hunt for.
@@ -14,9 +16,9 @@ from fractions import Fraction
 
 from .charging import value_ratio
 from .generate import GeneratorParams, SplitMix64, gen_random, require_int
-from .model import Trace, validate_trace
+from .model import Trace, check_transcript_invariants, validate_trace
 from .oracle import optimal_bounded
-from .schedulers import run_grq
+from .schedulers import check_slot_monotonicity, run_grq
 
 RESTART_EVERY = 4
 
@@ -54,6 +56,8 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
 
     Every RESTART_EVERY-th candidate is a fresh random trace; the others
     mutate the best instance so far.  Deterministic for fixed inputs.
+    Raises AssertionError when a candidate's slot-queue run fails its
+    checks (module docstring).
     """
     require_int("iterations", iterations, 0)
     rng = SplitMix64(params.seed)
@@ -64,7 +68,11 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
             candidate = gen_random(replace(params, seed=rng.next_u64()))
         else:
             candidate = _mutate(best_trace, rng, params)
-        ratio = value_ratio(optimal_bounded(candidate).value, run_grq(candidate).total_weight)
+        grq = run_grq(candidate)
+        violations = check_transcript_invariants(grq) + check_slot_monotonicity(grq)
+        if violations:
+            raise AssertionError(f"slot queue on candidate {it}: {'; '.join(violations)}")
+        ratio = value_ratio(optimal_bounded(candidate).value, grq.total_weight)
         if best_trace is None or ratio > best_ratio:
             best_trace, best_ratio = candidate, ratio
     return SearchResult(best_trace, best_ratio, iterations)

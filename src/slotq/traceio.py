@@ -1,19 +1,13 @@
-"""qtrace v1 text format.
+"""qtrace v1 text format (README's "Trace format" section shows a file).
 
-One directive per line; `#` starts a comment (whole-line or trailing); blank
-lines are ignored.
-
-    # qtrace v1
-    B 3
-    p 0 1 4 7        # id release deadline weight
-    p 1 2 2 3/4
-    p 2 1 3 1.5
-
-Weights accept integers, decimals, or num/den and always become exact
-rationals (1.5 is exactly 3/2).  Emission canonicalizes: header line, the B
-directive, then packets sorted by id, weights printed as integers or num/den.
-Parsing an emitted file yields an equal trace; a parsed decimal re-emits as
-its exact fraction, which is the same value.  A trace that parses emits.
+One directive per line: `B <size>` once, and `p <id> <release> <deadline>
+<weight>` per packet; `#` starts a comment (whole-line or trailing), and
+blank lines are ignored.  Weights accept integers, decimals, or num/den and
+always become exact rationals (1.5 is exactly 3/2).  Emission
+canonicalizes: header line, the B directive, then packets sorted by id,
+weights printed as integers or num/den.  Parsing an emitted file yields an
+equal trace; a parsed decimal re-emits as its exact fraction, which is the
+same value.  A trace that parses emits.
 """
 
 from fractions import Fraction
@@ -60,8 +54,8 @@ def parse_trace(text: str) -> Trace:
             w = fields[4]
             weight = weights.get(w)
             if weight is None:
-                # a plain integer, the common case: int() is ~3x cheaper than Fraction's
-                # parser and gives the same value; both raise ValueError past Python's digit limit
+                # a plain integer, the common case: int() is cheaper than Fraction's parser
+                # and gives the same value; both raise ValueError past Python's digit limit
                 try:
                     weight = Fraction(int(w) if w.isascii() and w.isdigit() else w)
                 except (ValueError, ZeroDivisionError):

@@ -58,8 +58,15 @@ def reference_verify_schedule(trace, schedule):
             out.append(f"packet {pid}: sent at {t}, outside window [{p.release}, {p.deadline}]")
         for s in range(p.release, t + 1):
             occupancy[s] += 1
+    runs = []  # [first, last, count] of each run of consecutive overfull steps with one count
     for s in sorted(s for s, c in occupancy.items() if c > trace.buffer_size):
-        out.append(f"step {s}: {occupancy[s]} packets held, buffer size {trace.buffer_size}")
+        if runs and runs[-1][1] == s - 1 and runs[-1][2] == occupancy[s]:
+            runs[-1][1] = s
+        else:
+            runs.append([s, s, occupancy[s]])
+    for first, last, count in runs:
+        steps = f"step {first}" if first == last else f"steps {first}..{last}"
+        out.append(f"{steps}: {count} packets held, buffer size {trace.buffer_size}")
     total = sum((trace.by_id[pid].weight for pid in schedule.assignment), Fraction(0))
     if total != schedule.value:
         out.append(f"declared value {schedule.value} != recomputed {total}")

@@ -288,6 +288,21 @@ class TestVerifySchedule:
         bad = OfflineSchedule.of(t, {0: 1, 1: 2})
         assert any("held" in v for v in verify_schedule(t, bad))
 
+    def test_overfull_runs_give_one_message_each(self):
+        # the messages grow with the number of sends, not with the steps they span
+        t = validate_trace(1, [P(0, 1, 10**6, 1), P(1, 1, 10**6, 1)])
+        bad = OfflineSchedule.of(t, {0: 10**6, 1: 10**6 - 1})
+        assert verify_schedule(t, bad) == ["steps 1..999999: 2 packets held, buffer size 1"]
+        # packet 2 arrives at step 3 as packet 0 leaves: the count stays 2 across
+        # the change; it rises to 3 at step 5 alone
+        t = validate_trace(1, [P(0, 1, 6, 1), P(1, 1, 6, 1), P(2, 3, 6, 1), P(3, 5, 7, 1)])
+        bad = OfflineSchedule.of(t, {0: 2, 1: 6, 2: 5, 3: 7})
+        assert verify_schedule(t, bad) == [
+            "steps 1..4: 2 packets held, buffer size 1",
+            "step 5: 3 packets held, buffer size 1",
+            "step 6: 2 packets held, buffer size 1",
+        ]
+
     def test_window_violation(self):
         t = validate_trace(1, [P(0, 1, 1, 1)])
         bad = OfflineSchedule.of(t, {0: 2})

@@ -1,7 +1,9 @@
 """The package root loads no layer and the CLI the core layers only, each in a fresh interpreter."""
 
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,33 @@ def test_trace_commands_leave_experiment_and_search_unloaded(command, tmp_path):
             "print(code, [m for m in ('slotq.experiment', 'slotq.search') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "0 []", "")
+
+
+# a timing, a speed-up factor, a memory size or the interpreter it was measured on
+MEASUREMENT = re.compile(r"timeit|best of|CPython 3|\d ?(us|µs|ns|ms|MB)\b|\d(x|×)\b")
+LAYOUT = {tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}
+
+
+def prose_lines(path):
+    """(line number, text) of every comment and docstring line of one file: a
+    docstring is a statement made of string literals alone."""
+    statement = []
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.start[0], tok.string
+            elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if statement and all(s.type == tokenize.STRING for s in statement):
+                    for s in statement:
+                        yield from enumerate(s.string.splitlines(), start=s.start[0])
+                statement = []
+            elif tok.type not in LAYOUT:
+                statement.append(tok)
+
+
+def test_no_measurement_in_comments_or_docstrings():
+    # figures belong in CHANGES.md; the source keeps a mechanism's reason
+    found = [f"{path.name}:{n}: {text.strip()}"
+             for path in sorted(Path(SRC, "slotq").glob("*.py"))
+             for n, text in prose_lines(path) if MEASUREMENT.search(text)]
+    assert found == []

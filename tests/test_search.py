@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from slotq import schedulers
 from slotq.charging import value_ratio
+from slotq.cli import main
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.model import Trace
 from slotq.oracle import optimal_bounded
@@ -82,3 +84,23 @@ class TestAdversarialSearch:
         monkeypatch.setattr("slotq.search.run_grq", weightless_run)
         with pytest.raises(AssertionError, match=r"^online value 0 against optimum \d"):
             adversarial_search(self.PARAMS, iterations=1)
+
+    def test_unchecked_slot_queue_run_is_a_fault(self, monkeypatch, capsys):
+        # a rebuild that drops its last refusal passes grq's step checks; only
+        # the transcript check sees the lost packet, so no candidate is scored
+        # before that check has passed
+        real = schedulers.grq_rebuild
+
+        def lossy(*args):
+            slots, deadlines, refused = real(*args)
+            return slots, deadlines, refused[:-1]
+
+        monkeypatch.setattr(schedulers, "grq_rebuild", lossy)
+        params = GeneratorParams(n=8, horizon=8, buffer_size=3, seed=7)
+        lost = r"packet \d+: expected exactly one terminal event, got \[\]"
+        with pytest.raises(AssertionError, match=rf"^slot queue on candidate \d+: {lost}"):
+            adversarial_search(params, 300)
+        argv = ["search", "--n", "8", "--horizon", "8", "--b", "3", "--seed", "7", "--iters", "300"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal error: AssertionError: slot queue on candidate ")

@@ -1,5 +1,5 @@
-"""tools/codelines.py counts the lines that hold code: no blank line, comment,
-docstring statement or layout."""
+"""tools/codelines.py counts the lines that hold code (no blank line, comment,
+docstring statement or layout), the lines that hold only prose, and every line."""
 
 import subprocess
 import sys
@@ -22,4 +22,5 @@ def test_codelines_counts_code_only(tmp_path):
     )
     done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == [f"     3 {source}", "     3 total"]
+    assert done.stdout.splitlines() == [f"     3      4      8 {source}",
+                                        "     3      4      8 total"]

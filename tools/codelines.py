@@ -1,13 +1,20 @@
-"""Count code-only lines of Python files.
+"""Count the code-only, prose and physical lines of Python files.
 
-A line counts when it holds a token other than a comment, layout (newlines,
-indentation) or a docstring statement: a logical line made of string
-literals alone.  Usage:
+Three columns per file and for the total:
+
+- code-only: lines holding a token other than a comment, layout (newlines,
+  indentation) or a docstring statement, a logical line made of string
+  literals alone;
+- prose: lines holding only comment or docstring tokens;
+- physical: every line, as `wc -l` counts them.
+
+Blank lines count as physical only.  Usage:
 
     python tools/codelines.py src/slotq            # per file and a total
     python tools/codelines.py src/slotq/model.py
 """
 
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -18,20 +25,23 @@ LAYOUT = {
 }
 
 
-def code_lines(path: Path) -> int:
-    """The number of code-only lines in one Python file."""
-    counted: set[int] = set()
+def line_counts(path: Path) -> tuple[int, int, int]:
+    """(code-only, prose, physical) line counts of one Python file."""
+    data = path.read_bytes()
+    code: set[int] = set()
+    prose: set[int] = set()
     statement: list[tokenize.TokenInfo] = []
-    with path.open("rb") as f:
-        for tok in tokenize.tokenize(f.readline):
-            if tok.type not in LAYOUT:
-                statement.append(tok)
-            elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER) and statement:
-                if any(s.type != tokenize.STRING for s in statement):
-                    for s in statement:
-                        counted.update(range(s.start[0], s.end[0] + 1))
-                statement = []
-    return len(counted)
+    for tok in tokenize.tokenize(io.BytesIO(data).readline):
+        if tok.type == tokenize.COMMENT:
+            prose.add(tok.start[0])
+        elif tok.type not in LAYOUT:
+            statement.append(tok)
+        elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER) and statement:
+            lines = code if any(s.type != tokenize.STRING for s in statement) else prose
+            for s in statement:
+                lines.update(range(s.start[0], s.end[0] + 1))
+            statement = []
+    return len(code), len(prose - code), data.count(b"\n")
 
 
 def main(argv: list[str]) -> int:
@@ -39,12 +49,12 @@ def main(argv: list[str]) -> int:
     for arg in argv or ["src"]:
         p = Path(arg)
         files += sorted(p.rglob("*.py")) if p.is_dir() else [p]
-    total = 0
+    total = [0, 0, 0]
     for f in files:
-        n = code_lines(f)
-        total += n
-        print(f"{n:6d} {f}")
-    print(f"{total:6d} total")
+        counts = line_counts(f)
+        total = [a + b for a, b in zip(total, counts)]
+        print("".join(f"{n:6d} " for n in counts) + str(f))
+    print("".join(f"{n:6d} " for n in total) + "total")
     return 0
 
 
