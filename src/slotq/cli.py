@@ -55,17 +55,22 @@ def _transcript_rows(transcript: Transcript) -> list[dict]:
     return rows
 
 
-def _write_table(args, columns: tuple[str, ...], rows: list[dict], payload: dict) -> None:
+def _write_table(args, columns: tuple[str, ...], rows: list[dict], payload: dict,
+                 summary: "str | None" = None) -> None:
     """Write to --out (stdout without it): `rows` as CSV under the header
-    `columns`, written even when there are no rows, or `payload` as JSON."""
+    `columns`, written even when there are no rows, or `payload` as JSON.
+    Then print `summary` unless stdout holds the JSON document, which stands
+    alone so that it parses."""
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    w.writeheader()
-    w.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    else:
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+        _emit(buf.getvalue(), args.out)
+    if summary is not None and (args.format == "csv" or args.out is not None):
+        print(summary)
 
 
 def _cmd_run(args) -> int:
@@ -78,8 +83,8 @@ def _cmd_run(args) -> int:
     rows = _transcript_rows(transcript)
     columns = ("step", "arrivals", "transmitted", "weight", "rejections")
     _write_table(args, columns, rows, {"rows": rows, "total": str(transcript.total_weight),
-                                       "violations": violations})
-    print(f"{args.algo} total: {transcript.total_weight}")
+                                       "violations": violations},
+                 f"{args.algo} total: {transcript.total_weight}")
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
     return 1 if violations else 0
@@ -96,8 +101,8 @@ def _cmd_oracle(args) -> int:
         for pid, t in sorted(schedule.assignment.items())
     ]
     _write_table(args, ("packet", "step", "weight"), rows,
-                 {"rows": rows, "value": str(schedule.value), "violations": []})
-    print(f"{args.algo} optimum: {schedule.value}")
+                 {"rows": rows, "value": str(schedule.value), "violations": []},
+                 f"{args.algo} optimum: {schedule.value}")
     return 0
 
 
@@ -165,9 +170,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_search(args) -> int:
     from .experiment import trace_digest  # local imports: keep startup light
-    from .search import adversarial_search
+    from .search import CandidateFault, adversarial_search
 
-    result = adversarial_search(_params(args), args.iters)
+    try:
+        result = adversarial_search(_params(args), args.iters)
+    except CandidateFault as e:  # a fault in slotq: keep the candidate for a replay
+        if args.out is not None:
+            _emit(emit_trace(e.trace), args.out)
+        raise AssertionError(f"{e}; trace digest {trace_digest(e.trace)}") from None
     print(f"iterations: {result.iterations}")
     print(f"worst ratio: {result.ratio}")
     if result.trace is not None:

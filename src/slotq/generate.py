@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Packet, Trace, validate_trace
+from .model import Packet, Trace, read_rational, validate_trace
 
 _MASK64 = (1 << 64) - 1
 _DRAW_RANGE = 1 << 64  # the values one draw reaches
@@ -60,13 +60,13 @@ def require_rational(name: str, value) -> "int | Fraction":
 
 
 def parse_rational(name: str, value) -> "int | Fraction":
-    """An exact rational from an int, a Fraction or text such as "1/10" or "0.5";
-    other text (a zero denominator too, or a value too long for Python to
-    print) and other values are a ParameterError."""
+    """An exact rational from an int, a Fraction or text such as "1/10" or "0.5"
+    (model.read_rational); other text (a zero denominator too, or a value too
+    long for Python to print) and other values are a ParameterError."""
     if type(value) is not str:
         return require_rational(name, value)
     try:
-        rational = Fraction(value)
+        rational = read_rational(value)
         str(rational)  # raises ValueError past sys.get_int_max_str_digits() digits
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"invalid Fraction value: {value!r}") from None

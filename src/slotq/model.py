@@ -27,6 +27,9 @@ Printability.  Python prints no int of more than
 sys.get_int_max_str_digits() digits.  Each weight or sum of weights is s / D
 with 0 <= s <= the total scaled weight and D the common denominator, so if D
 and that total print, every value does; validate_trace checks those two.
+Text becomes a rational through read_rational, which refuses a decimal
+exponent past that limit: Fraction would build ten to its power first, at a
+cost that grows faster than the exponent, and the limit does not guard it.
 
 Packet and StepRecord, built once per packet and once per step, have their
 own __init__ (_slot_setters), since the generated frozen __init__ calls
@@ -35,6 +38,7 @@ repr and FrozenInstanceError behave as the generated ones do.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter, le
@@ -254,6 +258,18 @@ def validate_trace(buffer_size: int, packets: Iterable[Packet]) -> Trace:
     except ValueError as e:
         raise InvalidTraceError([f"weights do not print: {e}"]) from None
     return trace
+
+
+def read_rational(text: str) -> Fraction:
+    """Fraction(text), the one reader of rational text (module docstring,
+    "Printability").  Raises ValueError where Fraction does, and for a
+    decimal exponent whose magnitude exceeds sys.get_int_max_str_digits()
+    while that limit is set."""
+    _, e, exponent = text.lower().rpartition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"exponent of {text!r} exceeds the limit of {limit}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True, slots=True)

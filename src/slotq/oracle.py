@@ -176,22 +176,30 @@ def _edf(windows: list[tuple[int, int]]) -> "list[int] | None":
     return steps
 
 
-def _circuits(
-    held: list[tuple[int, int]], extra: list[tuple[int, int]]
-) -> "list[list[int] | None]":
-    """For each window x in `extra`: None if held + x is independent, else
-    the positions in `held` of the jobs y such that held - y + x is, by the
-    closure test (module docstring).  Raises AssertionError if `held` is
-    dependent.
-    """
-    steps = _edf(held)
+def _send_order(windows: list[tuple[int, int]], jobs: list[int], why: str) -> tuple:
+    """(jobs, sent, release, end): `jobs`, indexes into `windows`, in EDF's
+    send order, with the send step, release and end of each; raises
+    AssertionError(why) if EDF misses an end."""
+    steps = _edf([windows[v] for v in jobs])
     if steps is None:
-        raise AssertionError("exchange graph asked of a dependent set")
-    by_step = sorted(range(len(held)), key=steps.__getitem__)
-    sent = [steps[y] for y in by_step]
-    release = [held[y][0] for y in by_step]
-    end = [held[y][1] for y in by_step]
-    spans = [_closure(sent, release, end, lo, hi) for lo, hi in extra]
+        raise AssertionError(why)
+    order = sorted(range(len(jobs)), key=steps.__getitem__)
+    jobs = [jobs[k] for k in order]
+    return (jobs, [steps[k] for k in order],
+            [windows[v][0] for v in jobs], [windows[v][1] for v in jobs])
+
+
+def _circuits(
+    windows: list[tuple[int, int]], held: list[int], rest: list[int]
+) -> "list[list[int] | None]":
+    """For each vertex x in `rest`: None if held + x is independent under the
+    window table `windows`, else the vertices y of `held` such that
+    held - y + x is, by the closure test (module docstring).  Raises
+    AssertionError if `held` is dependent.
+    """
+    by_step, sent, release, end = _send_order(
+        windows, held, "exchange graph asked of a dependent set")
+    spans = [_closure(sent, release, end, lo, hi) for lo, hi in map(windows.__getitem__, rest)]
     return [None if span is None else by_step[span] for span in spans]
 
 
@@ -237,21 +245,17 @@ def _intersection(trace: Trace) -> OfflineSchedule:
         succ: list[list[int]] = [[] for _ in range(n)]
         sources: list[int] = []
         sinks: list[int] = []
-        circuits = _circuits([deadline_windows[v] for v in held],
-                             [deadline_windows[x] for x in rest])
-        for x, circuit in zip(rest, circuits):
+        for x, circuit in zip(rest, _circuits(deadline_windows, held, rest)):
             if circuit is None:
                 sources.append(x)
             else:
                 for y in circuit:
-                    succ[held[y]].append(x)
-        circuits = _circuits([capacity_windows[v] for v in held],
-                             [capacity_windows[x] for x in rest])
-        for x, circuit in zip(rest, circuits):
+                    succ[y].append(x)
+        for x, circuit in zip(rest, _circuits(capacity_windows, held, rest)):
             if circuit is None:
                 sinks.append(x)
             else:
-                succ[x] = [held[y] for y in circuit]
+                succ[x] = circuit
 
         # Bellman-Ford on (length, hops): cycles are non-negative in length
         # while I is of maximum weight for its size, and positive in hops
@@ -298,8 +302,8 @@ def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     meets every window [release, deadline], and EDF's send step of each.
     """
     release, deadline, weight = trace.rank_release, trace.rank_deadline, trace.rank_weight
+    windows = list(zip(release, deadline))
     kept: list[int] = []
-    windows: list[tuple[int, int]] = []
     sent: list[int] = []  # the kept set's send steps, ascending
     lo: list[int] = []    # release and deadline of the packet sent at each
     hi: list[int] = []
@@ -312,7 +316,6 @@ def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if not free and _closure(sent, lo, hi, a, b) is not None:
             continue
         kept.append(r)
-        windows.append((a, b))
         if free:
             k = i  # sent[i:k] are the steps a, a + 1, ... taken in a row
             while k < j and sent[k] == a + k - i:
@@ -321,14 +324,9 @@ def deadline_greedy(trace: Trace) -> tuple[tuple[int, ...], tuple[int, ...]]:
             lo.insert(k, a)
             hi.insert(k, b)
         else:  # it fits only by moving kept packets: EDF reschedules them all
-            steps = _edf(windows)
-            if steps is None:
-                raise AssertionError(f"rank {r} passed _closure but misses a deadline")
-            by_step = sorted(range(len(windows)), key=steps.__getitem__)
-            sent = [steps[k] for k in by_step]
-            lo = [windows[k][0] for k in by_step]
-            hi = [windows[k][1] for k in by_step]
-    steps = _edf(windows)
+            _, sent, lo, hi = _send_order(
+                windows, kept, f"rank {r} passed _closure but misses a deadline")
+    steps = _edf([windows[r] for r in kept])
     if steps is None:
         raise AssertionError("the deadline greedy kept a set that misses a deadline")
     return tuple(kept), tuple(steps)

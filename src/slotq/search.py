@@ -5,7 +5,8 @@ so far (nudge one packet's weight, deadline, or release).  The score of a
 candidate is bounded-optimum value over slot-queue value, computed exactly
 by charging.value_ratio, and only for a slot-queue run that passed
 check_transcript_invariants and check_slot_monotonicity: a run that fails
-them is a fault in slotq, raised as AssertionError, not a score.
+them is a fault in slotq, raised as CandidateFault, an AssertionError that
+carries the candidate so it can be replayed, not a score.
 The search never clips or hides a score: if an instance ever scored above 2
 it would be returned as found — that would be a counterexample to the
 competitiveness bound, which is precisely what the search exists to hunt for.
@@ -21,6 +22,14 @@ from .oracle import optimal_bounded
 from .schedulers import check_slot_monotonicity, run_grq
 
 RESTART_EVERY = 4
+
+
+class CandidateFault(AssertionError):
+    """A candidate whose slot-queue run failed its checks; `trace` is the candidate."""
+
+    def __init__(self, message: str, trace: Trace):
+        super().__init__(message)
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
 
     Every RESTART_EVERY-th candidate is a fresh random trace; the others
     mutate the best instance so far.  Deterministic for fixed inputs.
-    Raises AssertionError when a candidate's slot-queue run fails its
+    Raises CandidateFault when a candidate's slot-queue run fails its
     checks (module docstring).
     """
     require_int("iterations", iterations, 0)
@@ -71,7 +80,8 @@ def adversarial_search(params: GeneratorParams, iterations: int) -> SearchResult
         grq = run_grq(candidate)
         violations = check_transcript_invariants(grq) + check_slot_monotonicity(grq)
         if violations:
-            raise AssertionError(f"slot queue on candidate {it}: {'; '.join(violations)}")
+            raise CandidateFault(f"slot queue on candidate {it}: {'; '.join(violations)}",
+                                 candidate)
         ratio = value_ratio(optimal_bounded(candidate).value, grq.total_weight)
         if best_trace is None or ratio > best_ratio:
             best_trace, best_ratio = candidate, ratio

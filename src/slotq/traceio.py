@@ -13,7 +13,7 @@ same value.  A trace that parses emits.
 from fractions import Fraction
 from pathlib import Path
 
-from .model import Packet, Trace, validate_trace
+from .model import Packet, Trace, read_rational, validate_trace
 
 HEADER = "# qtrace v1"
 
@@ -57,7 +57,7 @@ def parse_trace(text: str) -> Trace:
                 # a plain integer, the common case: int() is cheaper than Fraction's parser
                 # and gives the same value; both raise ValueError past Python's digit limit
                 try:
-                    weight = Fraction(int(w) if w.isascii() and w.isdigit() else w)
+                    weight = Fraction(int(w)) if w.isascii() and w.isdigit() else read_rational(w)
                 except (ValueError, ZeroDivisionError):
                     raise TraceSyntaxError(lineno, f"unparseable weight {w!r}") from None
                 weights[w] = weight

@@ -36,12 +36,10 @@ from slotq.oracle import (
 )
 from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from slotq.search import adversarial_search
-from test_schedulers import run_optimized
+from support import SWEEP_SIZE, _sweep_params, run_optimized
 
-SWEEP_SIZE = 10_000   # criterion floor; every sweep criterion re-asserts it
 CHARGE_TRACES = 1_000
 ENUM_LIMIT = 50       # feasible adversaries per small instance
-SWEEP_SALT = 20_260_815
 BIG_BUFFER_SALT = 777_000
 
 
@@ -49,18 +47,6 @@ def _verdict(number: int, description: str, violations: list) -> None:
     status = "PASS" if not violations else f"FAIL ({len(violations)} violations)"
     print(f"\n[criterion {number}] {description}: {status}")
     assert not violations, violations[:10]
-
-
-def _sweep_params(i: int) -> GeneratorParams:
-    """Parameter box: n <= 10, B in 1..4, horizon <= 8, integer weights 1..16."""
-    rng = SplitMix64(SWEEP_SALT + i)
-    n = rng.below(11)
-    buffer_size = 1 + rng.below(4)
-    horizon = 1 + rng.below(8)
-    return GeneratorParams(
-        n=n, horizon=horizon, buffer_size=buffer_size,
-        seed=rng.next_u64(), max_weight=16,
-    )
 
 
 @dataclass(frozen=True)

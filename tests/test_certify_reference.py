@@ -35,6 +35,7 @@ from slotq.charging import (
 from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded, verify_schedule
 from slotq.schedulers import run_grq
 from slotq.traceio import parse_trace
+from support import weights
 
 # --- references ------------------------------------------------------------
 
@@ -225,17 +226,6 @@ def reference_verify_charge_map(cmap, grq, adv):
 
 
 # --- strategies ------------------------------------------------------------
-
-# equal values spelled differently, and near-equal values next to them
-SPELLED = (
-    "1/3", "2/6", "333/1000", "1/2", "0.5", "2/4", "1", "3/3", "1.0",
-    "5/7", "10/14", "7", "14/2", "0", "0/5", "5/4", "1.25",
-)
-weights = st.one_of(
-    st.sampled_from(SPELLED),
-    st.fractions(min_value=0, max_value=16, max_denominator=12).map(str),
-)
-
 
 @st.composite
 def written_traces(draw, max_release=8, max_span=6, min_packets=0, max_packets=8, max_buffer=4):

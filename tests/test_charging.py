@@ -14,15 +14,11 @@ from slotq.charging import (
     verify_charge_map,
 )
 from slotq.generate import GeneratorParams, gen_killer, gen_random
-from slotq.model import Packet, StepRecord, Transcript, validate_trace
+from slotq.model import StepRecord, Transcript, validate_trace
 from slotq.oracle import OfflineSchedule, enumerate_feasible, optimal_bounded
 from slotq.schedulers import run_grq
 from slotq.traceio import parse_trace
-from test_schedulers import run_optimized
-
-
-def P(pid, r, d, w):
-    return Packet(pid, r, d, Fraction(w))
+from support import P, run_optimized
 
 
 def check_passed(report, number):

@@ -92,14 +92,14 @@ def reference_transcript_invariants(transcript):
     return out
 
 
-SPELLED = ("1/3", "2/6", "333/1000", "1/2", "2/4", "1", "3/3", "5/7", "0", "7", "14/2")
+POOL_WEIGHTS = ("1/3", "2/6", "333/1000", "1/2", "2/4", "1", "3/3", "5/7", "0", "7", "14/2")
 
 
 @st.composite
 def packet_pools(draw):
     """A trace of 1..8 packets released at 1 with deadlines 1..10 and B in 1..8."""
     specs = draw(st.lists(
-        st.tuples(st.integers(1, 10), st.sampled_from(SPELLED)), min_size=1, max_size=8))
+        st.tuples(st.integers(1, 10), st.sampled_from(POOL_WEIGHTS)), min_size=1, max_size=8))
     lines = [f"B {draw(st.integers(1, 8))}"]
     lines += [f"p {i} 1 {d} {w}" for i, (d, w) in enumerate(specs)]
     return parse_trace("\n".join(lines) + "\n")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,9 +19,9 @@ from slotq.experiment import (
 from slotq.generate import GeneratorParams, gen_killer, gen_random
 from slotq.charging import ChargeConstructionError
 from slotq.cli import main
-from slotq.model import Packet, Trace, validate_trace
-from slotq.schedulers import run_grq
+from slotq.model import Packet, validate_trace
 from slotq.traceio import parse_trace
+from support import weightless_run
 
 SMALL = {
     "traces": [
@@ -57,11 +58,6 @@ class TestEvaluateTrace:
         assert row.violations == ("charging: construction: forced",)
 
     def test_zero_online_value_is_a_fault(self, monkeypatch):
-        # a slot queue that sends nothing of weight against a positive optimum
-        def weightless_run(trace):
-            return run_grq(Trace(trace.buffer_size,
-                                 [replace(p, weight=Fraction(0)) for p in trace.packets]))
-
         monkeypatch.setattr("slotq.experiment.run_grq", weightless_run)
         # the charge verifier would flag the weightless run as well; this
         # test pins the ratio rule's two violations alone
@@ -169,6 +165,16 @@ class TestRunExperiment:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(path)]) == 2
+
+    def test_an_exponent_past_the_digit_limit_is_refused_at_once(self):
+        # refused before Fraction builds ten to its power, which takes seconds
+        config = {"traces": [{"kind": "random", "n": 3, "horizon": 3, "buffer_size": 2,
+                              "burst": "1e3000000"}]}
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as e:
+            run_experiment(config)
+        assert time.perf_counter() - start < 0.5
+        assert str(e.value) == "trace source 0: invalid Fraction value: '1e3000000'"
 
     def test_max_span_is_an_integer_field(self):
         # a float span is refused, not truncated: it would give packets

@@ -21,10 +21,7 @@ from slotq.model import (
     validate_trace,
 )
 from slotq.traceio import emit_trace
-
-
-def P(pid, r, d, w):
-    return Packet(pid, r, d, Fraction(w))
+from support import P
 
 
 # weight objects that several packets share

@@ -22,10 +22,7 @@ from slotq.oracle import (
 )
 from slotq.schedulers import run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
-
-
-def P(pid, r, d, w):
-    return Packet(pid, r, d, Fraction(w))
+from support import P
 
 
 def brute_force_assignments(trace: Trace):
@@ -273,6 +270,55 @@ class TestDeadlineGreedy:
         assert all(trace.by_id[pid].weight > 0 for pid in unbounded.assignment)
         assert list(unbounded.assignment.items()) == list(
             optimal_unbounded(trace).assignment.items())
+
+
+@st.composite
+def exchange_graphs(draw):
+    """(windows, held, rest): up to 8 unit-job windows, point windows
+    (release = end) and long ones among them, an independent set `held`
+    kept greedily from a shuffled subset, and any of the other vertices."""
+    windows = draw(st.lists(st.tuples(st.integers(1, 6), st.sampled_from((0, 0, 1, 2, 5, 30))),
+                            min_size=1, max_size=8))
+    windows = [(r, r + span) for r, span in windows]
+    held = []
+    for v in draw(st.permutations(range(len(windows)))):
+        if draw(st.booleans()) and oracle._edf([windows[u] for u in [*held, v]]) is not None:
+            held.append(v)
+    rest = [v for v in range(len(windows)) if v not in held and draw(st.booleans())]
+    return windows, held, rest
+
+
+class TestExchangeGraph:
+    # _circuits against its definition: x's answer is None iff held + x is
+    # independent, and otherwise the members y for which held - y + x is
+    @settings(max_examples=500, deadline=None)
+    @given(exchange_graphs())
+    def test_circuits_match_their_definition(self, graph):
+        windows, held, rest = graph
+
+        def independent(jobs):
+            return oracle._edf([windows[v] for v in jobs]) is not None
+
+        for x, circuit in zip(rest, oracle._circuits(windows, held, rest), strict=True):
+            if independent([*held, x]):
+                assert circuit is None
+            else:
+                assert sorted(circuit) == sorted(
+                    y for y in held if independent([v for v in held if v != y] + [x]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(exchange_graphs())
+    def test_send_order_is_edf_sorted_by_step(self, graph):
+        windows, held, _ = graph
+        steps = oracle._edf([windows[v] for v in held])
+        jobs, sent, release, end = oracle._send_order(windows, held, "dependent")
+        assert sorted(zip(sent, jobs)) == sorted(zip(steps, held))
+        assert sent == sorted(sent)
+        assert (release, end) == ([windows[v][0] for v in jobs], [windows[v][1] for v in jobs])
+
+    def test_send_order_raises_with_the_callers_message(self):
+        with pytest.raises(AssertionError, match="^two jobs, one step$"):
+            oracle._send_order([(1, 1), (1, 1)], [0, 1], "two jobs, one step")
 
 
 class TestMonotonicityInB:

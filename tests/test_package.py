@@ -1,16 +1,14 @@
 """The package root loads no layer and the CLI the core layers only, each in a fresh interpreter."""
 
 import re
+import runpy
 import subprocess
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
 
-import slotq
-
-SRC = str(Path(slotq.__file__).resolve().parents[1])
+from support import CODELINES, SRC
 
 
 @pytest.mark.parametrize("statement", [
@@ -47,29 +45,14 @@ def test_trace_commands_leave_experiment_and_search_unloaded(command, tmp_path):
 
 # a timing, a speed-up factor, a memory size or the interpreter it was measured on
 MEASUREMENT = re.compile(r"timeit|best of|CPython 3|\d ?(us|µs|ns|ms|MB)\b|\d(x|×)\b")
-LAYOUT = {tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING}
-
-
-def prose_lines(path):
-    """(line number, text) of every comment and docstring line of one file: a
-    docstring is a statement made of string literals alone."""
-    statement = []
-    with path.open("rb") as f:
-        for tok in tokenize.tokenize(f.readline):
-            if tok.type == tokenize.COMMENT:
-                yield tok.start[0], tok.string
-            elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
-                if statement and all(s.type == tokenize.STRING for s in statement):
-                    for s in statement:
-                        yield from enumerate(s.string.splitlines(), start=s.start[0])
-                statement = []
-            elif tok.type not in LAYOUT:
-                statement.append(tok)
 
 
 def test_no_measurement_in_comments_or_docstrings():
     # figures belong in CHANGES.md; the source keeps a mechanism's reason
+    pieces = runpy.run_path(str(CODELINES))["pieces"]
     found = [f"{path.name}:{n}: {text.strip()}"
              for path in sorted(Path(SRC, "slotq").glob("*.py"))
-             for n, text in prose_lines(path) if MEASUREMENT.search(text)]
+             for prose, tokens in pieces(path.read_bytes()) if prose for tok in tokens
+             for n, text in enumerate(tok.string.splitlines(), start=tok.start[0])
+             if MEASUREMENT.search(text)]
     assert found == []

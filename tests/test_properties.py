@@ -34,20 +34,7 @@ from slotq.oracle import (
 )
 from slotq.schedulers import check_slot_monotonicity, run_grq, run_naive_greedy
 from slotq.traceio import TraceSyntaxError, emit_trace, parse_trace
-
-
-@st.composite
-def traces(draw, max_n=8, max_b=4, max_release=6, max_span=4):
-    b = draw(st.integers(1, max_b))
-    n = draw(st.integers(0, max_n))
-    packets = []
-    for i in range(n):
-        release = draw(st.integers(1, max_release))
-        deadline = release + draw(st.integers(0, max_span))
-        weight = draw(st.fractions(
-            min_value=0, max_value=16, max_denominator=8))
-        packets.append(Packet(i, release, deadline, weight))
-    return validate_trace(b, packets)
+from support import traces
 
 
 @given(traces())
@@ -326,8 +313,8 @@ def qtrace_texts(draw):
 
 
 # Python prints no int of more than sys.get_int_max_str_digits() (4,300)
-# digits: a weight spelled with more, a weight whose value has more, and two
-# weights that print alone while their sum does not
+# digits: a weight spelled with more, a weight whose exponent passes that
+# limit, and two weights that print alone while their sum does not
 UNPRINTABLE = ("B 1\np 0 1 2 " + "1" * 5000,
                "B 1\np 0 1 2 1e5000",
                f"B 2\np 0 1 2 1/{10**2500 + 1}\np 1 1 2 1/{10**2500 + 3}")

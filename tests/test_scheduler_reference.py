@@ -30,6 +30,7 @@ from slotq.model import (
 )
 from slotq.schedulers import grq_rebuild, run_grq, run_naive_greedy
 from slotq.traceio import parse_trace
+from support import weights
 
 
 def fraction_key(p):
@@ -122,17 +123,6 @@ def reference_greedy(trace) -> tuple[list[StepRecord], list[tuple[int, ...]]]:
             transmitted=None if sent is None else sent.id,
         ))
     return steps, held_ids_at
-
-
-# equal values spelled differently, and near-equal values next to them
-SPELLED = (
-    "1/3", "2/6", "333/1000", "1/2", "0.5", "2/4", "1", "3/3", "1.0",
-    "5/7", "10/14", "7", "14/2", "0", "0/5", "5/4", "1.25",
-)
-weights = st.one_of(
-    st.sampled_from(SPELLED),
-    st.fractions(min_value=0, max_value=16, max_denominator=12).map(str),
-)
 
 
 @st.composite

@@ -1,9 +1,5 @@
-import subprocess
-import sys
-import textwrap
 from bisect import bisect_left
 from fractions import Fraction
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -15,7 +11,6 @@ from slotq.model import (
     ADMISSION_REFUSED,
     EXPIRED,
     PREEMPTED,
-    Packet,
     Rejection,
     StepRecord,
     Trace,
@@ -32,12 +27,7 @@ from slotq.schedulers import (
     run_grq,
     run_naive_greedy,
 )
-from test_cli import checkout_env
-from test_properties import traces
-
-
-def P(pid, r, d, w):
-    return Packet(pid, r, d, Fraction(w))
+from support import P, ROOT, run_optimized, run_python, traces
 
 
 def rebuild(buffered, arrivals, t, buffer_size):
@@ -266,10 +256,10 @@ def test_step_checks_catch_a_refusal_with_a_free_slot():
     # other run as it was.  Until the mutation first fires, the mutated run
     # is the true one, so it changes a transcript iff it fires.
     code = f"""
-        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        sys.path.insert(0, {str(ROOT / "tests")!r})
         import slotq.schedulers as s
         from slotq.generate import gen_random
-        from test_acceptance import SWEEP_SIZE, _sweep_params
+        from support import SWEEP_SIZE, _sweep_params
         rebuild, fired = s.grq_rebuild, []
 
         def refuses_last_arrival(held, arrivals, t, trace):
@@ -327,23 +317,6 @@ def test_flipping_one_rebuild_decision_fails_the_step_checks(trace, data):
     with patch("slotq.schedulers.grq_rebuild", lambda *args: flipped):
         with pytest.raises(AssertionError, match="^rebuild at t="):
             grq(held, arrivals, t, trace)
-
-
-def run_python(code, *flags):
-    """stdout of `code` run by this interpreter with `flags` on this checkout's slotq."""
-    code = "import sys\nprint('optimize', sys.flags.optimize)\n" + textwrap.dedent(code)
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=checkout_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def run_optimized(code):
-    """stdout of `code` run by `python -O` on this checkout's slotq."""
-    out = run_python(code, "-O")
-    assert "optimize 1" in out
-    return out
 
 
 def test_leftover_check_reads_the_final_state():

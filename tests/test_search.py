@@ -1,17 +1,16 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from slotq import schedulers
 from slotq.charging import value_ratio
 from slotq.cli import main
+from slotq.experiment import trace_digest
 from slotq.generate import GeneratorParams, gen_killer, gen_random
-from slotq.model import Trace
 from slotq.oracle import optimal_bounded
 from slotq.schedulers import run_grq
 from slotq.search import adversarial_search
-from slotq.traceio import emit_trace
+from slotq.traceio import emit_trace, parse_trace
+from support import lose_last_refusal, weightless_run
 
 
 def competitive_ratio(trace):
@@ -76,11 +75,6 @@ class TestAdversarialSearch:
             adversarial_search(self.PARAMS, iterations=-1)
 
     def test_zero_online_value_is_a_fault(self, monkeypatch):
-        # a slot queue that sends nothing of weight against a positive optimum
-        def weightless_run(trace):
-            return run_grq(Trace(trace.buffer_size,
-                                 [replace(p, weight=Fraction(0)) for p in trace.packets]))
-
         monkeypatch.setattr("slotq.search.run_grq", weightless_run)
         with pytest.raises(AssertionError, match=r"^online value 0 against optimum \d"):
             adversarial_search(self.PARAMS, iterations=1)
@@ -89,13 +83,7 @@ class TestAdversarialSearch:
         # a rebuild that drops its last refusal passes grq's step checks; only
         # the transcript check sees the lost packet, so no candidate is scored
         # before that check has passed
-        real = schedulers.grq_rebuild
-
-        def lossy(*args):
-            slots, deadlines, refused = real(*args)
-            return slots, deadlines, refused[:-1]
-
-        monkeypatch.setattr(schedulers, "grq_rebuild", lossy)
+        lose_last_refusal(monkeypatch)
         params = GeneratorParams(n=8, horizon=8, buffer_size=3, seed=7)
         lost = r"packet \d+: expected exactly one terminal event, got \[\]"
         with pytest.raises(AssertionError, match=rf"^slot queue on candidate \d+: {lost}"):
@@ -104,3 +92,17 @@ class TestAdversarialSearch:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(
             "internal error: AssertionError: slot queue on candidate ")
+
+    def test_a_faulty_candidate_is_written_for_replay(self, monkeypatch, capsys, tmp_path):
+        # under the same lossy rebuild, search exits 3 and leaves the
+        # candidate in --out, named by its digest; `slotq run` replays the fault
+        lose_last_refusal(monkeypatch)
+        out = tmp_path / "w.qtrace"
+        argv = ["search", "--n", "8", "--horizon", "8", "--b", "3", "--seed", "7",
+                "--iters", "300", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("internal error: AssertionError: slot queue on candidate ")
+        assert err[0].endswith(f"; trace digest {trace_digest(parse_trace(out.read_text()))}")
+        assert main(["run", "--trace", str(out)]) == 1

@@ -11,14 +11,13 @@ value or verdict fails the tests and not only the benchmark.
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from slotq.generate import gen_random
 from slotq.traceio import emit_trace
+from support import ROOT
 
-ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = json.loads((ROOT / "slotbench" / "reference.json").read_text())
 
 

@@ -3,9 +3,8 @@ docstring statement or layout), the lines that hold only prose, and every line."
 
 import subprocess
 import sys
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "codelines.py"
+from support import CODELINES
 
 
 def test_codelines_counts_code_only(tmp_path):
@@ -20,7 +19,7 @@ def test_codelines_counts_code_only(tmp_path):
         "    return (x +\n"
         "            1)\n"
     )
-    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path)],
+    done = subprocess.run([sys.executable, str(CODELINES), str(tmp_path)],
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == [f"     3      4      8 {source}",
                                         "     3      4      8 total"]

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,12 +123,19 @@ class TestParse:
         weight = parse_trace(f"B 1\np 0 1 1 {spelled}\n").packets[0].weight
         assert type(weight) is Fraction and weight == Fraction(spelled)
 
-    # a weight with more digits than Python converts to an int is unparseable too
+    # a weight with more digits than Python converts to an int is unparseable
+    # too, and so is one whose exponent passes that limit, whatever its
+    # mantissa: it is refused before Fraction builds ten to its power, which
+    # takes seconds at 3000000 and would take hours at 1000000000
     @pytest.mark.parametrize("spelled", ["w", "1/0", "²", "٣x", "7.5.1",
-                                         pytest.param("1" * 5000, id="5000-digits")])
+                                         pytest.param("1" * 5000, id="5000-digits"),
+                                         "0e3000000", "1e3000000", "1E-3_000_000",
+                                         "1e1000000000"])
     def test_bad_weights_fail_with_their_spelling(self, spelled):
+        start = time.perf_counter()
         with pytest.raises(TraceSyntaxError) as e:
             parse_trace(f"B 1\np 0 1 1 {spelled}\n")
+        assert time.perf_counter() - start < 0.5
         assert str(e.value) == f"line 2: unparseable weight {spelled!r}"
 
     @pytest.mark.parametrize("spelled", ["-3", "-1/2"])
@@ -137,9 +146,16 @@ class TestParse:
 
     @pytest.mark.parametrize("spelled", ["1e5000", "1e-100000"])
     def test_weights_that_would_not_print_fail_validation(self, spelled):
-        # both are exact rationals, but neither would print, so emit_trace could not write them
-        with pytest.raises(InvalidTraceError, match="^weights do not print"):
+        # neither would print, and each exponent passes the digit limit, so it is unparseable
+        with pytest.raises(TraceSyntaxError, match="unparseable weight"):
             parse_trace(f"B 1\np 0 1 1 {spelled}\n")
+
+    def test_an_exponent_at_the_digit_limit_is_read(self):
+        # ten to the limit is read, and has one digit too many to print
+        limit = sys.get_int_max_str_digits()
+        assert parse_trace(f"B 1\np 0 1 1 0e{limit}\n").packets[0].weight == 0
+        with pytest.raises(InvalidTraceError, match="^weights do not print"):
+            parse_trace(f"B 1\np 0 1 1 1e{limit}\n")
 
     def test_comments_and_blanks(self):
         text = "# qtrace v1\n\n# a comment\nB 1   # trailing\np 0 1 1 2 # w=2\n"

@@ -17,6 +17,7 @@ Blank lines count as physical only.  Usage:
 import io
 import sys
 import tokenize
+from collections.abc import Iterator
 from pathlib import Path
 
 LAYOUT = {
@@ -25,23 +26,27 @@ LAYOUT = {
 }
 
 
-def line_counts(path: Path) -> tuple[int, int, int]:
-    """(code-only, prose, physical) line counts of one Python file."""
-    data = path.read_bytes()
-    code: set[int] = set()
-    prose: set[int] = set()
+def pieces(data: bytes) -> Iterator[tuple[bool, list[tokenize.TokenInfo]]]:
+    """(prose, tokens) for each comment and each logical line of Python
+    source `data`: a comment is prose, and so is a docstring statement."""
     statement: list[tokenize.TokenInfo] = []
     for tok in tokenize.tokenize(io.BytesIO(data).readline):
         if tok.type == tokenize.COMMENT:
-            prose.add(tok.start[0])
+            yield True, [tok]
         elif tok.type not in LAYOUT:
             statement.append(tok)
         elif tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER) and statement:
-            lines = code if any(s.type != tokenize.STRING for s in statement) else prose
-            for s in statement:
-                lines.update(range(s.start[0], s.end[0] + 1))
+            yield all(s.type == tokenize.STRING for s in statement), statement
             statement = []
-    return len(code), len(prose - code), data.count(b"\n")
+
+
+def line_counts(path: Path) -> tuple[int, int, int]:
+    """(code-only, prose, physical) line counts of one Python file."""
+    data = path.read_bytes()
+    lines: dict[bool, set[int]] = {False: set(), True: set()}  # code, prose
+    for prose, tokens in pieces(data):
+        lines[prose].update(n for s in tokens for n in range(s.start[0], s.end[0] + 1))
+    return len(lines[False]), len(lines[True] - lines[False]), data.count(b"\n")
 
 
 def main(argv: list[str]) -> int:
